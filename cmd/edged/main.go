@@ -37,7 +37,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"log/slog"
 	"math"
 	"net"
@@ -83,14 +82,13 @@ func run(args []string) error {
 		seed      = flags.Uint64("seed", 1, "randomness seed")
 		shards    = flags.Int("shards", core.DefaultShards, "lock-striped user-map shards (rounded up to a power of two; purely a concurrency knob — state is byte-identical at any shard count)")
 		useRTB    = flags.Bool("rtb", false, "serve ads through second-price RTB auctions instead of direct matching")
-		statePath = flags.String("state", "", "snapshot file: restored at startup when present, written on shutdown (keeps the obfuscation table permanent across restarts)")
-		dataDir   = flags.String("data-dir", "", "durable data directory holding the write-ahead log and checkpoints; state is recovered from it at startup and every mutation is logged (mutually exclusive with -state)")
+		dataDir   = flags.String("data-dir", "", "durable data directory holding the write-ahead log and checkpoints; state is recovered from it at startup and every mutation is logged (keeps the obfuscation table permanent across restarts)")
 		fsyncFlag = flags.String("fsync", "interval", "WAL fsync policy with -data-dir: always | interval[=<duration>] | never")
 		ckptEvery = flags.Duration("checkpoint-every", 5*time.Minute, "periodic checkpoint interval with -data-dir; 0 disables periodic checkpoints (a final one is still taken on shutdown)")
 		logFormat = flags.String("log-format", logx.FormatText, "structured log format: json | text")
 		slowTrace = flags.Duration("slow-trace", 250*time.Millisecond, "log requests whose trace exceeds this duration with their per-stage breakdown; 0 disables")
 
-		maxResident  = flags.Int("max-resident", 0, "bound on users resident in memory; least-recently-touched users beyond it are spilled to disk and faulted back in transparently (0 = unbounded)")
+		maxResident  = flags.Int("max-resident", 0, "bound on users resident in memory; cold users beyond it (picked by a CLOCK sweep) are spilled to disk and faulted back in transparently (0 = unbounded)")
 		evictIdle    = flags.Duration("evict-idle", 0, "periodically spill users idle for at least this long (0 disables; enables the spill tier even without -max-resident)")
 		rebuildEvery = flags.Duration("rebuild-every", 0, "run one incremental profile-rebuild sub-round this often, covering the population every -rebuild-parts ticks (0 disables)")
 		rebuildParts = flags.Int("rebuild-parts", 4, "sub-rounds an incremental rebuild spreads the population across (with -rebuild-every)")
@@ -101,9 +99,6 @@ func run(args []string) error {
 	logger, err := logx.New(*logFormat, os.Stderr)
 	if err != nil {
 		return err
-	}
-	if *dataDir != "" && *statePath != "" {
-		return errors.New("-state and -data-dir are mutually exclusive: the data directory's checkpoints already carry the snapshot")
 	}
 
 	mech, err := geoind.NewNFoldGaussian(geoind.Params{
@@ -170,16 +165,6 @@ func run(args []string) error {
 			slog.Uint64("checkpoint_lsn", stats.CheckpointLSN),
 			slog.Int("replayed", stats.Replayed),
 			slog.Int("op_errors", stats.OpErrors))
-	}
-	if *statePath != "" {
-		switch err := engine.RestoreFile(*statePath); {
-		case err == nil:
-			logger.Info("restored state", slog.String("state", *statePath))
-		case errors.Is(err, fs.ErrNotExist):
-			logger.Info("no previous state, starting fresh", slog.String("state", *statePath))
-		default:
-			return fmt.Errorf("restoring state: %w", err)
-		}
 	}
 
 	limit := adnet.PlatformLimits()[0] // Google: 5–65 km
@@ -281,7 +266,7 @@ func run(args []string) error {
 	if *rebuildEvery > 0 {
 		go rebuildIncremental(ctx, engine, *rebuildEvery, *rebuildParts, logger)
 	}
-	if err := serveAndPersist(ctx, server, engine, ln, *statePath, store, *ckptEvery, logger); err != nil {
+	if err := serveAndPersist(ctx, server, engine, ln, store, *ckptEvery, logger); err != nil {
 		return err
 	}
 	if ls, ok := provider.(interface{ LogSize() int }); ok {
@@ -290,15 +275,14 @@ func run(args []string) error {
 	return nil
 }
 
-// serveAndPersist runs the server and makes the engine state durable on
-// the way out — even when Serve fails. A listener or serve error must
-// not discard the permanent obfuscation table: losing it would force a
-// re-obfuscation on restart, which is exactly the longitudinal
-// degradation the table exists to prevent. In durable mode (store !=
-// nil) it additionally runs the periodic checkpointer and takes a final
-// checkpoint before sealing the log, so the next start replays at most
-// one checkpoint interval of records.
-func serveAndPersist(ctx context.Context, server *edge.Server, engine *core.Engine, ln net.Listener, statePath string, store *wal.Store, ckptEvery time.Duration, logger *slog.Logger) error {
+// serveAndPersist runs the server and, in durable mode (store != nil),
+// the periodic checkpointer, then takes a final checkpoint and seals the
+// log on the way out — even when Serve fails. A listener or serve error
+// must not discard the permanent obfuscation table: losing it would
+// force a re-obfuscation on restart, which is exactly the longitudinal
+// degradation the table exists to prevent. The next start replays at
+// most one checkpoint interval of records.
+func serveAndPersist(ctx context.Context, server *edge.Server, engine *core.Engine, ln net.Listener, store *wal.Store, ckptEvery time.Duration, logger *slog.Logger) error {
 	var ckptDone chan struct{}
 	stopCkpt := func() {}
 	if store != nil && ckptEvery > 0 {
@@ -337,12 +321,6 @@ func serveAndPersist(ctx context.Context, server *edge.Server, engine *core.Engi
 		if err := store.Close(); err != nil {
 			serveErr = errors.Join(serveErr, fmt.Errorf("closing wal: %w", err))
 		}
-	}
-	if statePath != "" {
-		if err := engine.SnapshotFile(statePath); err != nil {
-			return errors.Join(serveErr, fmt.Errorf("persisting state: %w", err))
-		}
-		logger.Info("state persisted", slog.String("state", statePath))
 	}
 	return serveErr
 }

@@ -6,8 +6,6 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -33,7 +31,9 @@ func TestRunValidationErrors(t *testing.T) {
 		{"campaign radius out of platform range rejected upstream", []string{"-addr", "127.0.0.1:0", "-campaigns", "1", "-radius", "-5"}},
 		{"unlistenable addr", []string{"-addr", "256.256.256.256:99999", "-campaigns", "0"}},
 		{"unlistenable debug addr", []string{"-debug-addr", "256.256.256.256:99999", "-campaigns", "0"}},
-		{"state and data-dir conflict", []string{"-state", "/tmp/s.jsonl", "-data-dir", "/tmp/d"}},
+		// -data-dir carries the state; an invocation still passing the
+		// removed -state flag must fail loudly, not start without its table.
+		{"removed state flag", []string{"-state", "/tmp/s.jsonl", "-data-dir", "/tmp/d"}},
 		{"bad fsync policy", []string{"-data-dir", "/tmp/d", "-fsync", "sometimes"}},
 	}
 	for _, tt := range tests {
@@ -70,11 +70,50 @@ func newTestServer(t *testing.T) (*edge.Server, *core.Engine) {
 	return server, engine
 }
 
-// TestServeAndPersistOnFailure checks that a serve error still writes
-// the state snapshot: losing the permanent obfuscation table on a
+// openStore opens a WAL store in a fresh directory and attaches it to
+// engine, the way run does for -data-dir.
+func openStore(t *testing.T, engine *core.Engine) (string, *wal.Store) {
+	t.Helper()
+	dir := t.TempDir()
+	store, err := wal.Open(dir, wal.Options{Policy: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := engine.Recover(store); err != nil {
+		t.Fatal(err)
+	}
+	return dir, store
+}
+
+// recoverDir recovers a fresh engine from dir and checks that the
+// shutdown left a checkpoint covering the whole log.
+func recoverDir(t *testing.T, dir string) *core.Engine {
+	t.Helper()
+	store, err := wal.Open(dir, wal.Options{Policy: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	_, engine := newTestServer(t)
+	stats, err := engine.Recover(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.CheckpointLSN == 0 {
+		t.Error("shutdown did not leave a checkpoint")
+	}
+	if stats.Replayed != 0 {
+		t.Errorf("final checkpoint should cover the whole log, yet %d records replayed", stats.Replayed)
+	}
+	return engine
+}
+
+// TestServeAndPersistOnFailure checks that a serve error still takes
+// the final checkpoint: losing the permanent obfuscation table on a
 // listener error would void the longitudinal guarantee on restart.
 func TestServeAndPersistOnFailure(t *testing.T) {
 	server, engine := newTestServer(t)
+	dir, store := openStore(t, engine)
 	if err := engine.Report("u1", geo.Point{X: 5, Y: 5}, time.Date(2021, 1, 1, 0, 0, 0, 0, time.UTC)); err != nil {
 		t.Fatal(err)
 	}
@@ -85,41 +124,34 @@ func TestServeAndPersistOnFailure(t *testing.T) {
 	}
 	ln.Close() // force Serve to fail immediately
 
-	statePath := filepath.Join(t.TempDir(), "state.jsonl")
-	logger := logx.Discard()
-	err = serveAndPersist(context.Background(), server, engine, ln, statePath, nil, 0, logger)
+	err = serveAndPersist(context.Background(), server, engine, ln, store, 0, logx.Discard())
 	if err == nil {
 		t.Fatal("closed listener did not produce a serve error")
 	}
 	if !strings.Contains(err.Error(), "serving:") {
 		t.Errorf("error %q does not report the serve failure", err)
 	}
-
-	if _, err := os.Stat(statePath); err != nil {
-		t.Fatalf("state not snapshotted after serve failure: %v", err)
-	}
-	_, restoredEngine := newTestServer(t)
-	if err := restoredEngine.RestoreFile(statePath); err != nil {
-		t.Fatalf("snapshot unreadable: %v", err)
-	}
-	if got := restoredEngine.Stats().Users; got != 1 {
-		t.Errorf("restored users = %d, want 1", got)
+	if got := recoverDir(t, dir).Stats().Users; got != 1 {
+		t.Errorf("recovered users = %d, want 1", got)
 	}
 }
 
-// TestServeAndPersistCleanShutdown checks the ordinary path still
-// persists and returns nil.
+// TestServeAndPersistCleanShutdown checks the ordinary path serves,
+// checkpoints on the way out and returns nil.
 func TestServeAndPersistCleanShutdown(t *testing.T) {
 	server, engine := newTestServer(t)
+	dir, store := openStore(t, engine)
+	if err := engine.Report("u1", geo.Point{X: 5, Y: 5}, time.Date(2021, 1, 1, 0, 0, 0, 0, time.UTC)); err != nil {
+		t.Fatal(err)
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	statePath := filepath.Join(t.TempDir(), "state.jsonl")
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- serveAndPersist(ctx, server, engine, ln, statePath, nil, 0, logx.Discard())
+		done <- serveAndPersist(ctx, server, engine, ln, store, 0, logx.Discard())
 	}()
 
 	// The server is up when /metrics answers.
@@ -150,8 +182,8 @@ func TestServeAndPersistCleanShutdown(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("clean shutdown returned %v", err)
 	}
-	if _, err := os.Stat(statePath); err != nil {
-		t.Fatalf("state not snapshotted on clean shutdown: %v", err)
+	if got := recoverDir(t, dir).Stats().Users; got != 1 {
+		t.Errorf("recovered users = %d, want 1", got)
 	}
 }
 
@@ -160,14 +192,7 @@ func TestServeAndPersistCleanShutdown(t *testing.T) {
 // from the same directory answers with the identical table fingerprint.
 func TestServeAndPersistDurable(t *testing.T) {
 	server, engine := newTestServer(t)
-	dir := t.TempDir()
-	store, err := wal.Open(dir, wal.Options{Policy: wal.SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := engine.Recover(store); err != nil {
-		t.Fatal(err)
-	}
+	dir, store := openStore(t, engine)
 	base := time.Date(2021, 1, 1, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < 20; i++ {
 		if err := engine.Report("u1", geo.Point{X: float64(5 + i%3), Y: 5}, base.Add(time.Duration(i)*time.Minute)); err != nil {
@@ -188,27 +213,11 @@ func TestServeAndPersistDurable(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // immediate clean shutdown; the durable epilogue still runs
-	if err := serveAndPersist(ctx, server, engine, ln, "", store, 10*time.Millisecond, logx.Discard()); err != nil {
+	if err := serveAndPersist(ctx, server, engine, ln, store, 10*time.Millisecond, logx.Discard()); err != nil {
 		t.Fatalf("durable shutdown returned %v", err)
 	}
 
-	store2, err := wal.Open(dir, wal.Options{Policy: wal.SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store2.Close()
-	_, engine2 := newTestServer(t)
-	stats, err := engine2.Recover(store2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.CheckpointLSN == 0 {
-		t.Error("shutdown did not leave a checkpoint")
-	}
-	if stats.Replayed != 0 {
-		t.Errorf("final checkpoint should cover the whole log, yet %d records replayed", stats.Replayed)
-	}
-	gotFP, err := engine2.TableFingerprint("u1")
+	gotFP, err := recoverDir(t, dir).TableFingerprint("u1")
 	if err != nil {
 		t.Fatal(err)
 	}

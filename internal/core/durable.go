@@ -309,8 +309,8 @@ func (r *recReader) time(what string) time.Time {
 	sec := r.varint(what)
 	nsec := r.varint(what)
 	// UTC for the same reason the wire codec normalizes on decode: a
-	// replayed or faulted-in instant must serialize (snapshot JSON)
-	// byte-identically to the live one regardless of host zone.
+	// replayed or faulted-in instant must read back identically to the
+	// live one regardless of host zone.
 	return time.Unix(sec, nsec).UTC()
 }
 
@@ -443,20 +443,10 @@ func (e *Engine) Checkpoint() (lsn uint64, data []byte, err error) {
 	if h != nil {
 		lsn = h.d.NextLSN()
 	}
-	var buf writeBuffer
-	if err := e.Snapshot(&buf); err != nil {
+	if data, err = e.appendSnapshot(nil); err != nil {
 		return 0, nil, err
 	}
-	return lsn, buf.b, nil
-}
-
-// writeBuffer is a minimal io.Writer over a byte slice (bytes.Buffer
-// without the unused machinery).
-type writeBuffer struct{ b []byte }
-
-func (w *writeBuffer) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
+	return lsn, data, nil
 }
 
 // RecoveryStats summarises a Recover call.

@@ -90,8 +90,9 @@ type Config struct {
 	// not be shared between live engines.
 	SpillDir string
 	// MaxResidentUsers bounds how many users' state stays resident in
-	// memory; the least-recently-touched users beyond the bound are
-	// evicted to SpillDir (which must be set). The bound is enforced
+	// memory; users beyond the bound, picked by a CLOCK sweep that spares
+	// recently touched ones, are evicted to SpillDir (which must be set).
+	// The bound is enforced
 	// per shard (cap/Shards each, minimum one resident per shard), so
 	// the effective engine-wide bound is max(MaxResidentUsers, Shards).
 	// 0 means unbounded residency; eviction is then only ever triggered
@@ -183,9 +184,20 @@ type userState struct {
 	// (which faults the user back in). Guarded by mu.
 	gone bool
 	// lastTouch is the wall-clock nanosecond of the user's last
-	// serving-path touch; the eviction sweep picks its victims by it.
-	// Only maintained when the spill tier is enabled.
+	// serving-path touch, for EvictIdle's idle cutoff; ref is the CLOCK
+	// reference bit a touch sets for the quota sweep (see
+	// evictOneLocked). Only maintained when the spill tier is enabled.
 	lastTouch atomic.Int64
+	ref       atomic.Bool
+	// slot is the user's index in its shard's CLOCK ring while resident.
+	// Guarded by the shard's mu.
+	slot int
+}
+
+// residentSlot is one entry of a shard's CLOCK ring.
+type residentSlot struct {
+	id string
+	u  *userState
 }
 
 // spillMeta is the resident-side record of one spilled user: just
@@ -209,6 +221,11 @@ type engineShard struct {
 	users   map[string]*userState
 	spilled map[string]spillMeta // nil until the first eviction
 	spill   *wal.SpillFile       // opened lazily on first eviction
+	// ring lists the resident users in CLOCK order and hand is the next
+	// slot the eviction sweep inspects; maintained only with the cold
+	// tier on.
+	ring []residentSlot
+	hand int
 }
 
 // Engine is the Edge-PrivLocAd core: it manages per-user location
@@ -319,10 +336,15 @@ func (e *Engine) shardFor(userID string) (*engineShard, uint64) {
 // tiered reports whether the cold tier is enabled.
 func (e *Engine) tiered() bool { return e.cfg.SpillDir != "" }
 
-// touch stamps the user's LRU clock. Only paid when the cold tier is on.
+// touch stamps the user's idle clock and sets its CLOCK reference bit,
+// writing the bit only when it is clear so hot users do not keep
+// dirtying its cache line. Only paid when the cold tier is on.
 func (e *Engine) touch(u *userState) {
 	if e.tiered() {
 		u.lastTouch.Store(time.Now().UnixNano())
+		if !u.ref.Load() {
+			u.ref.Store(true)
+		}
 	}
 }
 
@@ -362,7 +384,7 @@ func (e *Engine) userFor(userID string) (*userState, error) {
 		rnd:   randx.New(e.cfg.Seed, h),
 		table: table,
 	}
-	s.users[userID] = u
+	e.addResidentLocked(s, userID, u)
 	e.nUsers.Add(1)
 	e.nResident.Add(1)
 	e.touch(u)

@@ -1,17 +1,12 @@
 package core
 
 import (
-	"bufio"
-	"encoding/json"
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"time"
 
-	"repro/internal/profile"
-	"repro/internal/randx"
-	"repro/internal/trace"
+	"repro/internal/wal"
 )
 
 // The permanence of the obfuscation table is load-bearing for privacy:
@@ -19,92 +14,111 @@ import (
 // the attacker would observe a second independent (r, ε, δ, n) release
 // and the longitudinal guarantee would degrade exactly as Section III
 // describes. Snapshot/Restore make the table (and the rest of the
-// per-user state) durable across restarts.
-
-// userSnapshot is the serialised form of one user's engine state.
-type userSnapshot struct {
-	UserID      string          `json:"user_id"`
-	Pending     []trace.CheckIn `json:"pending,omitempty"`
-	WindowStart time.Time       `json:"window_start,omitempty"`
-	Tops        profile.Profile `json:"tops,omitempty"`
-	HasProfile  bool            `json:"has_profile"`
-	Table       []TableEntry    `json:"table,omitempty"`
-	// RandState carries the user's PRNG stream position so restored
-	// engines continue the exact sequence (keeping runs reproducible).
-	RandState []byte `json:"rand_state"`
-}
-
-// snapshotHeader versions the stream format.
-type snapshotHeader struct {
-	Format  string `json:"format"`
-	Version int    `json:"version"`
-	Users   int    `json:"users"`
-}
+// per-user state) durable across restarts; checkpoints carry them.
+//
+// A snapshot is a stream of checksummed frames in the wire codec's raw
+// framing (wal.AppendFrame). The first frame is the header: the format
+// tag, the version and the user count. One frame per user follows, in
+// Users() order; its payload is the uvarint-length user ID followed by
+// the user frame (encodeUserFrame), the same bytes the spill tier
+// stores. So a spilled user is copied into the stream as stored, never
+// decoded.
 
 const (
-	_snapshotFormat  = "edge-privlocad-state"
-	_snapshotVersion = 1
+	snapshotFormat  = "edge-privlocad-frames"
+	snapshotVersion = 1
+	// minUserRecord is the smallest framed user record: the frame header,
+	// a one-byte ID length, a one-byte ID, and the version byte plus six
+	// one-byte fields of an empty user frame. Restore rejects a header
+	// count the rest of the stream cannot hold before sizing anything by
+	// it.
+	minUserRecord = wal.FrameOverhead + 2 + 7
 )
 
-// Snapshot serialises all per-user state as JSON lines: one header line,
-// then one line per user (sorted by ID for deterministic output).
-// Spilled users are read through viewUser without promoting them, so a
-// snapshot of a memory-tiered engine is byte-identical to one of an
-// untired engine with the same history — eviction is invisible here.
+func appendSnapshotHeader(b []byte, users uint64) []byte {
+	b = appendStr(b, snapshotFormat)
+	b = binary.AppendUvarint(b, snapshotVersion)
+	return binary.AppendUvarint(b, users)
+}
+
+// Snapshot writes all per-user state as a frame stream (see above),
+// users sorted by ID. Spilled users are copied from the cold tier
+// without promoting them, so a snapshot of a memory-tiered engine is
+// byte-identical to one of an untiered engine with the same history —
+// eviction is invisible here.
 func (e *Engine) Snapshot(w io.Writer) error {
-	ids := e.Users()
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(snapshotHeader{
-		Format:  _snapshotFormat,
-		Version: _snapshotVersion,
-		Users:   len(ids),
-	}); err != nil {
-		return fmt.Errorf("core: encoding snapshot header: %w", err)
+	data, err := e.appendSnapshot(nil)
+	if err != nil {
+		return err
 	}
-	for _, id := range ids {
-		snap, err := e.snapshotUser(id)
-		if err != nil {
-			return err
-		}
-		if err := enc.Encode(snap); err != nil {
-			return fmt.Errorf("core: encoding snapshot for %q: %w", id, err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("core: flushing snapshot: %w", err)
+	if _, err := w.Write(data); err != nil {
+		return fmt.Errorf("core: writing snapshot: %w", err)
 	}
 	return nil
 }
 
-// snapshotUser captures one user's state. viewUser re-resolves through
-// the shard, so a user evicted (or faulted in) between the ID walk and
-// this read is still captured exactly once, consistently.
-func (e *Engine) snapshotUser(id string) (userSnapshot, error) {
-	u, release, err := e.viewUser(id)
-	if err != nil {
-		return userSnapshot{}, fmt.Errorf("core: snapshotting %q: %w", id, err)
+// appendSnapshot appends the snapshot stream to b.
+func (e *Engine) appendSnapshot(b []byte) ([]byte, error) {
+	ids := e.Users()
+	b = wal.AppendFrame(b, appendSnapshotHeader(nil, uint64(len(ids))))
+	var rec, scratch []byte
+	for _, id := range ids {
+		var err error
+		rec, scratch, err = e.appendUserRecord(rec[:0], scratch, id)
+		if err != nil {
+			return nil, fmt.Errorf("core: snapshotting %q: %w", id, err)
+		}
+		b = wal.AppendFrame(b, rec)
 	}
-	defer release()
-	randState, err := u.rnd.MarshalState()
-	if err != nil {
-		return userSnapshot{}, fmt.Errorf("core: capturing PRNG state for %q: %w", id, err)
+	return b, nil
+}
+
+// appendUserRecord appends id's record payload to rec: the ID, then its
+// user frame. A resident user is encoded under its lock. A spilled
+// user's frame is copied as SpillFile.Get returns it (Get has checked
+// its CRC), so a snapshot faults nobody in and decodes nothing cold.
+// scratch is the buffer for that read, returned for reuse. The shard is
+// re-resolved until it answers consistently, so a user evicted or
+// faulted in between the ID walk and this read is captured exactly once.
+func (e *Engine) appendUserRecord(rec, scratch []byte, id string) ([]byte, []byte, error) {
+	rec = appendStr(rec, id)
+	s, _ := e.shardFor(id)
+	for {
+		s.mu.RLock()
+		if u, ok := s.users[id]; ok {
+			s.mu.RUnlock()
+			u.mu.Lock()
+			if u.gone {
+				u.mu.Unlock()
+				continue // evicted between resolve and lock; re-resolve
+			}
+			rec, err := encodeUserFrame(rec, u)
+			u.mu.Unlock()
+			return rec, scratch, err
+		}
+		if _, ok := s.spilled[id]; ok {
+			payload, ok, err := s.spill.Get(id, scratch[:0])
+			s.mu.RUnlock()
+			if err != nil {
+				return nil, scratch, err
+			}
+			if !ok {
+				continue // raced with a concurrent fault-in; re-resolve
+			}
+			return append(rec, payload...), payload[:0], nil
+		}
+		s.mu.RUnlock()
+		return nil, scratch, ErrUnknownUser
 	}
-	return userSnapshot{
-		UserID:      id,
-		Pending:     append([]trace.CheckIn(nil), u.pending...),
-		WindowStart: u.windowStart,
-		Tops:        append(profile.Profile(nil), u.tops...),
-		HasProfile:  u.hasProfile,
-		Table:       u.table.Entries(),
-		RandState:   randState,
-	}, nil
 }
 
 // Restore loads a snapshot produced by Snapshot into a fresh engine.
 // Restored users keep their permanent obfuscation tables verbatim —
 // the property that preserves the longitudinal guarantee across
-// restarts. Restoring over existing users is rejected.
+// restarts. Restoring over existing users is rejected, and so is any
+// stream Snapshot could not have written: Restore accepts exactly the
+// canonical encoding, users in ascending ID order, so a re-Snapshot of
+// the restored engine reproduces the input byte for byte.
 //
 // Restore is all-or-nothing: every user is staged (and validated) off
 // to the side first, then committed in one step under all shard locks.
@@ -113,67 +127,78 @@ func (e *Engine) snapshotUser(id string) (userSnapshot, error) {
 // the users before the failure point into the engine with the
 // aggregate counters already bumped.
 func (e *Engine) Restore(r io.Reader) error {
-	dec := json.NewDecoder(bufio.NewReader(r))
-	var header snapshotHeader
-	if err := dec.Decode(&header); err != nil {
-		return fmt.Errorf("core: decoding snapshot header: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("core: reading snapshot: %w", err)
 	}
-	if header.Format != _snapshotFormat {
-		return fmt.Errorf("core: snapshot format %q, want %q", header.Format, _snapshotFormat)
+	header, rest, err := wal.SplitFrame(data)
+	if err != nil {
+		return fmt.Errorf("core: reading %s snapshot header: %w", snapshotFormat, err)
 	}
-	if header.Version != _snapshotVersion {
-		return fmt.Errorf("core: snapshot version %d not supported", header.Version)
+	hr := &recReader{b: header}
+	format := hr.str("snapshot format")
+	version := hr.uvarint("snapshot version")
+	users := hr.uvarint("snapshot user count")
+	switch {
+	case hr.err != nil:
+		return fmt.Errorf("core: snapshot header: %w", hr.err)
+	case format != snapshotFormat:
+		return fmt.Errorf("core: snapshot format %q, want %q", format, snapshotFormat)
+	case version != snapshotVersion:
+		return fmt.Errorf("core: snapshot version %d not supported", version)
+	case users > uint64(len(rest)/minUserRecord):
+		return fmt.Errorf("core: snapshot header claims %d users; the %d bytes after it cannot hold them", users, len(rest))
+	case !bytes.Equal(header, appendSnapshotHeader(nil, users)):
+		return fmt.Errorf("%w: non-canonical snapshot header", ErrCorruptRecord)
 	}
 
 	type stagedUser struct {
 		id string
 		u  *userState
 	}
-	staged := make([]stagedUser, 0, header.Users)
-	seen := make(map[string]struct{}, header.Users)
+	staged := make([]stagedUser, 0, users)
 	var stagedTops, stagedCandidates int64
-	for {
-		var snap userSnapshot
-		if err := dec.Decode(&snap); err == io.EOF {
-			break
-		} else if err != nil {
-			return fmt.Errorf("core: decoding snapshot user %d: %w", len(staged), err)
+	var canon []byte
+	for len(rest) > 0 {
+		var payload []byte
+		if payload, rest, err = wal.SplitFrame(rest); err != nil {
+			return fmt.Errorf("core: snapshot user %d: %w", len(staged), err)
 		}
-		if snap.UserID == "" {
+		ur := &recReader{b: payload}
+		id := ur.str("snapshot user id")
+		if ur.err != nil {
+			return fmt.Errorf("core: snapshot user %d: %w", len(staged), ur.err)
+		}
+		if id == "" {
 			return fmt.Errorf("core: snapshot user %d has empty id", len(staged))
 		}
-		if _, dup := seen[snap.UserID]; dup {
-			return fmt.Errorf("core: snapshot user %q appears twice", snap.UserID)
-		}
-		seen[snap.UserID] = struct{}{}
-		table, err := NewObfuscationTable(e.cfg.ConnectivityThreshold)
-		if err != nil {
-			return fmt.Errorf("core: restoring table for %q: %w", snap.UserID, err)
-		}
-		for _, entry := range snap.Table {
-			// Aggregate counts are tallied locally and only applied
-			// at commit: bumping e.nTops here would corrupt the
-			// counters when a later user fails the restore.
-			if _, created := table.Insert(entry.Top, entry.Candidates, entry.CreatedAt); created {
-				stagedTops++
-				stagedCandidates += int64(len(entry.Candidates))
+		if n := len(staged); n > 0 {
+			switch prev := staged[n-1].id; {
+			case id == prev:
+				return fmt.Errorf("core: snapshot user %q appears twice", id)
+			case id < prev:
+				return fmt.Errorf("core: snapshot user %q follows %q, out of order", id, prev)
 			}
 		}
-		rnd, err := randx.NewFromState(snap.RandState)
+		u, err := e.decodeUserFrame(ur.b)
 		if err != nil {
-			return fmt.Errorf("core: restoring PRNG state for %q: %w", snap.UserID, err)
+			return fmt.Errorf("core: restoring %q: %w", id, err)
 		}
-		staged = append(staged, stagedUser{id: snap.UserID, u: &userState{
-			rnd:         rnd,
-			pending:     snap.Pending,
-			windowStart: snap.WindowStart,
-			tops:        snap.Tops,
-			hasProfile:  snap.HasProfile,
-			table:       table,
-		}})
+		if canon, err = encodeUserFrame(canon[:0], u); err != nil {
+			return fmt.Errorf("core: restoring %q: %w", id, err)
+		}
+		if !bytes.Equal(canon, ur.b) {
+			return fmt.Errorf("core: restoring %q: %w: non-canonical user frame", id, ErrCorruptRecord)
+		}
+		// Aggregate counts are tallied locally and only applied at
+		// commit: bumping e.nTops here would corrupt the counters when a
+		// later user fails the restore.
+		stagedTops += int64(len(u.table.tops))
+		stagedCandidates += int64(len(u.table.arena))
+		staged = append(staged, stagedUser{id: id, u: u})
 	}
-	if len(staged) != header.Users {
-		return fmt.Errorf("core: snapshot header says %d users, stream had %d", header.Users, len(staged))
+	if uint64(len(staged)) != users {
+		return fmt.Errorf("core: snapshot header says %d users, stream had %d", users, len(staged))
 	}
 
 	// Commit. All shard locks are taken in index order (no other path
@@ -196,7 +221,7 @@ func (e *Engine) Restore(r io.Reader) error {
 	if conflict == nil {
 		for _, su := range staged {
 			s, _ := e.shardFor(su.id)
-			s.users[su.id] = su.u
+			e.addResidentLocked(s, su.id, su.u)
 		}
 		e.nUsers.Add(int64(len(staged)))
 		e.nResident.Add(int64(len(staged)))
@@ -221,60 +246,4 @@ func (e *Engine) Restore(r io.Reader) error {
 		}
 	}
 	return nil
-}
-
-// SnapshotFile writes the snapshot to path atomically AND durably:
-// temp file, fsync, rename, fsync of the parent directory. Without the
-// two fsyncs the rename is only atomic against a process crash — after
-// a power failure many filesystems may expose the new name with stale
-// or missing content, which is exactly the table loss the snapshot
-// exists to prevent.
-func (e *Engine) SnapshotFile(path string) (err error) {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("core: creating %q: %w", tmp, err)
-	}
-	defer func() {
-		if err != nil {
-			_ = os.Remove(tmp)
-		}
-	}()
-	if err = e.Snapshot(f); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err = f.Sync(); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("core: fsyncing %q: %w", tmp, err)
-	}
-	if err = f.Close(); err != nil {
-		return fmt.Errorf("core: closing %q: %w", tmp, err)
-	}
-	if err = os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("core: renaming snapshot into place: %w", err)
-	}
-	dir := filepath.Dir(path)
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("core: opening %q to fsync rename: %w", dir, err)
-	}
-	if err = d.Sync(); err != nil {
-		_ = d.Close()
-		return fmt.Errorf("core: fsyncing %q: %w", dir, err)
-	}
-	if err = d.Close(); err != nil {
-		return fmt.Errorf("core: closing %q: %w", dir, err)
-	}
-	return nil
-}
-
-// RestoreFile loads a snapshot from path.
-func (e *Engine) RestoreFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("core: opening %q: %w", path, err)
-	}
-	defer f.Close()
-	return e.Restore(f)
 }

@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
-	"path/filepath"
+	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/geo"
+	"repro/internal/wal"
 )
 
 // TestSnapshotRestoreRoundTrip is the critical privacy property: after a
@@ -177,41 +179,95 @@ func TestSnapshotRestorePendingWindow(t *testing.T) {
 	}
 }
 
+// snapshotHeaderFrame frames a snapshot header with the given fields.
+func snapshotHeaderFrame(format string, version, users uint64) []byte {
+	b := appendStr(nil, format)
+	b = binary.AppendUvarint(b, version)
+	return wal.AppendFrame(nil, binary.AppendUvarint(b, users))
+}
+
+// userRecord frames one snapshot user record: the ID, then a user frame.
+func userRecord(id string, frame []byte) []byte {
+	return wal.AppendFrame(nil, append(appendStr(nil, id), frame...))
+}
+
+// snapshotRecords splits a snapshot stream into its frames, header first.
+func snapshotRecords(t *testing.T, data []byte) [][]byte {
+	t.Helper()
+	var recs [][]byte
+	for len(data) > 0 {
+		_, rest, err := wal.SplitFrame(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, data[:len(data)-len(rest)])
+		data = rest
+	}
+	return recs
+}
+
 func TestRestoreErrors(t *testing.T) {
 	cfg := testConfig(t)
+	src, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedUser(t, src, "alice", geo.Point{X: 0, Y: 0}, geo.Point{X: 8000, Y: 0})
+	valid := snapshotBytes(t, src)
+	recs := snapshotRecords(t, valid)
+	alice := recs[1]
+	payload, _, err := wal.SplitFrame(alice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aliceFrame := payload[len(appendStr(nil, "alice")):]
+	header := func(users uint64) []byte { return snapshotHeaderFrame(snapshotFormat, snapshotVersion, users) }
+	flippedCRC := bytes.Clone(valid)
+	flippedCRC[len(recs[0])+4] ^= 0xFF
+
+	cases := []struct {
+		name string
+		body []byte
+	}{
+		{"garbage", []byte("{not a snapshot")},
+		{"wrong format", snapshotHeaderFrame("other", snapshotVersion, 0)},
+		{"wrong version", snapshotHeaderFrame(snapshotFormat, 99, 0)},
+		{"count mismatch", bytes.Join([][]byte{header(2), alice}, nil)},
+		{"inflated count", bytes.Join([][]byte{header(1 << 40), alice}, nil)},
+		{"empty id", bytes.Join([][]byte{header(1), userRecord("", aliceFrame)}, nil)},
+		{"duplicate", bytes.Join([][]byte{header(2), alice, alice}, nil)},
+		{"out of order", bytes.Join([][]byte{header(2), userRecord("bob", aliceFrame), alice}, nil)},
+		{"trailing bytes", bytes.Join([][]byte{header(1), userRecord("alice", append(bytes.Clone(aliceFrame), 0))}, nil)},
+		{"truncated", valid[:len(valid)-1]},
+		{"flipped crc", flippedCRC},
+	}
+	for _, tt := range cases {
+		t.Run(tt.name, func(t *testing.T) {
+			e, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = e.Restore(bytes.NewReader(tt.body))
+			if err == nil {
+				t.Fatal("expected error")
+			}
+			t.Log(err)
+		})
+	}
+
+	// A checkpoint from the retired JSON snapshot format fails with an
+	// error naming the format Restore expects.
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		name string
-		body string
-	}{
-		{"garbage", "{not json"},
-		{"wrong format", `{"format":"other","version":1,"users":0}` + "\n"},
-		{"wrong version", `{"format":"edge-privlocad-state","version":99,"users":0}` + "\n"},
-		{"count mismatch", `{"format":"edge-privlocad-state","version":1,"users":3}` + "\n"},
-		{"empty id", `{"format":"edge-privlocad-state","version":1,"users":1}` + "\n" + `{"user_id":"","rand_state":""}` + "\n"},
-	}
-	for _, tt := range cases {
-		t.Run(tt.name, func(t *testing.T) {
-			if err := e.Restore(strings.NewReader(tt.body)); err == nil {
-				t.Error("expected error")
-			}
-		})
+	old := `{"format":"edge-privlocad-state","version":1,"users":0}` + "\n"
+	if err := e.Restore(strings.NewReader(old)); err == nil || !strings.Contains(err.Error(), snapshotFormat) {
+		t.Errorf("JSON snapshot: err = %v, want a %s format error", err, snapshotFormat)
 	}
 
 	// Restoring over an existing user is rejected.
-	e2, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedUser(t, e2, "dup", geo.Point{X: 0, Y: 0}, geo.Point{X: 8000, Y: 0})
-	var buf bytes.Buffer
-	if err := e2.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := e2.Restore(&buf); err == nil {
+	if err := src.Restore(bytes.NewReader(valid)); err == nil {
 		t.Error("restore over existing user expected error")
 	}
 }
@@ -226,23 +282,24 @@ func TestRestoreAllOrNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	feedUser(t, src, "alice", geo.Point{X: 0, Y: 0}, geo.Point{X: 8000, Y: 0})
-	var buf bytes.Buffer
-	if err := src.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
+	valid := snapshotBytes(t, src)
 
 	// Header claims 2 users; alice (valid, with a real table) is
-	// followed by a user whose PRNG state is corrupt.
-	lines := strings.SplitN(buf.String(), "\n", 2)
-	mangled := `{"format":"edge-privlocad-state","version":1,"users":2}` + "\n" +
-		lines[1] +
-		`{"user_id":"mallory","rand_state":"bm90IGEgc3RhdGU="}` + "\n"
+	// followed by a well-framed user whose PRNG state is corrupt: the
+	// version byte, a 3-byte state, then zero profile flag, window start,
+	// pending, tops and table.
+	badPRNG := []byte{userFrameVersion, 3, 'x', 'y', 'z', 0, 0, 0, 0, 0}
+	mangled := bytes.Join([][]byte{
+		snapshotHeaderFrame(snapshotFormat, snapshotVersion, 2),
+		snapshotRecords(t, valid)[1],
+		userRecord("mallory", badPRNG),
+	}, nil)
 
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Restore(strings.NewReader(mangled)); err == nil {
+	if err := e.Restore(bytes.NewReader(mangled)); err == nil {
 		t.Fatal("restore with corrupt trailing user succeeded")
 	}
 	if got := e.Users(); len(got) != 0 {
@@ -252,7 +309,7 @@ func TestRestoreAllOrNothing(t *testing.T) {
 		t.Errorf("failed restore bumped counters: %+v", st)
 	}
 	// The engine is still usable after the rejected restore.
-	if err := e.Restore(strings.NewReader(buf.String())); err != nil {
+	if err := e.Restore(bytes.NewReader(valid)); err != nil {
 		t.Fatalf("clean restore after failed one: %v", err)
 	}
 	if got := e.Users(); len(got) != 1 || got[0] != "alice" {
@@ -260,33 +317,65 @@ func TestRestoreAllOrNothing(t *testing.T) {
 	}
 }
 
-func TestSnapshotFileAtomic(t *testing.T) {
-	cfg := testConfig(t)
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestRestoreIdentityAcrossShardsAndCaps: one snapshot restores into
+// every engine shape — shards {1,8} × resident cap {unbounded, 4} — and
+// snapshots back to the same bytes. At cap 4 Restore trims the
+// population into the cold tier, so the second snapshot copies spilled
+// users' frames rather than encoding them.
+func TestRestoreIdentityAcrossShardsAndCaps(t *testing.T) {
+	want := snapshotBytes(t, feedTrace(t, shardTrace(12, 120, 99), 1, 1))
+	for _, shards := range []int{1, 8} {
+		for _, cap := range []int{0, 4} {
+			t.Run(fmt.Sprintf("shards=%d/cap=%d", shards, cap), func(t *testing.T) {
+				cfg := testConfig(t)
+				if cap > 0 {
+					cfg = tieredConfig(t, cap)
+				}
+				cfg.Shards = shards
+				e, err := NewEngine(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.Close()
+				if err := e.Restore(bytes.NewReader(want)); err != nil {
+					t.Fatal(err)
+				}
+				if ts := e.TierStats(); cap > 0 && ts.Spilled == 0 {
+					t.Fatalf("cap %d left every user resident: %+v", cap, ts)
+				}
+				if got := snapshotBytes(t, e); !bytes.Equal(got, want) {
+					t.Errorf("re-snapshot differs (%d vs %d bytes)", len(got), len(want))
+				}
+			})
+		}
 	}
-	feedUser(t, e, "erin", geo.Point{X: 0, Y: 0}, geo.Point{X: 8000, Y: 0})
+}
 
-	path := filepath.Join(t.TempDir(), "state.jsonl")
-	if err := e.SnapshotFile(path); err != nil {
-		t.Fatal(err)
-	}
-	e2, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e2.RestoreFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if got := e2.Users(); len(got) != 1 || got[0] != "erin" {
-		t.Errorf("restored users = %v", got)
-	}
-	// Unwritable directory fails cleanly.
-	if err := e.SnapshotFile("/nonexistent-dir/state.jsonl"); err == nil {
-		t.Error("unwritable snapshot path expected error")
-	}
-	if err := e2.RestoreFile(filepath.Join(t.TempDir(), "missing.jsonl")); err == nil {
-		t.Error("missing snapshot file expected error")
-	}
+// FuzzRestore feeds Restore arbitrary streams. The committed seeds in
+// testdata/fuzz/FuzzRestore are a valid three-user snapshot taken with
+// one user spilled, that snapshot cut mid-frame, one with a flipped CRC
+// byte, and one whose header claims far more users than follow. Restore
+// must never panic or size an allocation by an unchecked count; a
+// rejected stream must leave the engine empty; an accepted one must
+// snapshot back to exactly the input.
+func FuzzRestore(f *testing.F) {
+	cfg := testConfig(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Restore(bytes.NewReader(data)); err != nil {
+			if got := e.Users(); len(got) != 0 {
+				t.Fatalf("rejected stream left users %v (err %v)", got, err)
+			}
+			if st := e.Stats(); st != (EngineStats{}) {
+				t.Fatalf("rejected stream left stats %+v (err %v)", st, err)
+			}
+			return
+		}
+		if got := snapshotBytes(t, e); !bytes.Equal(got, data) {
+			t.Fatalf("accepted stream re-snapshots differently (%d vs %d bytes)", len(got), len(data))
+		}
+	})
 }

@@ -19,12 +19,14 @@ import (
 // defense prevents), so an edge serving a long-tailed population of
 // millions of users would otherwise pay RAM forever for every user it
 // has ever seen. With Config.SpillDir set, the engine keeps only the
-// recently-touched users resident: the least-recently-touched state
-// beyond Config.MaxResidentUsers is serialized into a compact binary
-// frame — table (already packed, see table.go), top set, pending
-// window, window start, and the exact PCG PRNG position via
-// randx.Rand.MarshalState — and appended to a per-shard spill file. The
-// next Report/Request/merge touch faults the user back in.
+// recently-touched users resident: state beyond Config.MaxResidentUsers,
+// picked by a per-shard CLOCK sweep (an O(1) approximation of least
+// recently touched), is serialized into a compact binary user frame —
+// table (already packed, see table.go), top set, pending window, window
+// start, and the exact PCG PRNG position via randx.Rand.MarshalState —
+// and appended to a per-shard spill file. The next Report/Request/merge
+// touch faults the user back in. The same frame is a user's record in a
+// snapshot (persist.go), so a checkpoint copies spilled users as stored.
 //
 // Determinism is sacred: a faulted-in user draws the same PRNG stream,
 // holds the same table bytes, and snapshots identically — the engine's
@@ -37,17 +39,18 @@ import (
 // operation on a spilled user simply faults it in), and spill files are
 // truncated on open and removed on Close.
 
-// spillFrameVersion versions the evicted-user frame layout.
-const spillFrameVersion = 1
+// userFrameVersion versions the user frame layout.
+const userFrameVersion = 1
 
-// encodeUserFrame serializes one user's complete logical state. The
-// caller holds u.mu.
+// encodeUserFrame serializes one user's complete logical state: the
+// record the spill tier stores and a snapshot carries. The caller holds
+// u.mu.
 func encodeUserFrame(b []byte, u *userState) ([]byte, error) {
 	st, err := u.rnd.MarshalState()
 	if err != nil {
 		return nil, fmt.Errorf("capturing PRNG state: %w", err)
 	}
-	b = append(b, spillFrameVersion)
+	b = append(b, userFrameVersion)
 	b = binary.AppendUvarint(b, uint64(len(st)))
 	b = append(b, st...)
 	if u.hasProfile {
@@ -68,43 +71,43 @@ func encodeUserFrame(b []byte, u *userState) ([]byte, error) {
 // decodeUserFrame rebuilds a userState from encodeUserFrame output.
 func (e *Engine) decodeUserFrame(payload []byte) (*userState, error) {
 	if len(payload) == 0 {
-		return nil, fmt.Errorf("%w: empty spill frame", ErrCorruptRecord)
+		return nil, fmt.Errorf("%w: empty user frame", ErrCorruptRecord)
 	}
-	if payload[0] != spillFrameVersion {
-		return nil, fmt.Errorf("%w: spill frame version %d", ErrCorruptRecord, payload[0])
+	if payload[0] != userFrameVersion {
+		return nil, fmt.Errorf("%w: user frame version %d", ErrCorruptRecord, payload[0])
 	}
 	r := &recReader{b: payload[1:]}
-	st := r.bytes("spill rnd state")
-	hasProfile := r.bytes1("spill has-profile") == 1
-	windowStart := r.time("spill window start")
-	np := r.count("spill pending", 17) // 16B point + ≥1B time
+	st := r.bytes("user rnd state")
+	hasProfile := r.bytes1("user has-profile") == 1
+	windowStart := r.time("user window start")
+	np := r.count("user pending", 17) // 16B point + ≥1B time
 	pending := make([]trace.CheckIn, 0, np)
 	for i := 0; i < np; i++ {
-		pos := r.point("spill pending pos")
-		at := r.time("spill pending time")
+		pos := r.point("user pending pos")
+		at := r.time("user pending time")
 		pending = append(pending, trace.CheckIn{Pos: pos, Time: at})
 	}
-	nt := r.count("spill tops", 17) // 16B point + ≥1B freq
+	nt := r.count("user tops", 17) // 16B point + ≥1B freq
 	var tops profile.Profile
 	if nt > 0 {
 		tops = make(profile.Profile, 0, nt)
 		for i := 0; i < nt; i++ {
-			loc := r.point("spill top loc")
-			freq := r.varint("spill top freq")
+			loc := r.point("user top loc")
+			freq := r.varint("user top freq")
 			tops = append(tops, profile.LocationFreq{Loc: loc, Freq: int(freq)})
 		}
 	}
 	table, err := NewObfuscationTable(e.cfg.ConnectivityThreshold)
 	if err != nil {
-		return nil, fmt.Errorf("core: fault-in table: %w", err)
+		return nil, fmt.Errorf("core: user frame table: %w", err)
 	}
 	table.loadSpill(r)
-	if err := r.done("spill frame"); err != nil {
+	if err := r.done("user frame"); err != nil {
 		return nil, err
 	}
 	rnd, err := randx.NewFromState(st)
 	if err != nil {
-		return nil, fmt.Errorf("core: fault-in PRNG state: %w", err)
+		return nil, fmt.Errorf("core: user frame PRNG state: %w", err)
 	}
 	if np == 0 {
 		pending = nil
@@ -252,10 +255,27 @@ func (e *Engine) evictLocked(s *engineShard, id string, u *userState) error {
 	}
 	s.spilled[id] = spillMeta{pending: len(u.pending)}
 	delete(s.users, id)
+	// Swap the ring's last entry into u's slot.
+	last := len(s.ring) - 1
+	moved := s.ring[last]
+	s.ring[u.slot] = moved
+	moved.u.slot = u.slot
+	s.ring[last] = residentSlot{}
+	s.ring = s.ring[:last]
 	u.gone = true
 	e.nResident.Add(-1)
 	e.nEvictions.Add(1)
 	return nil
+}
+
+// addResidentLocked installs u as id's resident state. With the cold
+// tier on, u also joins the shard's CLOCK ring. The caller holds s.mu.
+func (e *Engine) addResidentLocked(s *engineShard, id string, u *userState) {
+	s.users[id] = u
+	if e.tiered() {
+		u.slot = len(s.ring)
+		s.ring = append(s.ring, residentSlot{id: id, u: u})
+	}
 }
 
 // faultInLocked loads a spilled user back into residency. The caller
@@ -274,17 +294,17 @@ func (e *Engine) faultInLocked(s *engineShard, id string) (*userState, error) {
 	}
 	delete(s.spilled, id)
 	s.spill.Delete(id)
-	s.users[id] = u
+	e.addResidentLocked(s, id, u)
 	e.nResident.Add(1)
 	e.nFaultIns.Add(1)
 	return u, nil
 }
 
-// enforceQuotaLocked evicts least-recently-touched residents until the
-// shard is back under its quota. keep (the user the caller is about to
-// operate on) is never evicted. Best-effort: victims whose locks are
-// contended are skipped, and a spill error stops the sweep (the shard
-// just stays over quota until the next touch). The caller holds s.mu.
+// enforceQuotaLocked evicts residents until the shard is back under its
+// quota. keep (the user the caller is about to operate on) is never
+// evicted. Best-effort: victims whose locks are contended are skipped,
+// and a spill error stops the sweep (the shard just stays over quota
+// until the next touch). The caller holds s.mu.
 func (e *Engine) enforceQuotaLocked(s *engineShard, keep *userState) {
 	if e.residentQuota <= 0 {
 		return
@@ -296,43 +316,43 @@ func (e *Engine) enforceQuotaLocked(s *engineShard, keep *userState) {
 	}
 }
 
-// evictOneLocked evicts the least-recently-touched evictable resident.
-// The caller holds s.mu.
+// evictOneLocked evicts one resident chosen by CLOCK (second chance):
+// the shard's hand sweeps its ring, clearing the reference bit of each
+// user touched since the hand last passed, and evicts the first user
+// whose bit is already clear. keep is never evicted. It gives up after
+// 8 busy users or two full turns without a victim. The caller holds
+// s.mu.
 func (e *Engine) evictOneLocked(s *engineShard, keep *userState) bool {
-	var skipped map[*userState]bool
-	for attempt := 0; attempt < 8; attempt++ {
-		var victimID string
-		var victim *userState
-		oldest := int64(math.MaxInt64)
-		for id, u := range s.users {
-			if u == keep || skipped[u] {
-				continue
-			}
-			if t := u.lastTouch.Load(); t < oldest {
-				oldest = t
-				victimID, victim = id, u
-			}
+	busy := 0
+	for steps := 2 * len(s.ring); steps > 0; steps-- {
+		if s.hand >= len(s.ring) {
+			s.hand = 0
 		}
-		if victim == nil {
-			return false
+		victim := s.ring[s.hand]
+		if victim.u == keep || victim.u.ref.Swap(false) {
+			s.hand++
+			continue
 		}
 		// TryLock, never Lock: the victim's holder may be mid-operation,
 		// and blocking here while holding s.mu would stall the whole
 		// shard. Eviction choice never affects logical state, so skipping
 		// a busy victim is always sound.
-		if victim.mu.TryLock() {
-			err := e.evictLocked(s, victimID, victim)
-			victim.mu.Unlock()
-			if err != nil {
-				e.nSpillErrs.Add(1)
+		if !victim.u.mu.TryLock() {
+			if busy++; busy == 8 {
 				return false
 			}
-			return true
+			s.hand++
+			continue
 		}
-		if skipped == nil {
-			skipped = make(map[*userState]bool)
+		// The ring's last entry moves into the hand's slot, so the hand
+		// stays put and inspects it next.
+		err := e.evictLocked(s, victim.id, victim.u)
+		victim.u.mu.Unlock()
+		if err != nil {
+			e.nSpillErrs.Add(1)
+			return false
 		}
-		skipped[victim] = true
+		return true
 	}
 	return false
 }

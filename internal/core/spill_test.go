@@ -389,7 +389,7 @@ func TestSpillTierConcurrencyStress(t *testing.T) {
 }
 
 // TestRecoverWithSpilledUsers is the WAL × spill interaction: a capped
-// engine checkpoints while most of its population is spilled, takes more
+// engine checkpoints while its whole population is spilled, takes more
 // traffic (for users both resident and spilled at checkpoint time), then
 // crashes. Recovery into a fresh capped engine — whose replay itself
 // churns the tier — must land byte-identical to the survivor.
@@ -415,12 +415,18 @@ func TestRecoverWithSpilledUsers(t *testing.T) {
 	if _, err := e.EvictIdle(0); err != nil {
 		t.Fatal(err)
 	}
-	if ts := e.TierStats(); ts.Resident != 0 || ts.Spilled == 0 {
-		t.Fatalf("pre-checkpoint tier state: %+v", ts)
+	before := e.TierStats()
+	if before.Resident != 0 || before.Spilled == 0 {
+		t.Fatalf("pre-checkpoint tier state: %+v", before)
 	}
 	lsn, data, err := e.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The checkpoint copies spilled users' frames as stored: nobody is
+	// faulted in to be encoded.
+	if after := e.TierStats(); after.FaultIns != before.FaultIns || after.Resident != before.Resident {
+		t.Errorf("checkpoint moved the tier: %+v, then %+v", before, after)
 	}
 	if err := st.WriteCheckpoint(lsn, data); err != nil {
 		t.Fatal(err)

@@ -59,37 +59,44 @@ func OpenSpill(path string) (*SpillFile, error) {
 	return &SpillFile{f: f, path: path, index: make(map[string]spillRef)}, nil
 }
 
-// spillFrameHeader is the per-frame prefix: 4B payload length + 4B CRC32.
-const spillFrameHeader = 8
+// FrameOverhead is the per-frame prefix: 4B payload length + 4B CRC32.
+const FrameOverhead = 8
 
-// appendSpillFrame frames payload with a checksummed length prefix.
-func appendSpillFrame(dst, payload []byte) []byte {
-	var hdr [spillFrameHeader]byte
+// AppendFrame frames payload with a checksummed length prefix, the wire
+// codec's raw frame layout (wire.RawFramePayload). Core frames its spill
+// records and its snapshot stream with it; the wire package imports
+// core, so the framing lives here.
+func AppendFrame(dst, payload []byte) []byte {
+	var hdr [FrameOverhead]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
 	dst = append(dst, hdr[:]...)
 	return append(dst, payload...)
 }
 
-// spillFramePayload verifies one frame and returns its payload (aliased).
-func spillFramePayload(frame []byte) ([]byte, error) {
-	if len(frame) < spillFrameHeader {
-		return nil, fmt.Errorf("truncated frame: %d bytes", len(frame))
+// SplitFrame verifies the frame at the front of b and returns its
+// payload (aliasing b) and the bytes after it. A length running past the
+// end of b is rejected before the checksum is computed.
+func SplitFrame(b []byte) (payload, rest []byte, err error) {
+	if len(b) < FrameOverhead {
+		return nil, nil, fmt.Errorf("truncated frame: %d bytes", len(b))
 	}
-	payload := frame[spillFrameHeader:]
-	if n := binary.LittleEndian.Uint32(frame); uint32(len(payload)) != n {
-		return nil, fmt.Errorf("header says %d payload bytes, frame has %d", n, len(payload))
+	n := uint64(binary.LittleEndian.Uint32(b))
+	if n > uint64(len(b)-FrameOverhead) {
+		return nil, nil, fmt.Errorf("header says %d payload bytes, %d follow", n, len(b)-FrameOverhead)
 	}
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(frame[4:]); got != want {
-		return nil, fmt.Errorf("checksum mismatch: %08x, header says %08x", got, want)
+	end := FrameOverhead + int(n)
+	payload = b[FrameOverhead:end]
+	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(b[4:]); got != want {
+		return nil, nil, fmt.Errorf("checksum mismatch: %08x, header says %08x", got, want)
 	}
-	return payload, nil
+	return payload, b[end:], nil
 }
 
 // Put records payload as the current state for key, superseding any
 // previous frame for it.
 func (s *SpillFile) Put(key string, payload []byte) error {
-	frame := appendSpillFrame(nil, payload)
+	frame := AppendFrame(nil, payload)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
@@ -129,7 +136,10 @@ func (s *SpillFile) Get(key string, dst []byte) (payload []byte, ok bool, err er
 	if _, err := s.f.ReadAt(frame, ref.off); err != nil {
 		return nil, false, fmt.Errorf("wal: reading spill frame for %q: %w", key, err)
 	}
-	payload, err = spillFramePayload(frame)
+	payload, rest, err := SplitFrame(frame)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("%d bytes after the frame's payload", len(rest))
+	}
 	if err != nil {
 		return nil, false, fmt.Errorf("wal: spill frame for %q: %w", key, err)
 	}

@@ -104,7 +104,7 @@ func TestSpillCorruptionDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip one payload byte (first byte after the 8-byte frame header).
-	if _, err := f.WriteAt([]byte{'X'}, spillFrameHeader); err != nil {
+	if _, err := f.WriteAt([]byte{'X'}, FrameOverhead); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -126,7 +126,7 @@ func TestSpillCompaction(t *testing.T) {
 			t.Fatalf("Put %d: %v", i, err)
 		}
 	}
-	if got, max := s.Size(), int64(2*(300<<10+spillFrameHeader)); got > max {
+	if got, max := s.Size(), int64(2*(300<<10+FrameOverhead)); got > max {
 		t.Errorf("Size after compaction = %d, want <= %d", got, max)
 	}
 	got, ok, err := s.Get("churner", nil)

@@ -9,27 +9,12 @@ import (
 // Raw frames are the codec's outer framing — [4B length][4B CRC32]
 // [payload] — factored out from the version/type payload envelope.
 // Decode routes through RawFramePayload, so there is exactly one
-// definition of what a well-formed frame is; callers that ship opaque
-// payloads under the same corruption-detection idiom (the engine's
-// cold-user spill frames use the identical layout on disk) get the
-// checksummed framing without the message envelope.
+// definition of what a well-formed message frame is. The engine's spill
+// records and snapshot streams use the identical layout, written by
+// wal.AppendFrame (core sits below this package, so it frames there).
 
-// RawFrameOverhead is the fixed per-frame framing cost in bytes.
-const RawFrameOverhead = headerSize
-
-// AppendRawFrame appends payload to dst as one checksummed frame and
-// returns the extended slice.
-func AppendRawFrame(dst, payload []byte) []byte {
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
-}
-
-// RawFramePayload verifies a frame produced by AppendRawFrame and
-// returns its payload (aliasing data, not a copy). The frame must span
-// data exactly.
+// RawFramePayload verifies one raw frame and returns its payload
+// (aliasing data, not a copy). The frame must span data exactly.
 func RawFramePayload(data []byte) ([]byte, error) {
 	if len(data) < headerSize {
 		return nil, fmt.Errorf("%w: %d bytes, want at least the %d-byte header", ErrFrame, len(data), headerSize)

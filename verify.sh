@@ -13,6 +13,11 @@ go vet ./...
 go build ./...
 go test -race ./...
 
+# The benchmark is its own module (bench/go.mod), so the root ./... above
+# skips it; it builds against the engine API and must keep compiling and
+# passing its own tests.
+(cd bench && go vet . && go test ./...)
+
 # The fault-tolerance surfaces (failover routing, degraded merges, journal
 # catch-up, client retries, bounded provider calls) are concurrency-heavy;
 # run their packages under the race detector a second time with -count=2
@@ -34,6 +39,11 @@ go test ./internal/edgecluster -run '^$' -fuzz 'FuzzDeltaCatchUpEquivalence$' -f
 # lines, junk coordinates, out-of-order timestamps) must never panic the
 # adapter — rows are skipped and counted, never trusted.
 go test ./internal/workload -run '^$' -fuzz 'FuzzExternalSource$' -fuzztime 10s
+
+# Checkpoint codec fuzz smoke: hostile snapshot streams must be rejected
+# whole (no users, zero stats) without a panic or a count-sized
+# allocation, and an accepted stream must re-snapshot byte for byte.
+go test ./internal/core -run '^$' -fuzz 'FuzzRestore$' -fuzztime 10s
 
 # Chaos smoke: kill edge endpoints under live traffic and let the
 # ping-based failure detector confirm and revive them — the simulation
@@ -172,9 +182,27 @@ edged_ready
 POST_STATS="$(curl -fs "http://$EDGED_ADDR/v1/stats")"
 POST_FP="$(curl -fs "http://$EDGED_ADDR/v1/fingerprint?user=smoke")"
 curl -fs "http://$EDGED_ADDR/metrics" | grep -q '^wal_recovery_records_total [1-9]'
-kill "$EDGED_PID"
-wait "$EDGED_PID" || true
-rm -rf "$WALDIR" "$EDGED_BIN"
 [ "$PRE_STATS" = "$POST_STATS" ]
 [ "$PRE_FP" = "$POST_FP" ]
+# SIGTERM this time: shutdown takes the final checkpoint, written while
+# most users are spilled (their frames are copied into it as stored).
+kill "$EDGED_PID"
+wait "$EDGED_PID" || true
 echo "kill-and-recover smoke passed: $POST_FP"
+
+# Checkpoint-restore smoke: a third start must restore that checkpoint —
+# the recovery log names a non-zero checkpoint_lsn — into the capped
+# engine, with /v1/stats and the fingerprint unchanged.
+EDGED_LOG="$(mktemp)"
+"$EDGED_BIN" -addr "$EDGED_ADDR" -data-dir "$WALDIR" -fsync always -checkpoint-every 0 -campaigns 5 -shards 1 -max-resident 4 2>"$EDGED_LOG" &
+EDGED_PID=$!
+edged_ready
+CKPT_STATS="$(curl -fs "http://$EDGED_ADDR/v1/stats")"
+CKPT_FP="$(curl -fs "http://$EDGED_ADDR/v1/fingerprint?user=smoke")"
+kill "$EDGED_PID"
+wait "$EDGED_PID" || true
+grep -Eq 'msg="recovered state".* checkpoint_lsn=[1-9]' "$EDGED_LOG"
+rm -rf "$WALDIR" "$EDGED_BIN" "$EDGED_LOG"
+[ "$PRE_STATS" = "$CKPT_STATS" ]
+[ "$PRE_FP" = "$CKPT_FP" ]
+echo "checkpoint-restore smoke passed: $CKPT_FP"
