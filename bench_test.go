@@ -33,6 +33,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/randx"
 	"repro/internal/spatial"
+	"repro/internal/trace"
 )
 
 // benchOptions keeps the full evaluation sweep quick under -bench=.
@@ -301,22 +302,25 @@ func BenchmarkAblationTrimming(b *testing.B) {
 	b.ReportMetric(withoutTrim/float64(b.N), "without-trim-m")
 }
 
-// BenchmarkAblationGridCell sweeps the spatial-index cell size used by
-// the connectivity clustering, relative to the 50 m threshold.
+// BenchmarkAblationGridCell compares profile clustering against the
+// per-point grid scan it replaced: one spatial.Grid.Within query per
+// check-in at cell = θ, uniting every hit. Under 15 m wander nearly every
+// pair of visits to one top lies within θ, so the scan's cost grows with
+// the square of a top's visit count, while cluster.Connectivity's
+// cell-sorted union-find stays linear. The input is one calibrated
+// user's window at 180 check-ins and at the paper's densest user's
+// 11,435.
 func BenchmarkAblationGridCell(b *testing.B) {
-	rnd := randx.New(4, 4)
-	centres := []geo.Point{{X: 0, Y: 0}, {X: 4000, Y: 0}, {X: 0, Y: 4000}}
-	pts := make([]geo.Point, 0, 6000)
-	for i := 0; i < 6000; i++ {
-		pts = append(pts, centres[i%3].Add(rnd.GaussianPolar(12)))
-	}
 	const theta = 50.0
-	for _, factor := range []float64{0.5, 1, 2, 4} {
-		name := map[float64]string{0.5: "half", 1: "equal", 2: "double", 4: "quad"}[factor]
-		b.Run(name, func(b *testing.B) {
-			cell := theta * factor
+	for _, n := range []int{180, 11_435} {
+		u, err := trace.GenerateUser(trace.DefaultConfig(), 4, "ablation", n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pts := u.Points()
+		b.Run(fmt.Sprintf("grid-scan/%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				grid, err := spatial.NewGrid(cell)
+				grid, err := spatial.NewGrid(theta)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -332,6 +336,13 @@ func BenchmarkAblationGridCell(b *testing.B) {
 							uf.Union(id, j)
 						}
 					}
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("connectivity/%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := cluster.Connectivity(pts, theta); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

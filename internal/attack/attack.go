@@ -60,7 +60,7 @@ func TopN(observed []geo.Point, n int, opts Options) ([]geo.Point, error) {
 
 	// Rank iterations reuse one grid and one pair of scratch slices: each
 	// round re-packs the remaining observations and Resets/refills the
-	// index instead of allocating fresh ones per rank.
+	// trimming index instead of allocating fresh ones per rank.
 	grid, err := spatial.NewGrid(opts.Theta)
 	if err != nil {
 		return nil, fmt.Errorf("attack: building index: %w", err)
@@ -78,7 +78,7 @@ func TopN(observed []geo.Point, n int, opts Options) ([]geo.Point, error) {
 				pts = append(pts, observed[i])
 			}
 		}
-		clusters, err := cluster.ConnectivityWithGrid(grid, pts, opts.Theta)
+		clusters, err := cluster.Connectivity(pts, opts.Theta)
 		if err != nil {
 			return nil, fmt.Errorf("attack: clustering rank %d: %w", rank+1, err)
 		}
@@ -88,9 +88,12 @@ func TopN(observed []geo.Point, n int, opts Options) ([]geo.Point, error) {
 		largest := clusters[0] // Alg. 1:5 — the largest cluster
 
 		// Trim and refine (Alg. 1:6, 10–19). Adoption is limited to
-		// still-unassigned points, which here is every point in pts; the
-		// connectivity grid (which holds exactly pts) doubles as the
-		// adoption index.
+		// still-unassigned points, which here is every point in pts, so
+		// the grid indexes exactly pts.
+		grid.Reset()
+		for i, p := range pts {
+			grid.Insert(i, p)
+		}
 		members, centroid, err := cluster.Trim(pts, largest.Members, cluster.TrimOptions{
 			Radius:        opts.ClusterRadius,
 			MaxIterations: opts.MaxTrimIterations,

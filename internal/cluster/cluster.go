@@ -4,13 +4,17 @@
 // Euclidean distance is within a threshold, transitively) and the
 // centroid trimming refinement of Algorithm 1 (lines 10–19).
 //
-// Clustering is accelerated by the uniform-grid index in internal/spatial,
-// giving near-linear behaviour on the dataset scale the paper uses
-// (up to ~11k check-ins per user, 37k users).
+// Connectivity clustering sorts the points by grid cell and unites them
+// with a union-find, so its cost stays linear in the check-in count even
+// when thousands of visits crowd one location — the paper's per-user
+// histories reach ~11k check-ins across 37k users.
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/geo"
@@ -30,75 +34,170 @@ type Cluster struct {
 // location in the paper's profile terminology).
 func (c Cluster) Size() int { return len(c.Members) }
 
-// Connectivity groups points transitively: indices i and j end up in the
-// same cluster when a chain of points with consecutive distances ≤
-// threshold connects them. Clusters are returned sorted by descending
-// size, ties broken by the smallest member index, so results are
-// deterministic.
-func Connectivity(pts []geo.Point, threshold float64) ([]Cluster, error) {
-	return ConnectivityWithGrid(nil, pts, threshold)
+// maxCellIndex bounds |coordinate / cell side| for a point to get a cell,
+// so that a cell's two indexes pack into one uint64 sort key. Below it
+// the float64 quotient is within 2^-22 of a cell of the exact one, which
+// keeps both cell shortcuts of Connectivity exact: two points of one cell
+// are at most ~0.71·threshold apart, and two points within threshold are
+// at most 3 cells apart on each axis. Points beyond it are compared
+// pairwise instead (at the paper's 50 m that is 5.4e10 m out).
+const maxCellIndex = 1 << 31
+
+// cellPoint is one point's entry in Connectivity's cell-sorted list: its
+// cell's x and y indexes, each offset by maxCellIndex, in the high and
+// low halves of key.
+type cellPoint struct {
+	key uint64
+	i   int // index into the input slice
 }
 
-// ConnectivityWithGrid is Connectivity with a caller-provided reusable
-// index: grid is Reset and refilled with pts (ids are slice indexes),
-// avoiding per-call map growth on hot paths that cluster many point sets
-// in sequence (the attack clusters once per rank per user). The grid's
-// own cell size is used as-is; build it with cellSize == threshold for
-// the intended near-linear behaviour. A nil grid allocates a fresh one.
-// On success the grid holds exactly pts, which callers may keep using
-// for follow-up queries such as Trim adoption.
-func ConnectivityWithGrid(grid *spatial.Grid, pts []geo.Point, threshold float64) ([]Cluster, error) {
-	if threshold <= 0 {
-		return nil, fmt.Errorf("cluster: connectivity threshold %g must be positive", threshold)
+// Connectivity groups points transitively: indices i and j end up in the
+// same cluster when a chain of points with consecutive distances ≤
+// threshold (Dist2 ≤ threshold², exactly) connects them. Clusters are
+// returned sorted by descending size, ties broken by the smallest member
+// index, so results are deterministic.
+//
+// Points are bucketed into square cells of side threshold/2 and the
+// (cell, index) pairs sorted once, so each cell is a contiguous run. The
+// points of one cell are united without a distance test. Each cell is
+// then compared with the later cells within ±3 on each axis (±2 covers
+// the threshold, the extra ring absorbs rounding of the cell index): a
+// pair already in one component is skipped, any other stops at its
+// first point pair within threshold. Points with a NaN or infinite
+// coordinate are then never within threshold of anything and stay
+// singletons, and points too far out for an exact cell index are
+// compared with every other point. When threshold² is not a normal
+// float64 every point is compared with every other: the cell bounds
+// above rely on squared distances rounding like real ones, and an
+// infinite threshold² even connects infinite points.
+func Connectivity(pts []geo.Point, threshold float64) ([]Cluster, error) {
+	if !(threshold > 0) || math.IsInf(threshold, 0) {
+		return nil, fmt.Errorf("cluster: connectivity threshold %g must be positive and finite", threshold)
 	}
 	if len(pts) == 0 {
 		return nil, nil
 	}
+	r2 := threshold * threshold
+	side := threshold / 2
+	gridded := r2 >= 0x1p-1022 && !math.IsInf(r2, 1)
 
-	if grid == nil {
-		var err error
-		grid, err = spatial.NewGrid(threshold)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: building index: %w", err)
-		}
-	} else {
-		grid.Reset()
-	}
+	cells := make([]cellPoint, 0, len(pts))
+	var far []int
 	for i, p := range pts {
-		grid.Insert(i, p)
+		cx, cy := p.X/side, p.Y/side
+		switch {
+		case gridded && math.Abs(cx) < maxCellIndex && math.Abs(cy) < maxCellIndex:
+			x, y := uint64(math.Floor(cx)+maxCellIndex), uint64(math.Floor(cy)+maxCellIndex)
+			cells = append(cells, cellPoint{key: x<<32 | y, i: i})
+		case gridded && !(finite(p.X) && finite(p.Y)):
+			// Dist2 against such a point is NaN or +Inf, never ≤ the
+			// finite r2: a singleton.
+		default:
+			far = append(far, i)
+		}
 	}
+	// Order within a cell is irrelevant: its points all join one
+	// component, whichever pairs are tested.
+	slices.SortFunc(cells, func(a, b cellPoint) int { return cmp.Compare(a.key, b.key) })
 
 	uf := spatial.NewUnionFind(len(pts))
-	var buf []int
-	for i, p := range pts {
-		buf = grid.Within(buf[:0], p, threshold)
-		for _, j := range buf {
-			if j > i {
-				uf.Union(i, j)
+	// One run per occupied cell, in sorted order; its points are
+	// cells[runs[k].start:runs[k+1].start]. A sentinel closes the last.
+	type run struct {
+		x, y  int64
+		start int
+	}
+	var runs []run
+	for k, c := range cells {
+		if k > 0 && c.key == cells[k-1].key {
+			uf.Union(cells[k-1].i, c.i)
+			continue
+		}
+		runs = append(runs, run{x: int64(c.key >> 32), y: int64(c.key & math.MaxUint32), start: k})
+	}
+	nr := len(runs)
+	runs = append(runs, run{start: len(cells)})
+
+	// link unites runs a and b if any of their point pairs lies within
+	// threshold.
+	link := func(a, b int) {
+		ca, cb := cells[runs[a].start:runs[a+1].start], cells[runs[b].start:runs[b+1].start]
+		if uf.Find(ca[0].i) == uf.Find(cb[0].i) {
+			return
+		}
+		for _, p := range ca {
+			for _, q := range cb {
+				if pts[p.i].Dist2(pts[q.i]) <= r2 {
+					uf.Union(p.i, q.i)
+					return
+				}
+			}
+		}
+	}
+	// next[dx] is the first run at or after cell (x+dx, y-3) for the
+	// current run (x, y); it only moves forward as the current run does.
+	var next [4]int
+	for a := 0; a < nr; a++ {
+		x, y := runs[a].x, runs[a].y
+		for b := a + 1; b < nr && runs[b].x == x && runs[b].y <= y+3; b++ {
+			link(a, b)
+		}
+		for dx := int64(1); dx <= 3; dx++ {
+			b := next[dx]
+			for b < nr && (runs[b].x < x+dx || runs[b].x == x+dx && runs[b].y < y-3) {
+				b++
+			}
+			next[dx] = b
+			for ; b < nr && runs[b].x == x+dx && runs[b].y <= y+3; b++ {
+				link(a, b)
+			}
+		}
+	}
+	for k, a := range far {
+		for _, b := range far[k+1:] {
+			if pts[a].Dist2(pts[b]) <= r2 {
+				uf.Union(a, b)
+			}
+		}
+		for _, c := range cells {
+			if pts[a].Dist2(pts[c.i]) <= r2 {
+				uf.Union(a, c.i)
 			}
 		}
 	}
 
-	groups := make(map[int][]int)
+	// Group members by root in ascending index order, so each member
+	// list comes out ascending and clusters appear in the order of their
+	// smallest member. Every cluster's list is a capacity-capped window
+	// of one shared slab, sized from its component.
+	slab := make([]int, len(pts))
+	slot := make([]int, len(pts)) // root → 1 + position in clusters
+	clusters := make([]Cluster, 0, uf.Components())
+	used := 0
 	for i := range pts {
 		r := uf.Find(i)
-		groups[r] = append(groups[r], i)
-	}
-
-	clusters := make([]Cluster, 0, len(groups))
-	for _, members := range groups {
-		sort.Ints(members)
-		centroid := centroidOf(pts, members)
-		clusters = append(clusters, Cluster{Members: members, Centroid: centroid})
-	}
-	sort.Slice(clusters, func(a, b int) bool {
-		if clusters[a].Size() != clusters[b].Size() {
-			return clusters[a].Size() > clusters[b].Size()
+		if slot[r] == 0 {
+			size := uf.ComponentSize(r)
+			clusters = append(clusters, Cluster{Members: slab[used : used : used+size]})
+			slot[r] = len(clusters)
+			used += size
 		}
-		return clusters[a].Members[0] < clusters[b].Members[0]
+		c := &clusters[slot[r]-1]
+		c.Members = append(c.Members, i)
+	}
+	for k := range clusters {
+		clusters[k].Centroid = centroidOf(pts, clusters[k].Members)
+	}
+	slices.SortFunc(clusters, func(a, b Cluster) int {
+		if c := cmp.Compare(b.Size(), a.Size()); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Members[0], b.Members[0])
 	})
 	return clusters, nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // centroidOf averages the selected points.
 func centroidOf(pts []geo.Point, members []int) geo.Point {
@@ -121,10 +220,10 @@ type TrimOptions struct {
 	// not guaranteed to terminate in theory. Zero selects a default of 64.
 	MaxIterations int
 	// Index optionally provides a prebuilt spatial index over the same pts
-	// slice (ids are slice indexes, e.g. the grid ConnectivityWithGrid just
-	// filled). When set, the adoption pass queries the index instead of
-	// scanning every point; Trim never mutates it. The index's cell size
-	// need not match Radius — Grid.Within is exact for any query radius.
+	// slice (ids are slice indexes). When set, the adoption pass queries
+	// the index instead of scanning every point; Trim never mutates it.
+	// The index's cell size need not match Radius — Grid.Within is exact
+	// for any query radius.
 	Index *spatial.Grid
 }
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
@@ -281,6 +282,24 @@ func TestTrimConverges(t *testing.T) {
 	}
 }
 
+// BenchmarkConnectivityCalibrated clusters one user's window in the
+// calibrated trace shape (see calibratedCheckIns) at the sizes of a
+// short window, a longer one, and the paper's densest user.
+func BenchmarkConnectivityCalibrated(b *testing.B) {
+	for _, n := range []int{120, 180, 1000, 11_435} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			pts := calibratedCheckIns(randx.New(1, uint64(n)), n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Connectivity(pts, 50); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkConnectivity10k(b *testing.B) {
 	rnd := randx.New(1, 1)
 	pts := make([]geo.Point, 10_000)
@@ -306,38 +325,6 @@ func gaussianSites(rnd *randx.Rand, perSite int) []geo.Point {
 		}
 	}
 	return pts
-}
-
-func TestConnectivityWithGridReuseMatchesFresh(t *testing.T) {
-	rnd := randx.New(4, 9)
-	grid, err := spatial.NewGrid(150)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reuse the same grid across successive point sets of different sizes
-	// and verify each result matches a fresh Connectivity call.
-	for round := 0; round < 4; round++ {
-		pts := gaussianSites(rnd, 50+40*round)
-		want, err := Connectivity(pts, 150)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ConnectivityWithGrid(grid, pts, 150)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("round %d: %d clusters vs %d fresh", round, len(got), len(want))
-		}
-		for c := range got {
-			if !reflect.DeepEqual(got[c].Members, want[c].Members) {
-				t.Fatalf("round %d cluster %d: members differ", round, c)
-			}
-			if got[c].Centroid != want[c].Centroid {
-				t.Fatalf("round %d cluster %d: centroid differs", round, c)
-			}
-		}
-	}
 }
 
 // TestTrimWithIndexMatchesScan: adoption through a prebuilt spatial index

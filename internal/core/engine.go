@@ -690,6 +690,11 @@ func (e *Engine) RebuildAll(now time.Time, parallelism int) error {
 // Spilled users with no pending check-ins are skipped without fault-in:
 // their rebuild is a no-op by construction (see rebuildLocked), so the
 // cold tail costs a map lookup, not disk traffic.
+//
+// Under a resident cap the part's shards are brought back to quota once
+// the workers are done: a fault-in's quota sweep skips residents whose
+// locks are held, and the workers hold user locks throughout, so a shard
+// can be left over quota with no later touch to trim it.
 func (e *Engine) RebuildPart(now time.Time, parallelism, part, parts int) error {
 	if parts <= 0 {
 		parts = 1
@@ -702,7 +707,7 @@ func (e *Engine) RebuildPart(now time.Time, parallelism, part, parts int) error 
 	h := e.durBegin()
 	defer e.durEnd(h)
 	ids := e.rebuildTargets(part, parts)
-	return par.ForEachErr(parallelism, len(ids), func(i int) error {
+	err := par.ForEachErr(parallelism, len(ids), func(i int) error {
 		u, err := e.lockUser(ids[i], false)
 		if err != nil {
 			return err
@@ -719,6 +724,15 @@ func (e *Engine) RebuildPart(now time.Time, parallelism, part, parts int) error 
 		}
 		return opErr
 	})
+	if e.residentQuota > 0 {
+		for i := part; i < len(e.shards); i += parts {
+			s := &e.shards[i]
+			s.mu.Lock()
+			e.enforceQuotaLocked(s, nil)
+			s.mu.Unlock()
+		}
+	}
+	return err
 }
 
 // rebuildTargets lists (sorted) the users a RebuildPart sub-round must

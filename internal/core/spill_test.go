@@ -280,6 +280,64 @@ func TestRebuildPartSkipsSpilledIdle(t *testing.T) {
 	}
 }
 
+// TestRebuildPartRestoresQuota: a fault-in whose quota sweep finds only
+// a busy victim leaves its shard over quota, and nothing else would
+// touch that shard again. RebuildPart must bring it back to quota even
+// when none of the users it rebuilds needs a fault-in.
+func TestRebuildPartRestoresQuota(t *testing.T) {
+	cfg := tieredConfig(t, 1)
+	cfg.Shards = 1
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	at := time.Date(2021, 3, 1, 9, 0, 0, 0, time.UTC)
+	for _, id := range []string{"a", "b"} {
+		if err := e.Report(id, geo.Point{X: 10, Y: 20}, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Clear every pending window, so no spilled user is a rebuild target.
+	if err := e.RebuildAll(at, 1); err != nil {
+		t.Fatal(err)
+	}
+	s := &e.shards[0]
+	s.mu.RLock()
+	var heldID string
+	var held *userState
+	for id, u := range s.users {
+		heldID, held = id, u
+	}
+	s.mu.RUnlock()
+	if ts := e.TierStats(); ts.Resident != 1 || held == nil {
+		t.Fatalf("setup: %+v", ts)
+	}
+	spilled := "a"
+	if heldID == "a" {
+		spilled = "b"
+	}
+
+	// Fault the spilled user in while the only other resident is locked,
+	// as a rebuild worker would hold it.
+	held.mu.Lock()
+	err = e.Report(spilled, geo.Point{X: 10, Y: 20}, at.Add(time.Minute))
+	held.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ts := e.TierStats(); ts.Resident != 2 {
+		t.Fatalf("busy victim was evicted anyway: %+v", ts)
+	}
+
+	if err := e.RebuildPart(at.Add(time.Hour), 1, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if ts := e.TierStats(); ts.Resident != 1 || ts.Spilled != 1 {
+		t.Errorf("after RebuildPart: %+v, want 1 resident and 1 spilled", ts)
+	}
+}
+
 // TestSpillTierConcurrencyStress hammers a tiny-cap tiered engine from
 // many goroutines — Report, ReportBatch, Request, RebuildAll, EvictIdle,
 // Snapshot, fingerprints — at shards {1,8}. Meaningful primarily under

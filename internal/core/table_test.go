@@ -79,6 +79,37 @@ func TestTablePermanence(t *testing.T) {
 	}
 }
 
+// TestTablePermanenceFarOut: once a table is large enough to index its
+// tops, a top far beyond the grid's old 32-bit cell range must still be
+// found, so re-inserting it returns the existing entry instead of
+// drawing a second candidate set.
+func TestTablePermanenceFarOut(t *testing.T) {
+	tbl, err := NewObfuscationTable(50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	for i := 0; i < 39; i++ {
+		tbl.Insert(geo.Point{X: float64(i) * 1000, Y: 0}, []geo.Point{{X: 1, Y: 1}}, now)
+	}
+	for _, top := range []geo.Point{{X: 2e11, Y: 7}, {X: -2e11, Y: 7}, {X: 1e300, Y: 0}} {
+		orig := []geo.Point{{X: 3, Y: 3}}
+		if _, created := tbl.Insert(top, orig, now); !created {
+			t.Fatalf("first insert of %v should create", top)
+		}
+		entry, created := tbl.Insert(top, []geo.Point{{X: 999, Y: 999}}, now.Add(time.Hour))
+		if created || entry.Candidates[0] != orig[0] {
+			t.Errorf("second insert of %v: created=%v entry=%+v; want the existing entry", top, created, entry)
+		}
+		if got, ok := tbl.Lookup(top); !ok || got.Top != top {
+			t.Errorf("Lookup(%v) = %+v, %v", top, got, ok)
+		}
+	}
+	if tbl.Len() != 42 {
+		t.Errorf("Len = %d, want 42", tbl.Len())
+	}
+}
+
 func TestTableInsertCopiesCandidates(t *testing.T) {
 	tbl, err := NewObfuscationTable(50)
 	if err != nil {

@@ -1,8 +1,9 @@
-// Package spatial provides a uniform-grid spatial index over plane points.
-// It powers two hot paths of the reproduction: the 50 m-connectivity
-// clustering of the longitudinal attack (neighbour queries among tens of
-// thousands of check-ins) and radius-targeting ad matching in the LBA
-// substrate (campaigns within distance R of a reported location).
+// Package spatial provides a uniform-grid spatial index over plane points
+// and the union-find the connectivity clustering builds its components
+// with. The grid serves three neighbour queries: the adoption pass of the
+// attack's centroid trimming, the obfuscation table's top-location match,
+// and radius-targeting ad matching in the LBA substrate (campaigns within
+// distance R of a reported location).
 package spatial
 
 import (
@@ -12,9 +13,14 @@ import (
 	"repro/internal/geo"
 )
 
+// cellLimit saturates cell indexes: every coordinate, however far out,
+// maps to a cell in [-cellLimit, cellLimit], so a query's cell range can
+// always be walked without overflowing int64.
+const cellLimit = 1 << 62
+
 // cellKey identifies one grid cell.
 type cellKey struct {
-	ix, iy int32
+	ix, iy int64
 }
 
 // Grid is a uniform-cell spatial index mapping points to integer IDs.
@@ -54,11 +60,38 @@ func (g *Grid) Reset() {
 // Len returns the number of indexed points.
 func (g *Grid) Len() int { return len(g.pts) }
 
-func (g *Grid) key(p geo.Point) cellKey {
-	return cellKey{
-		ix: int32(math.Floor(p.X / g.cell)),
-		iy: int32(math.Floor(p.Y / g.cell)),
+// index returns floor(v / cell) saturated at ±cellLimit (NaN maps to
+// -cellLimit). A saturated cell may hold far-apart points, but every
+// query hit is distance-checked. The index never decreases as v grows,
+// which is what makes the query ranges of Within exact.
+func (g *Grid) index(v float64) int64 {
+	f := math.Floor(v / g.cell)
+	switch {
+	case f >= cellLimit:
+		return cellLimit
+	case f > -cellLimit:
+		return int64(f)
+	default:
+		return -cellLimit
 	}
+}
+
+func (g *Grid) key(p geo.Point) cellKey {
+	return cellKey{ix: g.index(p.X), iy: g.index(p.Y)}
+}
+
+// box returns the corner cells of the square of half-side radius around
+// q, or ok=false when radius is negative, NaN or infinite (such a query
+// matches nothing). A point within radius of q has each coordinate
+// within radius of q's, so by the monotonicity of index its cell lies in
+// the box however far out the points are.
+func (g *Grid) box(q geo.Point, radius float64) (lo, hi cellKey, ok bool) {
+	if !(radius >= 0) || math.IsInf(radius, 1) {
+		return lo, hi, false
+	}
+	lo = g.key(geo.Point{X: q.X - radius, Y: q.Y - radius})
+	hi = g.key(geo.Point{X: q.X + radius, Y: q.Y + radius})
+	return lo, hi, true
 }
 
 // Insert adds a point under id. Inserting an existing id replaces its
@@ -106,16 +139,16 @@ func (g *Grid) Get(id int) (geo.Point, bool) {
 }
 
 // Within appends to dst the ids of all points within radius of q
-// (inclusive) and returns the extended slice.
+// (inclusive) and returns the extended slice. Hits come cell by cell in
+// ascending (x, y) cell order, each cell in insertion order.
 func (g *Grid) Within(dst []int, q geo.Point, radius float64) []int {
-	if radius < 0 {
+	lo, hi, ok := g.box(q, radius)
+	if !ok {
 		return dst
 	}
 	r2 := radius * radius
-	span := int32(math.Ceil(radius / g.cell))
-	ck := g.key(q)
-	for ix := ck.ix - span; ix <= ck.ix+span; ix++ {
-		for iy := ck.iy - span; iy <= ck.iy+span; iy++ {
+	for ix := lo.ix; ix <= hi.ix; ix++ {
+		for iy := lo.iy; iy <= hi.iy; iy++ {
 			for _, id := range g.cells[cellKey{ix, iy}] {
 				if g.pts[id].Dist2(q) <= r2 {
 					dst = append(dst, id)
@@ -126,17 +159,16 @@ func (g *Grid) Within(dst []int, q geo.Point, radius float64) []int {
 	return dst
 }
 
-// ForEachWithin invokes fn for every indexed point within radius of q.
-// fn must not mutate the grid.
+// ForEachWithin invokes fn for every indexed point within radius of q,
+// in Within's order. fn must not mutate the grid.
 func (g *Grid) ForEachWithin(q geo.Point, radius float64, fn func(id int, p geo.Point)) {
-	if radius < 0 {
+	lo, hi, ok := g.box(q, radius)
+	if !ok {
 		return
 	}
 	r2 := radius * radius
-	span := int32(math.Ceil(radius / g.cell))
-	ck := g.key(q)
-	for ix := ck.ix - span; ix <= ck.ix+span; ix++ {
-		for iy := ck.iy - span; iy <= ck.iy+span; iy++ {
+	for ix := lo.ix; ix <= hi.ix; ix++ {
+		for iy := lo.iy; iy <= hi.iy; iy++ {
 			for _, id := range g.cells[cellKey{ix, iy}] {
 				p := g.pts[id]
 				if p.Dist2(q) <= r2 {
@@ -147,48 +179,9 @@ func (g *Grid) ForEachWithin(q geo.Point, radius float64, fn func(id int, p geo.
 	}
 }
 
-// Nearest returns the id of the indexed point closest to q, searching an
-// expanding ring of cells. It reports false when the grid is empty.
-func (g *Grid) Nearest(q geo.Point) (int, bool) {
-	if len(g.pts) == 0 {
-		return 0, false
-	}
-	ck := g.key(q)
-	bestID := -1
-	bestD2 := math.Inf(1)
-	// Expand ring by ring. Any point in ring span+1 is at least span·cell
-	// away from q (q lies inside the centre cell), so once that lower
-	// bound exceeds the best distance found the search is complete.
-	for span := int32(0); ; span++ {
-		for ix := ck.ix - span; ix <= ck.ix+span; ix++ {
-			for iy := ck.iy - span; iy <= ck.iy+span; iy++ {
-				// Only the outer ring of this span.
-				onRing := ix == ck.ix-span || ix == ck.ix+span || iy == ck.iy-span || iy == ck.iy+span
-				if !onRing {
-					continue
-				}
-				for _, id := range g.cells[cellKey{ix, iy}] {
-					if d2 := g.pts[id].Dist2(q); d2 < bestD2 {
-						bestD2 = d2
-						bestID = id
-					}
-				}
-			}
-		}
-		if bestID >= 0 {
-			lower := float64(span) * g.cell
-			if lower*lower >= bestD2 {
-				return bestID, true
-			}
-		}
-		if span > 1<<20 { // unreachable with non-empty grid; defensive bound
-			return bestID, bestID >= 0
-		}
-	}
-}
-
 // UnionFind is a weighted quick-union structure with path compression,
-// used by the connectivity clustering of the de-obfuscation attack.
+// used by the connectivity clustering of profiles and of the
+// de-obfuscation attack.
 type UnionFind struct {
 	parent []int
 	size   []int

@@ -64,10 +64,14 @@ func TestGridInsertGetRemove(t *testing.T) {
 }
 
 // TestGridWithinMatchesBruteForce property: the grid query must agree
-// with an O(n²) scan for random point sets, radii, and cell sizes.
+// with an O(n²) scan for random point sets, radii, and cell sizes, near
+// the origin and far out: past 2^31 cells (±1e11, ±1e15), where float
+// steps exceed a cell (1e18, -3e19), and in saturated cells (±1e300).
 func TestGridWithinMatchesBruteForce(t *testing.T) {
 	rnd := randx.New(42, 42)
-	for trial := 0; trial < 20; trial++ {
+	offsets := []float64{0, 1e11, -1e11, 1e15, -1e15, 1e18, -3e19, 1e300, -1e300}
+	for trial := 0; trial < 20*len(offsets); trial++ {
+		off := offsets[trial%len(offsets)]
 		cell := 10 + rnd.Float64()*200
 		g, err := NewGrid(cell)
 		if err != nil {
@@ -76,10 +80,10 @@ func TestGridWithinMatchesBruteForce(t *testing.T) {
 		const n = 300
 		pts := make([]geo.Point, n)
 		for i := range pts {
-			pts[i] = geo.Point{X: rnd.Float64()*2000 - 1000, Y: rnd.Float64()*2000 - 1000}
+			pts[i] = geo.Point{X: off + rnd.Float64()*2000 - 1000, Y: off + rnd.Float64()*2000 - 1000}
 			g.Insert(i, pts[i])
 		}
-		q := geo.Point{X: rnd.Float64()*2000 - 1000, Y: rnd.Float64()*2000 - 1000}
+		q := geo.Point{X: off + rnd.Float64()*2000 - 1000, Y: off + rnd.Float64()*2000 - 1000}
 		radius := rnd.Float64() * 500
 		got := g.Within(nil, q, radius)
 		sort.Ints(got)
@@ -106,6 +110,36 @@ func TestGridWithinNegativeRadius(t *testing.T) {
 	if got := g.Within(nil, geo.Point{}, -1); len(got) != 0 {
 		t.Errorf("negative radius returned %v", got)
 	}
+	// Radii with no finite cell range match nothing rather than walk
+	// 2^63 cells.
+	for _, r := range []float64{math.NaN(), math.Inf(1)} {
+		if got := g.Within(nil, geo.Point{}, r); len(got) != 0 {
+			t.Errorf("radius %g returned %v", r, got)
+		}
+	}
+}
+
+// TestGridFarOutPoints: points beyond the old 32-bit cell range, and
+// non-finite ones, are found (or not) exactly as a scan would find them.
+func TestGridFarOutPoints(t *testing.T) {
+	g, _ := NewGrid(50)
+	far := []geo.Point{{X: 2e11, Y: 0}, {X: -2e11, Y: 5}, {X: 1e300, Y: 1e300}, {X: math.MaxFloat64, Y: 0}}
+	for i, p := range far {
+		g.Insert(i, p)
+	}
+	g.Insert(len(far), geo.Point{X: math.NaN(), Y: 0})
+	g.Insert(len(far)+1, geo.Point{X: math.Inf(1), Y: 0})
+	for i, p := range far {
+		if got := g.Within(nil, p, 1); len(got) != 1 || got[0] != i {
+			t.Errorf("Within(%v) = %v, want [%d]", p, got, i)
+		}
+	}
+	if got := g.Within(nil, geo.Point{X: math.Inf(1), Y: 0}, 1); len(got) != 0 {
+		t.Errorf("Within(+Inf) = %v, want none", got)
+	}
+	if !g.Remove(len(far)) || !g.Remove(len(far)+1) || g.Len() != len(far) {
+		t.Errorf("removing non-finite points: Len = %d", g.Len())
+	}
 }
 
 func TestForEachWithin(t *testing.T) {
@@ -120,60 +154,6 @@ func TestForEachWithin(t *testing.T) {
 	sort.Ints(ids)
 	if len(ids) != 4 { // 0, 10, 20, 30
 		t.Errorf("ForEachWithin ids = %v", ids)
-	}
-}
-
-func TestNearest(t *testing.T) {
-	g, _ := NewGrid(50)
-	if _, ok := g.Nearest(geo.Point{}); ok {
-		t.Error("empty grid Nearest should report false")
-	}
-	pts := []geo.Point{
-		{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 0, Y: 300}, {X: -500, Y: -500},
-	}
-	for i, p := range pts {
-		g.Insert(i, p)
-	}
-	tests := []struct {
-		q    geo.Point
-		want int
-	}{
-		{geo.Point{X: 10, Y: 10}, 0},
-		{geo.Point{X: 90, Y: 5}, 1},
-		{geo.Point{X: 5, Y: 290}, 2},
-		{geo.Point{X: -499, Y: -499}, 3},
-	}
-	for _, tt := range tests {
-		got, ok := g.Nearest(tt.q)
-		if !ok || got != tt.want {
-			t.Errorf("Nearest(%v) = %d, %v; want %d", tt.q, got, ok, tt.want)
-		}
-	}
-}
-
-// TestNearestMatchesBruteForce property over random configurations.
-func TestNearestMatchesBruteForce(t *testing.T) {
-	rnd := randx.New(7, 11)
-	for trial := 0; trial < 30; trial++ {
-		g, _ := NewGrid(30 + rnd.Float64()*100)
-		n := 1 + rnd.IntN(200)
-		pts := make([]geo.Point, n)
-		for i := range pts {
-			pts[i] = geo.Point{X: rnd.Float64()*5000 - 2500, Y: rnd.Float64()*5000 - 2500}
-			g.Insert(i, pts[i])
-		}
-		q := geo.Point{X: rnd.Float64()*5000 - 2500, Y: rnd.Float64()*5000 - 2500}
-		got, ok := g.Nearest(q)
-		if !ok {
-			t.Fatal("Nearest failed on non-empty grid")
-		}
-		bestD := math.Inf(1)
-		for _, p := range pts {
-			bestD = math.Min(bestD, p.Dist(q))
-		}
-		if d := pts[got].Dist(q); math.Abs(d-bestD) > 1e-9 {
-			t.Fatalf("trial %d: Nearest returned distance %g, brute force %g", trial, d, bestD)
-		}
 	}
 }
 
@@ -275,8 +255,8 @@ func TestGridReset(t *testing.T) {
 	if got := g.Within(nil, geo.Point{X: 50, Y: -50}, 1000); len(got) != 0 {
 		t.Fatalf("Within after Reset returned %v", got)
 	}
-	if _, ok := g.Nearest(geo.Point{}); ok {
-		t.Fatal("Nearest after Reset reported a point")
+	if got := g.Within(nil, geo.Point{}, 1000); len(got) != 0 {
+		t.Fatalf("Within after Reset returned %v", got)
 	}
 	// The grid must be fully usable again after Reset.
 	g.Insert(7, geo.Point{X: 3, Y: 4})

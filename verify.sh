@@ -40,6 +40,12 @@ go test ./internal/edgecluster -run '^$' -fuzz 'FuzzDeltaCatchUpEquivalence$' -f
 # adapter — rows are skipped and counted, never trusted.
 go test ./internal/workload -run '^$' -fuzz 'FuzzExternalSource$' -fuzztime 10s
 
+# Profile clustering fuzz smoke: the cell-sorted union-find must match an
+# O(n²) brute-force clustering bit for bit — members, centroid bits and
+# cluster order — on arbitrary thresholds and points, NaN/±Inf and
+# far-out coordinates included.
+go test ./internal/cluster -run '^$' -fuzz 'FuzzConnectivity$' -fuzztime 10s
+
 # Checkpoint codec fuzz smoke: hostile snapshot streams must be rejected
 # whole (no users, zero stats) without a panic or a count-sized
 # allocation, and an accepted stream must re-snapshot byte for byte.
@@ -123,6 +129,12 @@ go run ./cmd/loadgen -sweep-mem -users 2000 -batch 64 -campaigns 20 -wire binary
 grep -q '"fingerprints_identical": true' "$MEM_OUT"
 grep -Eq '"core_faultins_total": [1-9]' "$MEM_OUT"
 rm -f "$MEM_OUT"
+
+# Resident-cap flake guard: the sweep test once failed ~1% of runs when a
+# rebuild worker's lock left a shard over quota with no later touch to
+# trim it. RebuildPart now restores quota itself; 50 runs (~3 s) would
+# catch a regression about half the time at that old rate.
+go test ./cmd/loadgen -run 'TestRunSweepMemSmall$' -count=50
 
 # Kill-and-recover smoke: start edged on a WAL data directory with
 # fsync=always, drive reports and a rebuild, SIGKILL the process, restart
