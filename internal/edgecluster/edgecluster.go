@@ -220,6 +220,21 @@ func edgeSeed(clusterSeed uint64, i int) uint64 {
 	return randx.Mix64(randx.Mix64(clusterSeed) + uint64(i)*randx.GoldenGamma)
 }
 
+// mergeSeed derives the secure-aggregation session seed of the merge
+// round that takes the given journal version, with edgeSeed's
+// avalanche-then-increment recipe; it stands in for a deployment's
+// per-round key agreement. The pairwise masks are a function of the
+// session seed alone, so a seed reused across rounds would let anyone
+// holding two shares of one edge subtract them into the difference of
+// its two plaintext histograms.
+func mergeSeed(clusterSeed, version uint64) uint64 {
+	return randx.Mix64(randx.Mix64(clusterSeed) + version*randx.GoldenGamma)
+}
+
+// secureMerge is the secure aggregation a merge round runs; tests swap
+// it to observe the session seeds rounds run under.
+var secureMerge = secagg.MergeProfiles
+
 // New validates cfg and builds the cluster with one engine per coverage
 // disk. All nodes start live.
 func New(cfg Config) (*Cluster, error) {
@@ -720,7 +735,8 @@ type MergeStats struct {
 //
 //  1. every LIVE edge contributes its pending partial profile,
 //  2. the partials are combined with the secure aggregation protocol
-//     (no edge reveals its plaintext histogram),
+//     under a session seed fresh to the round (no edge reveals its
+//     plaintext histogram),
 //  3. the η-frequent top set is computed on the merged profile,
 //  4. the lowest-indexed live edge — this round's obfuscator — installs
 //     the tops (new ones are obfuscated exactly once),
@@ -781,13 +797,20 @@ func (c *Cluster) MergeProfilesStats(userID string, now time.Time) (profile.Prof
 		return nil, stats, fmt.Errorf("edgecluster: merge for %q: %w", userID, core.ErrUnknownUser)
 	}
 
+	// Take the round's journal version before its secure session: the
+	// session seed derives from it, so a round that fails after the
+	// session must not leave its version, and with it its pad, to the
+	// next round.
+	c.version++
+	version := c.version
+
 	var merged profile.Profile
 	if len(live) == 1 {
 		merged = partials[0]
 	} else {
 		var dropped int
 		var err error
-		merged, dropped, err = secagg.MergeProfiles(partials, c.cfg.MergeRegion, c.cfg.MergeCell, c.cfg.Seed)
+		merged, dropped, err = secureMerge(partials, c.cfg.MergeRegion, c.cfg.MergeCell, mergeSeed(c.cfg.Seed, version))
 		if err != nil {
 			return nil, stats, fmt.Errorf("edgecluster: secure merge for %q: %w", userID, err)
 		}
@@ -833,8 +856,7 @@ func (c *Cluster) MergeProfilesStats(userID string, now time.Time) (profile.Prof
 	// The fingerprint chain computed here is the round's content address:
 	// every replica proves its prefix against it, and the byte-identity
 	// gate compares its final value.
-	c.version++
-	round := &mergeRound{version: c.version, tops: tops, entries: entries, at: now}
+	round := &mergeRound{version: version, tops: tops, entries: entries, at: now}
 	round.prefix = make([]uint64, len(entries)+1)
 	round.prefix[0] = core.FingerprintSeed
 	for i := range entries {
@@ -842,7 +864,7 @@ func (c *Cluster) MergeProfilesStats(userID string, now time.Time) (profile.Prof
 	}
 	c.encBuf = wire.Append(c.encBuf[:0], &wire.ReplDelta{
 		UserID:  userID,
-		Version: c.version,
+		Version: version,
 		BaseFP:  core.FingerprintSeed,
 		FullFP:  round.prefix[len(entries)],
 		Entries: entries,

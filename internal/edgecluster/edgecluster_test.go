@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/geoind"
+	"repro/internal/profile"
 	"repro/internal/randx"
 	"repro/internal/telemetry"
 	"repro/internal/tracing"
@@ -272,6 +273,79 @@ func TestMergeIdempotentCandidates(t *testing.T) {
 		for j := range before[i].Candidates {
 			if before[i].Candidates[j] != after[i].Candidates[j] {
 				t.Fatalf("entry %d candidate %d re-obfuscated", i, j)
+			}
+		}
+	}
+}
+
+// TestMergeRoundsUseFreshSessionSeeds: the pairwise masks are a
+// function of the session seed alone, so two rounds under one seed would
+// publish two shares per edge whose difference is the difference of its
+// plaintext histograms. Two merges of one user, one merge each of two
+// more users, and the rounds around one that fails after its secure
+// session must all run under pairwise-distinct seeds.
+func TestMergeRoundsUseFreshSessionSeeds(t *testing.T) {
+	var seeds []uint64
+	merge := secureMerge
+	t.Cleanup(func() { secureMerge = merge })
+	secureMerge = func(parts []profile.Profile, region geo.BBox, cell float64, seed uint64) (profile.Profile, int, error) {
+		seeds = append(seeds, seed)
+		return merge(parts, region, cell, seed)
+	}
+	c, err := New(testClusterConfig(t, threeEdges()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rnd := randx.New(7, 7)
+	at := time.Date(2021, 4, 1, 0, 0, 0, 0, time.UTC)
+	home := geo.Point{X: 100, Y: 100}    // edge-00 only
+	work := geo.Point{X: 19_500, Y: 100} // edge-01 only
+	feed := func(user string, places ...geo.Point) {
+		t.Helper()
+		for i := 0; i < 40; i++ {
+			at = at.Add(time.Hour)
+			if _, err := c.Report(user, places[i%len(places)].Add(rnd.GaussianPolar(10)), at); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, user := range []string{"alice", "alice", "bob", "carol"} {
+		feed(user, home, work)
+		if _, err := c.MergeProfiles(user, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// edge-00 misses dave's round while down and cannot catch up when it
+	// returns, so the next round it obfuscates fails after its session.
+	if err := c.MarkDown(0); err != nil {
+		t.Fatal(err)
+	}
+	feed("dave", work)
+	if _, err := c.MergeProfiles("dave", at); err != nil {
+		t.Fatal(err)
+	}
+	c.Nodes()[0].SetFailApply(func(string) error { return errors.New("injected crash") })
+	if err := c.MarkUp(0); err == nil {
+		t.Fatal("catch-up with a failing apply succeeded")
+	}
+	feed("dave", home, work)
+	if _, err := c.MergeProfiles("dave", at); err == nil {
+		t.Fatal("a round whose obfuscator cannot catch up succeeded")
+	}
+	c.Nodes()[0].SetFailApply(nil)
+	feed("erin", home, work)
+	if _, err := c.MergeProfiles("erin", at); err != nil {
+		t.Fatal(err)
+	}
+
+	if len(seeds) != 7 {
+		t.Fatalf("%d secure sessions ran, want 7", len(seeds))
+	}
+	for i := range seeds {
+		for j := i + 1; j < len(seeds); j++ {
+			if seeds[i] == seeds[j] {
+				t.Errorf("sessions %d and %d share seed %#x", i+1, j+1, seeds[i])
 			}
 		}
 	}

@@ -9,7 +9,12 @@
 // party i adds the mask, party j subtracts it. Each party publishes only
 // its masked vector; the masks cancel in the sum, so the aggregator
 // learns exactly Σᵢ vᵢ and nothing about any individual vᵢ (each
-// published vector is one-time-pad masked modulo 2⁶⁴).
+// published vector is one-time-pad masked modulo 2⁶⁴). The pad is fresh
+// per round: the masks depend only on the session seed and the pair, so
+// every round runs under its own seed, which edgecluster derives from
+// the version the round is journaled under. A reused seed would make it
+// a two-time pad: two shares of one party would differ by exactly the
+// difference of its two plaintexts.
 //
 // Location profiles are carried as grid histograms (GridCodec): counts
 // over fixed cells of the agreed region, which makes profile addition
@@ -20,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/geo"
 	"repro/internal/profile"
@@ -36,18 +42,6 @@ var (
 
 // Vector is an additive-share vector over Z_{2^64}.
 type Vector []uint64
-
-// Add returns the elementwise sum (mod 2⁶⁴) of a and b.
-func (v Vector) Add(o Vector) (Vector, error) {
-	if len(v) != len(o) {
-		return nil, fmt.Errorf("%w: %d vs %d", ErrVectorLength, len(v), len(o))
-	}
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] + o[i]
-	}
-	return out, nil
-}
 
 // Session is one aggregation round among a fixed set of parties over
 // vectors of a fixed length. Pairwise seeds are derived deterministically
@@ -71,73 +65,30 @@ func NewSession(parties, length int, seed uint64) (*Session, error) {
 	return &Session{parties: parties, length: length, seed: seed}, nil
 }
 
-// Parties returns the number of participants.
-func (s *Session) Parties() int { return s.parties }
-
-// Length returns the vector length of the round.
-func (s *Session) Length() int { return s.length }
-
-// pairMask derives the shared mask vector of the ordered pair (i, j),
-// i < j. Both parties can compute it; nobody else holds the pair seed.
-func (s *Session) pairMask(i, j int) Vector {
-	rnd := randx.New(s.seed, (uint64(i)<<32)|uint64(j)|0x5EC466<<40)
-	mask := make(Vector, s.length)
-	for k := range mask {
-		mask[k] = rnd.Uint64()
+// Mask turns every party's private vector into its published share, in
+// place. rows holds party i's vector at rows[i·length : (i+1)·length].
+// The mask of each pair (i, j), i < j, is drawn once from the pair's
+// stream — which both parties can compute and nobody else holds — and
+// added to row i and subtracted from row j, so each row ends as its
+// vector plus the masks shared with higher-indexed parties minus those
+// shared with lower-indexed ones.
+func (s *Session) Mask(rows Vector) error {
+	if len(rows) != s.parties*s.length {
+		return fmt.Errorf("%w: got %d, session uses %d parties × %d", ErrVectorLength, len(rows), s.parties, s.length)
 	}
-	return mask
-}
-
-// MaskedInput produces party's published share: its private vector plus
-// all pairwise masks with higher-indexed parties, minus all pairwise
-// masks with lower-indexed parties.
-func (s *Session) MaskedInput(party int, v Vector) (Vector, error) {
-	if party < 0 || party >= s.parties {
-		return nil, fmt.Errorf("%w: party %d of %d", ErrParticipants, party, s.parties)
-	}
-	if len(v) != s.length {
-		return nil, fmt.Errorf("%w: got %d, session uses %d", ErrVectorLength, len(v), s.length)
-	}
-	out := make(Vector, s.length)
-	copy(out, v)
-	for other := 0; other < s.parties; other++ {
-		switch {
-		case other == party:
-			continue
-		case party < other:
-			mask := s.pairMask(party, other)
-			for k := range out {
-				out[k] += mask[k]
-			}
-		default:
-			mask := s.pairMask(other, party)
-			for k := range out {
-				out[k] -= mask[k]
+	for i := 0; i < s.parties; i++ {
+		lo := rows[i*s.length : (i+1)*s.length]
+		for j := i + 1; j < s.parties; j++ {
+			hi := rows[j*s.length:][:len(lo)]
+			rnd := randx.New(s.seed, (uint64(i)<<32)|uint64(j)|0x5EC466<<40)
+			for k := range lo {
+				m := rnd.Uint64()
+				lo[k] += m
+				hi[k] -= m
 			}
 		}
 	}
-	return out, nil
-}
-
-// Aggregate sums the published shares of ALL parties; the pairwise masks
-// cancel and the true sum emerges. It fails if any share is missing —
-// dropout recovery is out of scope, matching the paper's assumption of
-// cooperating edge devices.
-func (s *Session) Aggregate(shares []Vector) (Vector, error) {
-	if len(shares) != s.parties {
-		return nil, fmt.Errorf("%w: got %d shares for %d parties (dropout is not supported)",
-			ErrParticipants, len(shares), s.parties)
-	}
-	total := make(Vector, s.length)
-	for pi, sh := range shares {
-		if len(sh) != s.length {
-			return nil, fmt.Errorf("%w: share %d has length %d, want %d", ErrVectorLength, pi, len(sh), s.length)
-		}
-		for k := range total {
-			total[k] += sh[k]
-		}
-	}
-	return total, nil
+	return nil
 }
 
 // GridCodec encodes location profiles as count histograms over a fixed
@@ -195,11 +146,10 @@ func (g *GridCodec) cellCenter(idx int) geo.Point {
 	}
 }
 
-// Encode converts a profile to its histogram vector. Locations outside
-// the region are dropped (reported via the second return value).
-func (g *GridCodec) Encode(p profile.Profile) (Vector, int) {
-	v := make(Vector, g.Length())
-	dropped := 0
+// encode adds profile p's histogram into row, which must hold Length()
+// slots. Locations outside the region are dropped and counted; zero and
+// negative frequencies are ignored.
+func (g *GridCodec) encode(row Vector, p profile.Profile) (dropped int) {
 	for _, lf := range p {
 		if lf.Freq <= 0 {
 			continue
@@ -209,20 +159,23 @@ func (g *GridCodec) Encode(p profile.Profile) (Vector, int) {
 			dropped++
 			continue
 		}
-		v[idx] += uint64(lf.Freq)
+		row[idx] += uint64(lf.Freq)
 	}
-	return v, dropped
+	return dropped
 }
 
-// Decode converts an aggregated histogram back to a profile whose
-// locations are cell centres (quantized to cell resolution) ordered by
-// descending frequency.
-func (g *GridCodec) Decode(v Vector) (profile.Profile, error) {
-	if len(v) != g.Length() {
-		return nil, fmt.Errorf("%w: got %d, codec uses %d", ErrVectorLength, len(v), g.Length())
-	}
+// aggregate is the aggregator's step: it sums the published shares —
+// consecutive rows of Length() slots — and decodes the total in the same
+// scan over cells into a profile whose locations are cell centres
+// (quantized to cell resolution), ordered by descending frequency.
+func (g *GridCodec) aggregate(rows Vector) (profile.Profile, error) {
+	n := g.Length()
 	var p profile.Profile
-	for idx, count := range v {
+	for idx := 0; idx < n; idx++ {
+		var count uint64
+		for k := idx; k < len(rows); k += n {
+			count += rows[k]
+		}
 		if count == 0 {
 			continue
 		}
@@ -231,8 +184,6 @@ func (g *GridCodec) Decode(v Vector) (profile.Profile, error) {
 		}
 		p = append(p, profile.LocationFreq{Loc: g.cellCenter(idx), Freq: int(count)})
 	}
-	// Reuse the profile ordering by rebuilding through Merge with a tiny
-	// threshold — instead, sort inline to avoid re-clustering.
 	sortProfile(p)
 	return p, nil
 }
@@ -252,10 +203,18 @@ func sortProfile(p profile.Profile) {
 	}
 }
 
-// MergeProfiles runs the whole protocol: each party encodes its partial
-// profile, publishes a masked share, and the aggregator decodes the sum.
-// It returns the merged profile at cell resolution plus the number of
-// locations dropped for lying outside the region.
+// slabs recycles the parties × cells share slab across merges: a merge
+// region's slab is hundreds of kilobytes and a cluster merges every few
+// batches of a user, so a slab per round would dominate its garbage.
+var slabs sync.Pool // of *Vector
+
+// MergeProfiles runs the whole protocol in one pass over one slab: each
+// party encodes its partial profile into its row, the pairwise masks
+// turn the rows into published shares, and the aggregator sums the
+// shares and decodes the total. It returns the merged profile at cell
+// resolution plus the number of locations dropped for lying outside the
+// region. seed must be fresh for every round (see the package comment).
+// The slab is pooled across calls, so a merge allocates no grid.
 func MergeProfiles(parts []profile.Profile, region geo.BBox, cell float64, seed uint64) (profile.Profile, int, error) {
 	codec, err := NewGridCodec(region, cell)
 	if err != nil {
@@ -264,28 +223,31 @@ func MergeProfiles(parts []profile.Profile, region geo.BBox, cell float64, seed 
 	if len(parts) < 2 {
 		return nil, 0, fmt.Errorf("%w: %d parties (need at least 2)", ErrParticipants, len(parts))
 	}
-	session, err := NewSession(len(parts), codec.Length(), seed)
+	n := codec.Length()
+	session, err := NewSession(len(parts), n, seed)
 	if err != nil {
 		return nil, 0, fmt.Errorf("building session: %w", err)
 	}
-	shares := make([]Vector, len(parts))
-	droppedTotal := 0
+	slab, _ := slabs.Get().(*Vector)
+	if slab == nil || cap(*slab) < len(parts)*n {
+		slab = new(Vector)
+		*slab = make(Vector, len(parts)*n)
+	} else {
+		*slab = (*slab)[:len(parts)*n]
+		clear(*slab)
+	}
+	defer slabs.Put(slab)
+	rows := *slab
+	dropped := 0
 	for i, part := range parts {
-		v, dropped := codec.Encode(part)
-		droppedTotal += dropped
-		share, err := session.MaskedInput(i, v)
-		if err != nil {
-			return nil, 0, fmt.Errorf("masking party %d: %w", i, err)
-		}
-		shares[i] = share
+		dropped += codec.encode(rows[i*n:(i+1)*n], part)
 	}
-	total, err := session.Aggregate(shares)
-	if err != nil {
-		return nil, 0, fmt.Errorf("aggregating: %w", err)
+	if err := session.Mask(rows); err != nil {
+		return nil, 0, fmt.Errorf("masking shares: %w", err)
 	}
-	merged, err := codec.Decode(total)
+	merged, err := codec.aggregate(rows)
 	if err != nil {
 		return nil, 0, fmt.Errorf("decoding aggregate: %w", err)
 	}
-	return merged, droppedTotal, nil
+	return merged, dropped, nil
 }

@@ -2,6 +2,8 @@ package secagg
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -12,6 +14,47 @@ import (
 
 func testRegion() geo.BBox {
 	return geo.BBox{MinX: 0, MinY: 0, MaxX: 10_000, MaxY: 10_000}
+}
+
+// raceEnabled is set under the race detector, whose sync.Pool drops a
+// random quarter of the values put back.
+var raceEnabled bool
+
+// referenceShare is party's published share computed the per-party way
+// Mask replaced, kept as the reference Mask is checked against: its
+// vector plus the mask of every pair it shares with a higher-indexed
+// party, minus the mask of every pair it shares with a lower-indexed
+// one, each mask drawn in full from the pair's own stream.
+func referenceShare(seed uint64, parties, party int, v Vector) Vector {
+	out := slices.Clone(v)
+	for other := 0; other < parties; other++ {
+		if other == party {
+			continue
+		}
+		i, j := min(party, other), max(party, other)
+		rnd := randx.New(seed, (uint64(i)<<32)|uint64(j)|0x5EC466<<40)
+		for k := range out {
+			if m := rnd.Uint64(); party < other {
+				out[k] += m
+			} else {
+				out[k] -= m
+			}
+		}
+	}
+	return out
+}
+
+// checkShares fails t unless every row of masked equals the reference
+// share of the matching row of plain.
+func checkShares(t *testing.T, seed uint64, parties int, plain, masked Vector) {
+	t.Helper()
+	n := len(plain) / parties
+	for p := 0; p < parties; p++ {
+		want := referenceShare(seed, parties, p, plain[p*n:(p+1)*n])
+		if got := masked[p*n : (p+1)*n]; !slices.Equal(got, want) {
+			t.Fatalf("parties=%d length=%d: row %d differs from the reference share", parties, n, p)
+		}
+	}
 }
 
 func TestNewSessionValidation(t *testing.T) {
@@ -25,57 +68,39 @@ func TestNewSessionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Parties() != 3 || s.Length() != 10 {
-		t.Errorf("session = %d parties, %d length", s.Parties(), s.Length())
+	if err := s.Mask(make(Vector, 3*10)); err != nil {
+		t.Errorf("3 rows of 10 rejected: %v", err)
 	}
 }
 
-func TestVectorAdd(t *testing.T) {
-	a := Vector{1, 2, math.MaxUint64}
-	b := Vector{10, 20, 1}
-	sum, err := a.Add(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum[0] != 11 || sum[1] != 22 || sum[2] != 0 { // wraparound
-		t.Errorf("sum = %v", sum)
-	}
-	if _, err := a.Add(Vector{1}); err == nil {
-		t.Error("length mismatch expected error")
-	}
-}
-
-// TestMaskCancellation is the protocol's core correctness property: the
-// sum of all masked inputs equals the sum of the plaintext inputs.
+// TestMaskCancellation is the protocol's core correctness property: each
+// masked row is exactly the share the per-party protocol publishes, and
+// the sum of the rows equals the sum of the plaintext vectors.
 func TestMaskCancellation(t *testing.T) {
 	rnd := randx.New(1, 1)
 	for _, parties := range []int{2, 3, 5, 8} {
-		const length = 64
-		s, err := NewSession(parties, length, 99)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := make(Vector, length)
-		shares := make([]Vector, parties)
-		for p := 0; p < parties; p++ {
-			v := make(Vector, length)
-			for k := range v {
-				v[k] = uint64(rnd.IntN(1000))
-				want[k] += v[k]
-			}
-			share, err := s.MaskedInput(p, v)
+		for _, length := range []int{1, 64, 7_200} {
+			s, err := NewSession(parties, length, 99)
 			if err != nil {
 				t.Fatal(err)
 			}
-			shares[p] = share
-		}
-		got, err := s.Aggregate(shares)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("parties=%d: aggregate[%d] = %d, want %d", parties, k, got[k], want[k])
+			plain := make(Vector, parties*length)
+			want := make(Vector, length)
+			for k := range plain {
+				plain[k] = uint64(rnd.IntN(1000))
+				want[k%length] += plain[k]
+			}
+			rows := slices.Clone(plain)
+			if err := s.Mask(rows); err != nil {
+				t.Fatal(err)
+			}
+			checkShares(t, 99, parties, plain, rows)
+			got := make(Vector, length)
+			for k := range rows {
+				got[k%length] += rows[k]
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("parties=%d length=%d: masked rows do not sum to the plaintext sum", parties, length)
 			}
 		}
 	}
@@ -89,14 +114,13 @@ func TestMaskingHidesInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := make(Vector, length) // all zeros: any unchanged slot would leak
-	share, err := s.MaskedInput(0, v)
-	if err != nil {
+	rows := make(Vector, 3*length) // all zeros: any unchanged slot would leak
+	if err := s.Mask(rows); err != nil {
 		t.Fatal(err)
 	}
 	unchanged := 0
-	for k := range share {
-		if share[k] == 0 {
+	for _, v := range rows[:length] {
+		if v == 0 {
 			unchanged++
 		}
 	}
@@ -113,59 +137,33 @@ func TestSharesUniformity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := make(Vector, length)
-	for k := range v {
-		v[k] = 42
+	rows := make(Vector, 4*length)
+	for k := range rows {
+		rows[k] = 42
+	}
+	if err := s.Mask(rows); err != nil {
+		t.Fatal(err)
 	}
 	seen := make(map[uint64]bool)
 	for p := 0; p < 4; p++ {
-		share, err := s.MaskedInput(p, v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seen[share[0]] {
+		if first := rows[p*length]; seen[first] {
 			t.Errorf("party %d first slot collides", p)
+		} else {
+			seen[first] = true
 		}
-		seen[share[0]] = true
 	}
 }
 
+// TestMaskedInputErrors: Mask takes exactly one row per party.
 func TestMaskedInputErrors(t *testing.T) {
 	s, err := NewSession(2, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.MaskedInput(-1, make(Vector, 4)); err == nil {
-		t.Error("negative party expected error")
-	}
-	if _, err := s.MaskedInput(2, make(Vector, 4)); err == nil {
-		t.Error("out-of-range party expected error")
-	}
-	if _, err := s.MaskedInput(0, make(Vector, 3)); err == nil {
-		t.Error("wrong length expected error")
-	}
-}
-
-func TestAggregateDropoutRejected(t *testing.T) {
-	s, err := NewSession(3, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shares := make([]Vector, 2) // one party dropped out
-	for i := range shares {
-		sh, err := s.MaskedInput(i, make(Vector, 4))
-		if err != nil {
-			t.Fatal(err)
+	for _, n := range []int{0, 4, 7, 9, 12} {
+		if err := s.Mask(make(Vector, n)); err == nil {
+			t.Errorf("%d slots for 2 rows of 4 expected error", n)
 		}
-		shares[i] = sh
-	}
-	if _, err := s.Aggregate(shares); err == nil {
-		t.Error("missing share expected error")
-	}
-	// Wrong-length share rejected too.
-	bad := []Vector{make(Vector, 4), make(Vector, 4), make(Vector, 3)}
-	if _, err := s.Aggregate(bad); err == nil {
-		t.Error("short share expected error")
 	}
 }
 
@@ -199,11 +197,11 @@ func TestGridCodecRoundTrip(t *testing.T) {
 		{Loc: geo.Point{X: -999, Y: 0}, Freq: 3}, // outside: dropped
 		{Loc: geo.Point{X: 10, Y: 10}, Freq: 0},  // zero: ignored
 	}
-	v, dropped := g.Encode(p)
-	if dropped != 1 {
+	row := make(Vector, g.Length())
+	if dropped := g.encode(row, p); dropped != 1 {
 		t.Errorf("dropped = %d, want 1", dropped)
 	}
-	back, err := g.Decode(v)
+	back, err := g.aggregate(row)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,13 +222,15 @@ func TestGridCodecDecodeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Decode(make(Vector, 3)); err == nil {
-		t.Error("wrong-length decode expected error")
-	}
-	v := make(Vector, g.Length())
-	v[0] = math.MaxUint64 - 5 // an uncancelled mask residue
-	if _, err := g.Decode(v); err == nil {
+	rows := make(Vector, 2*g.Length())
+	rows[0] = math.MaxUint64 - 5 // an uncancelled mask residue
+	if _, err := g.aggregate(rows); err == nil {
 		t.Error("implausible count expected error")
+	}
+	rows[g.Length()] = 7 // the residue's other half: 1 in total
+	back, err := g.aggregate(rows)
+	if err != nil || len(back) != 1 || back[0].Freq != 1 {
+		t.Errorf("aggregate across rows = %+v, %v; want one location of 1", back, err)
 	}
 }
 
@@ -303,18 +303,55 @@ func TestMergeProfilesTotalProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkMergeProfiles3Parties(b *testing.B) {
-	region := testRegion()
-	rnd := randx.New(1, 1)
-	parts := make([]profile.Profile, 3)
+// randomParts draws parties partial profiles of locs locations each,
+// uniform over region.
+func randomParts(rnd *randx.Rand, parties, locs int, region geo.BBox) []profile.Profile {
+	parts := make([]profile.Profile, parties)
 	for i := range parts {
-		for l := 0; l < 10; l++ {
+		for l := 0; l < locs; l++ {
 			parts[i] = append(parts[i], profile.LocationFreq{
-				Loc:  geo.Point{X: rnd.Float64() * 10_000, Y: rnd.Float64() * 10_000},
+				Loc: geo.Point{
+					X: region.MinX + rnd.Float64()*region.Width(),
+					Y: region.MinY + rnd.Float64()*region.Height(),
+				},
 				Freq: 1 + rnd.IntN(100),
 			})
 		}
 	}
+	return parts
+}
+
+// TestMergeAllocatesNoGrid pins that the share slab is reused across
+// merges: on a 6 km × 3 km region at 50 m cells (120 × 60) with three
+// parties, a merge allocates on average less than one grid row.
+func TestMergeAllocatesNoGrid(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops reused slabs at random")
+	}
+	region := geo.BBox{MinX: 0, MinY: 0, MaxX: 6_000, MaxY: 3_000}
+	parts := randomParts(randx.New(2, 2), 3, 10, region)
+	const merges = 100
+	if _, _, err := MergeProfiles(parts, region, 50, 0); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= merges; i++ {
+		if _, _, err := MergeProfiles(parts, region, 50, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	const row = 120 * 60 * 8
+	if perMerge := (after.TotalAlloc - before.TotalAlloc) / merges; perMerge >= row {
+		t.Errorf("a merge allocates %d B on average, want < one %d B grid row", perMerge, row)
+	}
+}
+
+func BenchmarkMergeProfiles3Parties(b *testing.B) {
+	region := testRegion()
+	parts := randomParts(randx.New(1, 1), 3, 10, region)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := MergeProfiles(parts, region, 100, uint64(i)); err != nil {

@@ -46,6 +46,9 @@ go test ./internal/workload -run '^$' -fuzz 'FuzzExternalSource$' -fuzztime 10s
 # far-out coordinates included.
 go test ./internal/cluster -run '^$' -fuzz 'FuzzConnectivity$' -fuzztime 10s
 
+# Secure-merge fuzz smoke: masked rows must equal the per-party reference shares and the merge the plaintext sum.
+go test ./internal/secagg -run '^$' -fuzz 'FuzzSecureMerge$' -fuzztime 10s
+
 # Checkpoint codec fuzz smoke: hostile snapshot streams must be rejected
 # whole (no users, zero stats) without a panic or a count-sized
 # allocation, and an accepted stream must re-snapshot byte for byte.
