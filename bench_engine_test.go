@@ -1,11 +1,13 @@
 package privlocad
 
-// Serving-path microbenchmarks (PR 4): per-call cost of the engine's
-// online operations with -benchmem, so bench.sh/benchjson can compare
-// the batch ingestion path against N single reports (allocs/op) and the
-// lock-striped shards against a single global stripe (parallel ns/op).
-// bench.sh SERVING=1 archives these together with the cmd/loadgen
-// closed-loop sweep in BENCH_pr4.json.
+// Serving-path microbenchmarks: per-call cost of the engine's online
+// operations with -benchmem, comparing the batch ingestion path against
+// N single reports (allocs/op) and the lock-striped shards against a
+// single global stripe (parallel ns/op). Run them with
+//
+//	go test -run '^$' -bench 'Engine' -benchmem .
+//
+// while working; the end-to-end serving benchmark is the bench/ module.
 
 import (
 	"fmt"
@@ -89,8 +91,7 @@ func BenchmarkEngineReport(b *testing.B) {
 }
 
 // BenchmarkEngineReportBatch ingests size check-ins per op through
-// ReportBatch; divide allocs/op by size for the per-check-in cost
-// (benchjson derives batch64_allocs_per_checkin from the size=64 run).
+// ReportBatch; divide allocs/op by size for the per-check-in cost.
 func BenchmarkEngineReportBatch(b *testing.B) {
 	for _, size := range []int{16, 64} {
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {

@@ -167,50 +167,9 @@ func run(args []string) error {
 			slog.Int("op_errors", stats.OpErrors))
 	}
 
-	limit := adnet.PlatformLimits()[0] // Google: 5–65 km
-	network, err := adnet.NewNetwork(&limit)
+	provider, bidLog, exchange, err := newProvider(*campaigns, *seed, *useRTB)
 	if err != nil {
-		return fmt.Errorf("building ad network: %w", err)
-	}
-	exchange, err := rtb.NewExchange(100*time.Millisecond, 0.05)
-	if err != nil {
-		return fmt.Errorf("building exchange: %w", err)
-	}
-	region := trace.DefaultConfig().Region
-	rnd := randx.New(*seed, 0xEDEDED)
-	for i := 0; i < *campaigns; i++ {
-		loc := privRandomInRegion(rnd, region.BBox)
-		campaign := adnet.Campaign{
-			ID:       fmt.Sprintf("campaign-%05d", i),
-			Location: loc,
-			Radius:   limit.MinRadius + rnd.Float64()*(25_000-limit.MinRadius),
-			Ad: adnet.Ad{
-				ID:       fmt.Sprintf("ad-%05d", i),
-				Title:    fmt.Sprintf("Offer #%d", i),
-				Location: loc,
-			},
-		}
-		if err := network.Register(campaign); err != nil {
-			return fmt.Errorf("registering campaign %d: %w", i, err)
-		}
-		if *useRTB {
-			bidder, err := rtb.NewCampaignBidder(campaign, 0.5+rnd.Float64()*4, 1e6)
-			if err != nil {
-				return fmt.Errorf("building bidder %d: %w", i, err)
-			}
-			if err := exchange.Register(bidder); err != nil {
-				return fmt.Errorf("registering bidder %d: %w", i, err)
-			}
-		}
-	}
-
-	var provider edge.AdProvider = network
-	if *useRTB {
-		rtbProvider, err := rtb.NewProvider(exchange)
-		if err != nil {
-			return fmt.Errorf("building RTB provider: %w", err)
-		}
-		provider = rtbProvider
+		return err
 	}
 
 	// The server's tracer is built here rather than defaulted so the slow
@@ -269,10 +228,66 @@ func run(args []string) error {
 	if err := serveAndPersist(ctx, server, engine, ln, store, *ckptEvery, logger); err != nil {
 		return err
 	}
-	if ls, ok := provider.(interface{ LogSize() int }); ok {
-		logger.Info("shut down cleanly", slog.Int("bid_requests", ls.LogSize()))
-	}
+	// LogSize stops at the cap; the lifetime count is what was served.
+	logger.Info("shut down cleanly", slog.Uint64("bid_requests", bidLog.TotalLogged()))
 	return nil
+}
+
+// bidLogCap bounds the bid-request log of either ad provider: a
+// long-running edge serves one record per ad request, forever.
+const bidLogCap = 1 << 16
+
+// newProvider builds the untrusted ad side: an ad network seeded with
+// synthetic radius-targeted campaigns, and the RTB exchange those
+// campaigns bid on. With useRTB the exchange serves ads through an
+// rtb.Provider; otherwise the network matches them directly. It returns
+// the serving provider, its bid-request log (capped at bidLogCap), and
+// the exchange (its metrics are registered in both modes).
+func newProvider(campaigns int, seed uint64, useRTB bool) (edge.AdProvider, *adnet.RequestLog, *rtb.Exchange, error) {
+	limit := adnet.PlatformLimits()[0] // Google: 5–65 km
+	network, err := adnet.NewNetwork(&limit, adnet.WithBidLogCap(bidLogCap))
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("building ad network: %w", err)
+	}
+	exchange, err := rtb.NewExchange(100*time.Millisecond, 0.05)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("building exchange: %w", err)
+	}
+	region := trace.DefaultConfig().Region
+	rnd := randx.New(seed, 0xEDEDED)
+	for i := 0; i < campaigns; i++ {
+		loc := privRandomInRegion(rnd, region.BBox)
+		campaign := adnet.Campaign{
+			ID:       fmt.Sprintf("campaign-%05d", i),
+			Location: loc,
+			Radius:   limit.MinRadius + rnd.Float64()*(25_000-limit.MinRadius),
+			Ad: adnet.Ad{
+				ID:       fmt.Sprintf("ad-%05d", i),
+				Title:    fmt.Sprintf("Offer #%d", i),
+				Location: loc,
+			},
+		}
+		if err := network.Register(campaign); err != nil {
+			return nil, nil, nil, fmt.Errorf("registering campaign %d: %w", i, err)
+		}
+		if useRTB {
+			bidder, err := rtb.NewCampaignBidder(campaign, 0.5+rnd.Float64()*4, 1e6)
+			if err != nil {
+				return nil, nil, nil, fmt.Errorf("building bidder %d: %w", i, err)
+			}
+			if err := exchange.Register(bidder); err != nil {
+				return nil, nil, nil, fmt.Errorf("registering bidder %d: %w", i, err)
+			}
+		}
+	}
+	if !useRTB {
+		return network, &network.RequestLog, exchange, nil
+	}
+	rtbProvider, err := rtb.NewProvider(exchange, adnet.WithBidLogCap(bidLogCap))
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("building RTB provider: %w", err)
+	}
+	return rtbProvider, &rtbProvider.RequestLog, exchange, nil
 }
 
 // serveAndPersist runs the server and, in durable mode (store != nil),

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -249,5 +250,31 @@ func TestServeDebug(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "goroutine") {
 		t.Error("pprof index does not list profiles")
+	}
+}
+
+// TestProviderBidLogBounded drives one ad request past 2^16 through the
+// provider edged serves from, in both modes: its bid log keeps the most
+// recent 2^16 records and still counts every request. An uncapped log
+// would keep a record per request for the life of the process.
+func TestProviderBidLogBounded(t *testing.T) {
+	const capped = 1 << 16
+	at := time.Date(2021, 1, 1, 0, 0, 0, 0, time.UTC)
+	for _, useRTB := range []bool{false, true} {
+		t.Run(fmt.Sprintf("rtb=%v", useRTB), func(t *testing.T) {
+			provider, bidLog, _, err := newProvider(0, 1, useRTB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i <= capped; i++ {
+				provider.RequestAds("u1", geo.Point{X: float64(i)}, at, 1)
+			}
+			if got := bidLog.LogSize(); got != capped {
+				t.Errorf("retained %d bid records, want %d", got, capped)
+			}
+			if got := bidLog.TotalLogged(); got != capped+1 {
+				t.Errorf("logged %d bid requests in total, want %d", got, capped+1)
+			}
+		})
 	}
 }

@@ -12,7 +12,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -56,10 +55,7 @@ func run(args []string) error {
 		statsEvery = fs.Duration("stats-every", 5*time.Second, "interval between telemetry summaries during the replay (0 disables)")
 		edges      = fs.Int("edges", 1, "edge devices; >1 replays through a fault-tolerant multi-edge cluster")
 		chaos      = fs.Bool("chaos", false, "kill and revive edges mid-run (requires -edges > 1); health transitions are detector-driven")
-		replSweep  = fs.Bool("repl-sweep", false, "measure replicated bytes per merge round against the number of changed users and exit")
-		outPath    = fs.String("out", "", "with -repl-sweep, write the sweep document to this JSON file")
 		scenario   = fs.String("scenario", "", "replay a workload scenario through the multi-edge cluster: baseline | churn | gps-outage | traveler | collude")
-		scnSweep   = fs.Bool("scenario-sweep", false, "run every scenario mode on one seed and emit a JSON document (see -out)")
 		batch      = fs.Int("batch", 1, "check-ins per report call; >1 replays via POST /v1/report/batch (or batched cluster routing)")
 		wireFlag   = fs.String("wire", "json", "serving-path codec for the replay clients: json | binary")
 		logFormat  = fs.String("log-format", logx.FormatText, "structured log format: json | text")
@@ -81,19 +77,8 @@ func run(args []string) error {
 	if *batch < 1 {
 		return fmt.Errorf("-batch must be >= 1")
 	}
-	if *replSweep {
-		e := *edges
-		if e < 2 {
-			e = 3
-		}
-		return runReplSweep(e, *users, *seed, *outPath)
-	}
-	if *scnSweep {
-		return runScenarioSweep(*users, *maxCk, *edges, *seed, *outPath)
-	}
 	if *scenario != "" {
-		_, err := runScenario(*scenario, *users, *maxCk, *edges, *seed)
-		return err
+		return runScenario(*scenario, *users, *maxCk, *edges, *seed)
 	}
 
 	// Workload.
@@ -159,14 +144,10 @@ func run(args []string) error {
 	if err != nil {
 		return fmt.Errorf("building engine: %w", err)
 	}
-	// observer is the attacker's view of the provider-side bid log.
-	type observer interface {
-		ObservedLocations(userID string) []geo.Point
-		LogSize() int
-	}
+	// attacker is the provider-side bid log the longitudinal attack mines.
 	var (
 		provider edge.AdProvider = network
-		attacker observer        = network
+		attacker                 = &network.RequestLog
 	)
 	if *useRTB {
 		rtbProvider, err := rtb.NewProvider(exchange)
@@ -174,7 +155,7 @@ func run(args []string) error {
 			return fmt.Errorf("building RTB provider: %w", err)
 		}
 		provider = rtbProvider
-		attacker = rtbProvider
+		attacker = &rtbProvider.RequestLog
 		fmt.Printf("serving ads via RTB second-price auctions (%d bidders, 100 ms deadline)\n", exchange.Bidders())
 	}
 
@@ -284,143 +265,6 @@ func replayReports(ctx context.Context, cl *client.Client, userID string, checkI
 			return fmt.Errorf("batch-reporting for %s: %d items rejected (first: index %d: %s)",
 				userID, len(resp.Errors), resp.Errors[0].Index, resp.Errors[0].Error)
 		}
-	}
-	return nil
-}
-
-// replRound is one measured merge round of the replication sweep.
-type replRound struct {
-	ChangedUsers  int     `json:"changed_users"`
-	DeltaBytes    int     `json:"delta_bytes"`
-	SnapshotBytes int     `json:"snapshot_bytes"`
-	Entries       int     `json:"entries"`
-	BytesPerUser  float64 `json:"delta_bytes_per_changed_user"`
-}
-
-// replSweepDoc is the JSON document -repl-sweep emits; bench.sh embeds
-// it under the "repl" key of BENCH_pr8.json via benchjson -repl.
-type replSweepDoc struct {
-	Edges  int         `json:"edges"`
-	Users  int         `json:"users"`
-	Seed   uint64      `json:"seed"`
-	Rounds []replRound `json:"rounds"`
-	// Ratio is total delta bytes over total would-be snapshot bytes
-	// across the measured rounds (lower is better; 1.0 means deltas
-	// saved nothing).
-	Ratio float64 `json:"delta_to_snapshot_ratio"`
-}
-
-// runReplSweep measures how replication traffic scales with the number
-// of users a merge round actually changed. Every user's table is warmed
-// with one merged top first (so later rounds replicate against
-// populated tables); each measured round then gives exactly k users a
-// new frequent location and merges them, recording the cluster's delta
-// and would-be snapshot byte counters around the round. The run fails
-// if per-changed-user delta bytes drift apart across rounds — the
-// "replicated bytes ∝ changed users" property this sweep archives.
-func runReplSweep(edges, users int, seed uint64, outPath string) error {
-	if users < 8 {
-		users = 8
-	}
-	region := trace.DefaultConfig().Region
-	cluster, _, err := buildSimCluster(region.BBox, edges, seed)
-	if err != nil {
-		return err
-	}
-	rnd := randx.New(seed, 0x5EEB)
-	at := time.Date(2021, 5, 1, 0, 0, 0, 0, time.UTC)
-	userID := func(u int) string { return fmt.Sprintf("u%04d", u) }
-	// Per-user home spots on a grid well inside the region; each phase
-	// shifts every changed user to a fresh spot far past the table's
-	// identity radius, so one merged round adds about one table entry.
-	spot := func(u, phase int) geo.Point {
-		return geo.Point{
-			X: region.MinX + 0.1*region.Width() + float64(u)*600,
-			Y: region.MinY + 0.1*region.Height() + float64(phase)*900,
-		}
-	}
-	visit := func(u, phase int) error {
-		for i := 0; i < 20; i++ {
-			at = at.Add(time.Hour)
-			if _, err := cluster.Report(userID(u), spot(u, phase).Add(rnd.GaussianPolar(10)), at); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	mergeRound := func(changed int, phase int) (replRound, error) {
-		before := cluster.ReplStats()
-		for u := 0; u < changed; u++ {
-			if err := visit(u, phase); err != nil {
-				return replRound{}, err
-			}
-		}
-		for u := 0; u < changed; u++ {
-			if _, err := cluster.MergeProfiles(userID(u), at); err != nil {
-				return replRound{}, fmt.Errorf("merging %s: %w", userID(u), err)
-			}
-		}
-		after := cluster.ReplStats()
-		r := replRound{
-			ChangedUsers:  changed,
-			DeltaBytes:    after.DeltaBytes - before.DeltaBytes,
-			SnapshotBytes: after.SnapshotBytes - before.SnapshotBytes,
-			Entries:       after.Entries - before.Entries,
-		}
-		r.BytesPerUser = float64(r.DeltaBytes) / float64(changed)
-		return r, nil
-	}
-
-	// Warm round: every table is born (delta == snapshot here, excluded
-	// from the measured grid).
-	if _, err := mergeRound(users, 0); err != nil {
-		return err
-	}
-
-	doc := replSweepDoc{Edges: edges, Users: users, Seed: seed}
-	var totalDelta, totalSnapshot int
-	grid := []int{1, users / 8, users / 4, users / 2, users}
-	for phase, k := range grid {
-		r, err := mergeRound(k, phase+1)
-		if err != nil {
-			return err
-		}
-		doc.Rounds = append(doc.Rounds, r)
-		totalDelta += r.DeltaBytes
-		totalSnapshot += r.SnapshotBytes
-		fmt.Printf("repl-sweep: changed_users=%-4d delta_bytes=%-8d snapshot_bytes=%-8d entries=%-5d bytes_per_changed_user=%.0f\n",
-			r.ChangedUsers, r.DeltaBytes, r.SnapshotBytes, r.Entries, r.BytesPerUser)
-	}
-	if totalSnapshot > 0 {
-		doc.Ratio = float64(totalDelta) / float64(totalSnapshot)
-	}
-	fmt.Printf("repl-sweep: delta_to_snapshot_ratio=%.3f over %d rounds (%d edges, %d users)\n",
-		doc.Ratio, len(doc.Rounds), edges, users)
-
-	// Proportionality gate: per-changed-user cost must stay in a tight
-	// band no matter how many users the round touched, and deltas must
-	// undercut snapshots now that tables span several rounds.
-	minPer, maxPer := doc.Rounds[0].BytesPerUser, doc.Rounds[0].BytesPerUser
-	for _, r := range doc.Rounds[1:] {
-		minPer = math.Min(minPer, r.BytesPerUser)
-		maxPer = math.Max(maxPer, r.BytesPerUser)
-	}
-	if maxPer > 2*minPer {
-		return fmt.Errorf("replicated bytes not proportional to changed users: per-user cost spans %.0f..%.0f bytes", minPer, maxPer)
-	}
-	if totalDelta == 0 || totalDelta >= totalSnapshot {
-		return fmt.Errorf("delta replication did not beat snapshots: delta=%d snapshot=%d", totalDelta, totalSnapshot)
-	}
-
-	if outPath != "" {
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-			return fmt.Errorf("writing %s: %w", outPath, err)
-		}
-		fmt.Printf("wrote %s\n", outPath)
 	}
 	return nil
 }

@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 
 	"repro/internal/attack"
@@ -24,87 +22,50 @@ import (
 // the collude gate tolerates one extra user on tiny smoke populations.
 const paperBand500 = 0.068
 
-// scenarioResult is one scenario mode's measured outcome; the sweep
-// document embeds one per mode into BENCH_pr10.json.
+// scenarioResult is one scenario mode's measured outcome.
 type scenarioResult struct {
-	Mode      string `json:"mode"`
-	Users     int    `json:"users"`
-	Events    int    `json:"events"`
-	Mutations int    `json:"mutations"`
+	Mode      string
+	Users     int
+	Events    int
+	Mutations int
 	// Streams is the number of distinct advertising identifiers observed
 	// (> Users under churn and collude).
-	Streams int `json:"ad_id_streams"`
+	Streams int
 	// EntropyMean is the mean per-user entropy of the defended request
 	// stream (bits; higher means the observable stream is more spread).
-	EntropyMean float64 `json:"entropy_mean_bits"`
+	EntropyMean float64
 	// Hits200/Hits500 count users whose top-1 location the longitudinal
 	// attack recovers from the defended stream within 200 m / 500 m.
-	Hits200 int `json:"attack_top1_hits_200m"`
-	Hits500 int `json:"attack_top1_hits_500m"`
+	Hits200 int
+	Hits500 int
 	// MergeDropped counts check-ins excluded from secure aggregation for
 	// falling outside the merge region (traveler exercises this).
-	MergeDropped int `json:"merge_dropped_checkins"`
+	MergeDropped int
 	// Degraded counts merges that ran with at least one edge missing.
-	Degraded int `json:"degraded_merges"`
-	// Collusion is only present for the collude mode.
-	Collusion *collusionResult `json:"collusion,omitempty"`
+	Degraded int
 }
 
 // collusionResult measures the colluding cross-network adversary: the
 // join quality, and the re-identification rates with and without the
 // defense. Rates are at the 500 m threshold.
 type collusionResult struct {
-	Networks int `json:"networks"`
-	Streams  int `json:"pseudonym_streams"`
-	Joins    int `json:"joins"`
+	Networks int
+	Streams  int
+	Joins    int
 	// Precision is the fraction of multi-stream identities whose members
 	// all belong to one ground-truth user; Recall is the fraction of
 	// users whose streams fully collapsed into one identity.
-	Precision float64 `json:"link_precision"`
-	Recall    float64 `json:"link_recall"`
+	Precision float64
+	Recall    float64
 	// SingleRate is the per-network adversary: the fraction of pseudonym
 	// streams (one-time geo-IND deployment) whose owner's top-1 the
 	// attack recovers. ColludeRate is the same adversary after joining
 	// logs across networks, per user.
-	SingleRate  float64 `json:"single_network_rate_500m"`
-	ColludeRate float64 `json:"colluding_rate_500m"`
+	SingleRate  float64
+	ColludeRate float64
 	// DefendedRate is the colluding adversary against the Edge-PrivLocAd
 	// cluster's output stream — the paper-band check.
-	DefendedRate float64 `json:"defended_colluding_rate_500m"`
-}
-
-// scenarioSweepDoc is the JSON document -scenario-sweep emits; bench.sh
-// embeds it under the "scenario" key of BENCH_pr10.json.
-type scenarioSweepDoc struct {
-	Users       int              `json:"users"`
-	MaxCheckIns int              `json:"max_checkins"`
-	Edges       int              `json:"edges"`
-	Seed        uint64           `json:"seed"`
-	Scenarios   []scenarioResult `json:"scenarios"`
-}
-
-// runScenarioSweep measures every scenario mode on one seed and writes
-// the sweep document.
-func runScenarioSweep(users, maxCk, edges int, seed uint64, outPath string) error {
-	doc := scenarioSweepDoc{Users: users, MaxCheckIns: maxCk, Edges: scenarioEdges(edges), Seed: seed}
-	for _, mode := range workload.Modes() {
-		res, err := runScenario(string(mode), users, maxCk, edges, seed)
-		if err != nil {
-			return fmt.Errorf("scenario %s: %w", mode, err)
-		}
-		doc.Scenarios = append(doc.Scenarios, res)
-	}
-	if outPath != "" {
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-			return fmt.Errorf("writing %s: %w", outPath, err)
-		}
-		fmt.Printf("wrote %s\n", outPath)
-	}
-	return nil
+	DefendedRate float64
 }
 
 // scenarioEdges resolves the edge count: scenarios always run through
@@ -125,10 +86,10 @@ func scenarioEdges(edges int) int {
 // The longitudinal attack then mines the defended streams, and the
 // collude mode additionally mounts the cross-network join with and
 // without the defense.
-func runScenario(modeName string, users, maxCk, edges int, seed uint64) (scenarioResult, error) {
+func runScenario(modeName string, users, maxCk, edges int, seed uint64) error {
 	mode, err := workload.ParseMode(modeName)
 	if err != nil {
-		return scenarioResult{}, err
+		return err
 	}
 	edges = scenarioEdges(edges)
 
@@ -138,14 +99,14 @@ func runScenario(modeName string, users, maxCk, edges int, seed uint64) (scenari
 	tcfg.Seed = seed
 	wl, err := workload.Build(workload.Synthetic{Config: tcfg}, workload.Config{Mode: mode, Seed: seed})
 	if err != nil {
-		return scenarioResult{}, err
+		return err
 	}
 
 	reg := telemetry.NewRegistry()
 	wl.Instrument(reg)
 	cluster, mech, err := buildScenarioCluster(wl.Extent, tcfg.Region.BBox, edges, seed)
 	if err != nil {
-		return scenarioResult{}, err
+		return err
 	}
 	cluster.Instrument(reg)
 
@@ -154,7 +115,7 @@ func runScenario(modeName string, users, maxCk, edges int, seed uint64) (scenari
 	// n-fold table — the paper's weak baseline.
 	oneTime, err := geoind.NewPlanarLaplace(math.Log(4), 200)
 	if err != nil {
-		return scenarioResult{}, err
+		return err
 	}
 	oneTimeRnd := randx.New(seed, 0x10CA1)
 
@@ -188,7 +149,7 @@ func runScenario(modeName string, users, maxCk, edges int, seed uint64) (scenari
 		ids := make(map[string]bool)
 		for _, e := range st.Events {
 			if _, err := cluster.Report(reportID(e), e.Pos, e.Time); err != nil {
-				return scenarioResult{}, fmt.Errorf("reporting %s: %w", st.User, err)
+				return fmt.Errorf("reporting %s: %w", st.User, err)
 			}
 			ids[reportID(e)] = true
 			truthOwner[e.AdID] = e.User
@@ -197,7 +158,7 @@ func runScenario(modeName string, users, maxCk, edges int, seed uint64) (scenari
 		for _, id := range sortedKeys(ids) {
 			_, stats, err := cluster.MergeProfilesStats(id, tcfg.End)
 			if err != nil {
-				return scenarioResult{}, fmt.Errorf("merging %s: %w", id, err)
+				return fmt.Errorf("merging %s: %w", id, err)
 			}
 			if stats.Degraded {
 				res.Degraded++
@@ -214,7 +175,7 @@ func runScenario(modeName string, users, maxCk, edges int, seed uint64) (scenari
 				var err error
 				out, _, err = cluster.Request(reportID(e), e.Pos)
 				if err != nil {
-					return scenarioResult{}, fmt.Errorf("requesting for %s: %w", st.User, err)
+					return fmt.Errorf("requesting for %s: %w", st.User, err)
 				}
 				sessionOut[e.Session] = out
 			}
@@ -223,7 +184,7 @@ func runScenario(modeName string, users, maxCk, edges int, seed uint64) (scenari
 			if mode == workload.ModeCollude {
 				pts, err := oneTime.Obfuscate(oneTimeRnd, e.Pos)
 				if err != nil {
-					return scenarioResult{}, fmt.Errorf("one-time obfuscation: %w", err)
+					return fmt.Errorf("one-time obfuscation: %w", err)
 				}
 				oneTimeObs = append(oneTimeObs, attack.Observation{AdID: e.AdID, Net: e.Net, Loc: pts[0], Time: e.Time})
 			}
@@ -240,7 +201,7 @@ func runScenario(modeName string, users, maxCk, edges int, seed uint64) (scenari
 		}
 		p, err := profile.Build(obs, 50)
 		if err != nil {
-			return scenarioResult{}, fmt.Errorf("profiling %s: %w", u.ID, err)
+			return fmt.Errorf("profiling %s: %w", u.ID, err)
 		}
 		res.EntropyMean += p.Entropy()
 		entUsers++
@@ -254,7 +215,7 @@ func runScenario(modeName string, users, maxCk, edges int, seed uint64) (scenari
 	// its top-1 location.
 	rAlpha, err := mech.ConfidenceRadius(0.05)
 	if err != nil {
-		return scenarioResult{}, err
+		return err
 	}
 	defendedOpts := attack.Options{Theta: 500, ClusterRadius: rAlpha}
 	byAdID := groupByAdID(defended)
@@ -288,12 +249,11 @@ func runScenario(modeName string, users, maxCk, edges int, seed uint64) (scenari
 	if mode == workload.ModeCollude {
 		col, err := runCollusion(wl, oneTimeObs, defended, truthOwner, rAlpha)
 		if err != nil {
-			return scenarioResult{}, err
+			return err
 		}
-		res.Collusion = &col
 		attack.RecordCollusion(reg, &attack.CollusionStats{Joins: col.Joins, Pairs: col.Streams * (col.Streams - 1) / 2})
 	}
-	return res, nil
+	return nil
 }
 
 // runCollusion mounts the cross-network adversary. The one-time geo-IND

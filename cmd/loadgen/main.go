@@ -12,11 +12,13 @@
 // Usage:
 //
 //	loadgen -users 256 -workers 8 -requests 20000 -mix 4:1 -batch 64
-//	loadgen -sweep -out BENCH_pr4.json   # shards {1,8} x batch {1,64} grid
-//	loadgen -wire binary                 # negotiate the binary wire codec
-//	loadgen -sweep-wire                  # wire {json,binary} x batch {1,64} grid
-//	loadgen -users 1000000 -sweep-mem    # memory-footprint sweep across resident caps
-//	loadgen -max-resident 10000          # single run with the tiered engine
+//	loadgen -wire binary                      # negotiate the binary wire codec
+//	loadgen -scenario churn                   # replay a composed workload scenario
+//	loadgen -addr http://127.0.0.1:8080       # drive an external edged
+//
+// For a WAL-backed or memory-tiered edge, start edged with -data-dir,
+// -fsync or -max-resident and point -addr at it. The repository's
+// serving benchmark lives in bench/ (see bench/README.md).
 package main
 
 import (
@@ -42,7 +44,6 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/tracing"
-	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -72,53 +73,32 @@ func main() {
 
 // config is one load-generation run.
 type config struct {
-	Users     int           `json:"users"`
-	Workers   int           `json:"workers"`
-	Requests  int           `json:"requests"`
-	Duration  time.Duration `json:"-"`
-	Mix       string        `json:"mix"`
-	Batch     int           `json:"batch"`
-	Shards    int           `json:"shards"`
-	Campaigns int           `json:"campaigns"`
-	Seed      uint64        `json:"seed"`
-	Addr      string        `json:"addr,omitempty"`
-	// DataDir and Fsync select durable mode for the in-process server:
-	// every mutation goes through a write-ahead log with the given
-	// fsync policy before the response is acknowledged. Fsync "none"
-	// (or empty) runs without a WAL.
-	DataDir string `json:"data_dir,omitempty"`
-	Fsync   string `json:"fsync,omitempty"`
-	// Wire selects the serving-path codec the workers negotiate with
-	// the edge: "json" (default) or "binary" frames.
-	Wire string `json:"wire,omitempty"`
-	// MaxResident bounds the in-process engine's resident users; beyond
-	// it, least-recently-touched users spill to a temp dir and fault
-	// back in transparently (0 = unbounded, untiered).
-	MaxResident int `json:"max_resident,omitempty"`
+	Users     int
+	Workers   int
+	Requests  int
+	Duration  time.Duration
+	Mix       string
+	Batch     int
+	Campaigns int
+	Seed      uint64
+	Addr      string
 	// Scenario replays a composed workload scenario (internal/workload
 	// mode name) instead of the uniform synthetic load: workers drain the
 	// scenario's event sequence through the same closed-loop HTTP path.
-	Scenario string `json:"scenario,omitempty"`
+	Scenario string
 
 	mixReports, mixAds int
-	codec              edge.Codec
-	// clock overrides the in-process server's wall clock. The ads path
-	// records an implicit check-in at server time, so any run that
-	// asserts bit-for-bit state identity (the mem sweep) must pin it.
-	clock edge.Clock
+	// codec is the serving-path codec the workers negotiate with the
+	// edge: JSON or binary frames.
+	codec edge.Codec
 }
-
-// durable reports whether the run writes through a WAL.
-func (c config) durable() bool { return c.Fsync != "" && c.Fsync != "none" }
 
 // result is the measured outcome of one run. Latency quantiles are
 // linear interpolations inside telemetry histogram buckets (exponential
 // bounds, factor 4), so treat them as bucket-resolution estimates.
 type result struct {
 	Name         string  `json:"name"`
-	Shards       int     `json:"shards"`
 	Batch        int     `json:"batch"`
-	Fsync        string  `json:"fsync,omitempty"`
 	Wire         string  `json:"wire,omitempty"`
 	CheckIns     int64   `json:"checkins"`
 	AdRequests   int64   `json:"ad_requests"`
@@ -145,9 +125,6 @@ type result struct {
 	// ActiveSpans is the server tracer's span gauge after the run; any
 	// value above zero is a span leak.
 	ActiveSpans int64 `json:"active_spans"`
-	// Tier is present only for -max-resident runs: the engine's
-	// memory-tier counters after the run.
-	Tier *tierResult `json:"tier,omitempty"`
 	// Scenario fields are present only for -scenario runs: the composed
 	// workload's totals and how much of it the budget replayed.
 	Scenario          string `json:"scenario,omitempty"`
@@ -156,25 +133,7 @@ type result struct {
 	ScenarioReplayed  int64  `json:"scenario_replayed,omitempty"`
 }
 
-// tierResult is the engine's memory-tier state after a capped run.
-type tierResult struct {
-	MaxResident int    `json:"max_resident"`
-	Resident    int    `json:"resident"`
-	Spilled     int    `json:"spilled"`
-	Evictions   uint64 `json:"evictions"`
-	FaultIns    uint64 `json:"faultins"`
-	SpillErrors uint64 `json:"spill_errors"`
-}
-
-// sweepReport is the BENCH_pr4.json serving section: the full grid plus
-// cross-run derived speedups.
-type sweepReport struct {
-	Config  config             `json:"config"`
-	Runs    []result           `json:"runs"`
-	Derived map[string]float64 `json:"derived,omitempty"`
-}
-
-func run(args []string, out *os.File) error {
+func run(args []string, w *os.File) error {
 	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
 	var (
 		users     = fs.Int("users", 256, "distinct users in the workload")
@@ -183,51 +142,32 @@ func run(args []string, out *os.File) error {
 		duration  = fs.Duration("duration", 0, "run for a fixed wall-clock time instead of a request budget")
 		mix       = fs.String("mix", "4:1", "check-in to ad-request ratio, as R:A")
 		batch     = fs.Int("batch", 1, "check-ins per report call; >1 uses POST /v1/report/batch")
-		shards    = fs.Int("shards", core.DefaultShards, "engine shard count for the in-process server")
 		campaigns = fs.Int("campaigns", 100, "campaigns registered on the in-process ad network")
 		seed      = fs.Uint64("seed", 1, "workload randomness seed")
 		addr      = fs.String("addr", "", "target an external edge (e.g. http://127.0.0.1:8080) instead of an in-process server")
 		jsonOut   = fs.Bool("json", false, "emit the result as JSON instead of a text summary")
-		sweep     = fs.Bool("sweep", false, "run the shards {1,8} x batch {1,64} grid in-process and emit the sweep JSON")
-		sweepDur  = fs.Bool("sweep-durable", false, "run the fsync {none,never,interval,always} x batch {1,64} durability grid at shards=8 and emit the sweep JSON")
-		sweepWire = fs.Bool("sweep-wire", false, "run the wire {json,binary} x batch {1,64} codec grid at shards=8 and emit the sweep JSON")
-		sweepMem  = fs.Bool("sweep-mem", false, "run the memory-footprint sweep: resident caps {users/100, users/10, unbounded} over the full population, sampling HeapAlloc/RSS")
-		maxRes    = fs.Int("max-resident", 0, "bound the in-process engine's resident users; cold users spill to a temp dir (0 = unbounded)")
 		wireFlag  = fs.String("wire", "json", "serving-path codec: json | binary")
-		dataDir   = fs.String("data-dir", "", "WAL directory for the in-process server (empty durable runs use a temp dir)")
-		fsyncFlag = fs.String("fsync", "", "WAL fsync policy for the in-process server: always | interval[=<duration>] | never; empty or \"none\" disables the WAL")
 		scenario  = fs.String("scenario", "", "replay a composed workload scenario instead of uniform load: baseline | churn | gps-outage | traveler | collude")
-		outPath   = fs.String("out", "", "write output to this file instead of stdout")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	cfg := config{
 		Users: *users, Workers: *workers, Requests: *requests, Duration: *duration,
-		Mix: *mix, Batch: *batch, Shards: *shards, Campaigns: *campaigns,
-		Seed: *seed, Addr: *addr, DataDir: *dataDir, Fsync: *fsyncFlag, Wire: *wireFlag,
-		MaxResident: *maxRes, Scenario: *scenario,
+		Mix: *mix, Batch: *batch, Campaigns: *campaigns,
+		Seed: *seed, Addr: *addr, Scenario: *scenario,
 	}
 	if cfg.Scenario != "" {
 		if _, err := workload.ParseMode(cfg.Scenario); err != nil {
 			return fmt.Errorf("-scenario: %w", err)
 		}
 	}
-	if cfg.MaxResident < 0 {
-		return fmt.Errorf("-max-resident must be >= 0")
-	}
-	if cfg.MaxResident > 0 && cfg.Addr != "" {
-		return fmt.Errorf("-max-resident configures the in-process engine, so it cannot target an external -addr")
-	}
-	if cfg.DataDir != "" && cfg.Fsync == "" {
-		cfg.Fsync = "interval"
-	}
 	var err error
 	cfg.mixReports, cfg.mixAds, err = parseMix(cfg.Mix)
 	if err != nil {
 		return err
 	}
-	if cfg.codec, err = edge.ParseCodec(cfg.Wire); err != nil {
+	if cfg.codec, err = edge.ParseCodec(*wireFlag); err != nil {
 		return fmt.Errorf("-wire: %w", err)
 	}
 	if cfg.Users < 1 || cfg.Workers < 1 || cfg.Batch < 1 {
@@ -237,75 +177,9 @@ func run(args []string, out *os.File) error {
 		return fmt.Errorf("need a positive -requests budget or a -duration")
 	}
 
-	w := out
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-
-	if *sweep || *sweepDur || *sweepWire || *sweepMem {
-		if cfg.Addr != "" {
-			return fmt.Errorf("-sweep controls the in-process engine, so it cannot target an external -addr")
-		}
-		sweeps := 0
-		for _, on := range []bool{*sweep, *sweepDur, *sweepWire, *sweepMem} {
-			if on {
-				sweeps++
-			}
-		}
-		if sweeps > 1 {
-			return fmt.Errorf("-sweep, -sweep-durable, -sweep-wire, and -sweep-mem are mutually exclusive")
-		}
-		if *sweepMem {
-			rep, err := runSweepMem(cfg)
-			if err != nil {
-				return err
-			}
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(rep); err != nil {
-				return err
-			}
-			if *outPath != "" {
-				fmt.Printf("loadgen: wrote mem sweep to %s\n", *outPath)
-			}
-			return nil
-		}
-		runGrid := runSweep
-		if *sweepDur {
-			runGrid = runSweepDurable
-		}
-		if *sweepWire {
-			runGrid = runSweepWire
-		}
-		rep, err := runGrid(cfg)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			return err
-		}
-		if *outPath != "" {
-			fmt.Printf("loadgen: wrote sweep to %s\n", *outPath)
-		}
-		return nil
-	}
-
-	name := fmt.Sprintf("shards=%d/batch=%d", cfg.Shards, cfg.Batch)
-	if cfg.Fsync != "" {
-		name += "/fsync=" + cfg.Fsync
-	}
+	name := fmt.Sprintf("batch=%d", cfg.Batch)
 	if cfg.codec == edge.CodecBinary {
 		name += "/wire=binary"
-	}
-	if cfg.MaxResident > 0 {
-		name += fmt.Sprintf("/cap=%d", cfg.MaxResident)
 	}
 	if cfg.Scenario != "" {
 		name += "/scenario=" + cfg.Scenario
@@ -332,11 +206,6 @@ func run(args []string, out *os.File) error {
 		res.ReportP50Ms, res.ReportP95Ms, res.ReportP99Ms, res.ReportOverflow)
 	fmt.Fprintf(w, "ads    latency p50=%.3fms p95=%.3fms p99=%.3fms overflow=%d\n",
 		res.AdsP50Ms, res.AdsP95Ms, res.AdsP99Ms, res.AdsOverflow)
-	if res.Tier != nil {
-		fmt.Fprintf(w, "tier: max_resident=%d resident=%d spilled=%d core_evictions_total=%d core_faultins_total=%d spill_errors=%d\n",
-			res.Tier.MaxResident, res.Tier.Resident, res.Tier.Spilled,
-			res.Tier.Evictions, res.Tier.FaultIns, res.Tier.SpillErrors)
-	}
 	printStages(w, res)
 	return nil
 }
@@ -377,124 +246,17 @@ func parseMix(s string) (reports, ads int, err error) {
 	return reports, ads, nil
 }
 
-// runSweep runs the BENCH_pr4 grid: single-shard vs multi-shard engine,
-// single vs batched ingestion, same workload everywhere.
-func runSweep(base config) (*sweepReport, error) {
-	rep := &sweepReport{Config: base}
-	perf := map[[2]int]float64{}
-	for _, shards := range []int{1, 8} {
-		for _, batch := range []int{1, 64} {
-			cfg := base
-			cfg.Shards, cfg.Batch = shards, batch
-			name := fmt.Sprintf("shards=%d/batch=%d", shards, batch)
-			fmt.Fprintf(os.Stderr, "loadgen: running %s ...\n", name)
-			res, err := runOne(cfg, name)
-			if err != nil {
-				return nil, fmt.Errorf("run %s: %w", name, err)
-			}
-			rep.Runs = append(rep.Runs, *res)
-			perf[[2]int{shards, batch}] = res.CheckInsPerS
-		}
-	}
-	rep.Derived = map[string]float64{}
-	if a, b := perf[[2]int{8, 1}], perf[[2]int{1, 1}]; a > 0 && b > 0 {
-		rep.Derived["shard_speedup_batch1"] = a / b
-	}
-	if a, b := perf[[2]int{1, 64}], perf[[2]int{1, 1}]; a > 0 && b > 0 {
-		rep.Derived["batch64_speedup_shards1"] = a / b
-	}
-	if a, b := perf[[2]int{8, 64}], perf[[2]int{1, 1}]; a > 0 && b > 0 {
-		rep.Derived["combined_speedup"] = a / b
-	}
-	return rep, nil
-}
-
-// runSweepDurable measures what each fsync policy costs: the same
-// serving workload at shards=8, from no WAL at all through fsync on
-// every append. Derived ratios report throughput cost as
-// none/policy (1.0 = free, 2.0 = half the throughput).
-func runSweepDurable(base config) (*sweepReport, error) {
-	rep := &sweepReport{Config: base}
-	policies := []string{"none", "never", "interval", "always"}
-	perf := map[string]float64{}
-	for _, pol := range policies {
-		for _, batch := range []int{1, 64} {
-			cfg := base
-			cfg.Shards, cfg.Batch, cfg.Fsync = 8, batch, pol
-			cfg.DataDir = "" // each durable run gets a fresh temp WAL
-			name := fmt.Sprintf("fsync=%s/batch=%d", pol, batch)
-			fmt.Fprintf(os.Stderr, "loadgen: running %s ...\n", name)
-			res, err := runOne(cfg, name)
-			if err != nil {
-				return nil, fmt.Errorf("run %s: %w", name, err)
-			}
-			rep.Runs = append(rep.Runs, *res)
-			perf[name] = res.CheckInsPerS
-		}
-	}
-	rep.Derived = map[string]float64{}
-	for _, pol := range policies[1:] {
-		for _, batch := range []int{1, 64} {
-			baseline := perf[fmt.Sprintf("fsync=none/batch=%d", batch)]
-			withPol := perf[fmt.Sprintf("fsync=%s/batch=%d", pol, batch)]
-			if baseline > 0 && withPol > 0 {
-				rep.Derived[fmt.Sprintf("%s_cost_batch%d", pol, batch)] = baseline / withPol
-			}
-		}
-	}
-	return rep, nil
-}
-
-// runSweepWire measures what the binary wire protocol buys end to end:
-// the same serving workload at shards=8 in both codecs, single and
-// batched ingestion. Derived ratios report binary/json check-in
-// throughput (>1 = binary faster) and json/binary report p99 (>1 =
-// binary's tail is shorter).
-func runSweepWire(base config) (*sweepReport, error) {
-	rep := &sweepReport{Config: base}
-	runs := map[string]*result{}
-	for _, codec := range []edge.Codec{edge.CodecJSON, edge.CodecBinary} {
-		for _, batch := range []int{1, 64} {
-			cfg := base
-			cfg.Shards, cfg.Batch = 8, batch
-			cfg.Wire, cfg.codec = codec.String(), codec
-			name := fmt.Sprintf("wire=%s/batch=%d", codec, batch)
-			fmt.Fprintf(os.Stderr, "loadgen: running %s ...\n", name)
-			res, err := runOne(cfg, name)
-			if err != nil {
-				return nil, fmt.Errorf("run %s: %w", name, err)
-			}
-			rep.Runs = append(rep.Runs, *res)
-			runs[name] = res
-		}
-	}
-	rep.Derived = map[string]float64{}
-	for _, batch := range []int{1, 64} {
-		js := runs[fmt.Sprintf("wire=json/batch=%d", batch)]
-		bin := runs[fmt.Sprintf("wire=binary/batch=%d", batch)]
-		if js.CheckInsPerS > 0 && bin.CheckInsPerS > 0 {
-			rep.Derived[fmt.Sprintf("wire_binary_speedup_batch%d", batch)] = bin.CheckInsPerS / js.CheckInsPerS
-		}
-		if js.ReportP99Ms > 0 && bin.ReportP99Ms > 0 {
-			rep.Derived[fmt.Sprintf("wire_binary_p99_ratio_batch%d", batch)] = js.ReportP99Ms / bin.ReportP99Ms
-		}
-	}
-	return rep, nil
-}
-
 // runOne executes one closed-loop run and returns its measurements.
 func runOne(cfg config, name string) (*result, error) {
 	baseURL := cfg.Addr
 	var srv *edge.Server
-	var engine *core.Engine
 	if baseURL == "" {
-		ts, s, e, cleanup, err := startEdge(cfg)
+		ts, s, err := startEdge(cfg)
 		if err != nil {
 			return nil, err
 		}
-		defer cleanup()
 		defer ts.Close()
-		baseURL, srv, engine = ts.URL, s, e
+		baseURL, srv = ts.URL, s
 	}
 
 	reportHist, err := telemetry.NewHistogram(telemetry.DefaultLatencyBuckets())
@@ -661,9 +423,7 @@ func runOne(cfg config, name string) (*result, error) {
 
 	res := &result{
 		Name:           name,
-		Shards:         cfg.Shards,
 		Batch:          cfg.Batch,
-		Fsync:          cfg.Fsync,
 		Wire:           cfg.codec.String(),
 		CheckIns:       checkins.Load(),
 		AdRequests:     adsDone.Load(),
@@ -695,17 +455,6 @@ func runOne(cfg config, name string) (*result, error) {
 			return res, fmt.Errorf("span leak: %d spans still active after the run", res.ActiveSpans)
 		}
 	}
-	if engine != nil && cfg.MaxResident > 0 {
-		ts := engine.TierStats()
-		res.Tier = &tierResult{
-			MaxResident: cfg.MaxResident,
-			Resident:    ts.Resident,
-			Spilled:     ts.Spilled,
-			Evictions:   ts.Evictions,
-			FaultIns:    ts.FaultIns,
-			SpillErrors: ts.SpillErrors,
-		}
-	}
 	return res, nil
 }
 
@@ -719,90 +468,27 @@ func quantileMs(h *telemetry.Histogram, q float64) float64 {
 	return v * 1000
 }
 
-// startEdge stands up the in-process edge: a sharded engine, an ad
-// network with a bounded bid log (loadgen runs are exactly the sustained
-// load the ring cap exists for), and the HTTP server. In durable mode
-// the engine writes through a WAL in cfg.DataDir (or a temp dir) with
-// the configured fsync policy. With MaxResident > 0 the engine runs
-// tiered, spilling cold users to a temp dir. The returned cleanup
-// closes the engine and store and removes the temp dirs.
-func startEdge(cfg config) (*httptest.Server, *edge.Server, *core.Engine, func(), error) {
+// startEdge stands up the in-process edge: an engine with the default
+// shard count, an ad network with a bounded bid log (loadgen runs are
+// exactly the sustained load the ring cap exists for), and the HTTP
+// server. The engine holds no files, so closing the returned test
+// server releases everything.
+func startEdge(cfg config) (*httptest.Server, *edge.Server, error) {
 	mech, err := geoind.NewNFoldGaussian(geoind.Params{Radius: 500, Epsilon: 1, Delta: 0.01, N: 10})
 	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("building mechanism: %w", err)
+		return nil, nil, fmt.Errorf("building mechanism: %w", err)
 	}
 	nomadic, err := geoind.NewPlanarLaplace(math.Log(4), 200)
 	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("building nomadic mechanism: %w", err)
+		return nil, nil, fmt.Errorf("building nomadic mechanism: %w", err)
 	}
-	ecfg := core.Config{
-		Mechanism:        mech,
-		NomadicMechanism: nomadic,
-		Seed:             cfg.Seed,
-		Shards:           cfg.Shards,
-	}
-	cleanup := func() {}
-	if cfg.MaxResident > 0 {
-		tmp, err := os.MkdirTemp("", "loadgen-spill-")
-		if err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("creating spill temp dir: %w", err)
-		}
-		ecfg.SpillDir = tmp
-		ecfg.MaxResidentUsers = cfg.MaxResident
-		cleanup = func() { _ = os.RemoveAll(tmp) }
-	}
-	engine, err := core.NewEngine(ecfg)
+	engine, err := core.NewEngine(core.Config{Mechanism: mech, NomadicMechanism: nomadic, Seed: cfg.Seed})
 	if err != nil {
-		cleanup()
-		return nil, nil, nil, nil, fmt.Errorf("building engine: %w", err)
-	}
-	{
-		rm := cleanup
-		cleanup = func() {
-			_ = engine.Close()
-			rm()
-		}
-	}
-	if cfg.durable() {
-		dir := cfg.DataDir
-		if dir == "" {
-			tmp, err := os.MkdirTemp("", "loadgen-wal-")
-			if err != nil {
-				cleanup()
-				return nil, nil, nil, nil, fmt.Errorf("creating WAL temp dir: %w", err)
-			}
-			dir = tmp
-			rm := cleanup
-			cleanup = func() {
-				rm()
-				_ = os.RemoveAll(tmp)
-			}
-		}
-		policy, interval, err := wal.ParsePolicy(cfg.Fsync)
-		if err != nil {
-			cleanup()
-			return nil, nil, nil, nil, fmt.Errorf("parsing -fsync: %w", err)
-		}
-		store, err := wal.Open(dir, wal.Options{Policy: policy, Interval: interval})
-		if err != nil {
-			cleanup()
-			return nil, nil, nil, nil, fmt.Errorf("opening WAL: %w", err)
-		}
-		if _, err := engine.Recover(store); err != nil {
-			store.Close()
-			cleanup()
-			return nil, nil, nil, nil, fmt.Errorf("recovering engine: %w", err)
-		}
-		rm := cleanup
-		cleanup = func() {
-			_ = store.Close()
-			rm()
-		}
+		return nil, nil, fmt.Errorf("building engine: %w", err)
 	}
 	network, err := adnet.NewNetwork(nil, adnet.WithBidLogCap(1<<16))
 	if err != nil {
-		cleanup()
-		return nil, nil, nil, nil, fmt.Errorf("building network: %w", err)
+		return nil, nil, fmt.Errorf("building network: %w", err)
 	}
 	region := trace.DefaultConfig().Region
 	rnd := randx.New(cfg.Seed, streamCampaigns)
@@ -817,14 +503,12 @@ func startEdge(cfg config) (*httptest.Server, *edge.Server, *core.Engine, func()
 			Radius:   5000 + rnd.Float64()*20000,
 			Ad:       adnet.Ad{ID: fmt.Sprintf("ad%05d", i), Title: fmt.Sprintf("Offer %d", i), Location: loc},
 		}); err != nil {
-			cleanup()
-			return nil, nil, nil, nil, fmt.Errorf("registering campaign: %w", err)
+			return nil, nil, fmt.Errorf("registering campaign: %w", err)
 		}
 	}
-	server, err := edge.NewServer(engine, network, cfg.clock, nil)
+	server, err := edge.NewServer(engine, network, nil, nil)
 	if err != nil {
-		cleanup()
-		return nil, nil, nil, nil, fmt.Errorf("building server: %w", err)
+		return nil, nil, fmt.Errorf("building server: %w", err)
 	}
-	return httptest.NewServer(server.Handler()), server, engine, cleanup, nil
+	return httptest.NewServer(server.Handler()), server, nil
 }

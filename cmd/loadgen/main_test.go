@@ -1,14 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/randx"
-	"repro/internal/wal"
 )
 
 // TestWorkerStreamDerivation is the regression for the additive worker
@@ -81,7 +77,7 @@ func TestRunSmall(t *testing.T) {
 	for _, batch := range []int{1, 8} {
 		cfg := config{
 			Users: 4, Workers: 2, Requests: 80, Mix: "4:1", Batch: batch,
-			Shards: 4, Campaigns: 5, Seed: 7,
+			Campaigns: 5, Seed: 7,
 		}
 		var err error
 		cfg.mixReports, cfg.mixAds, err = parseMix(cfg.Mix)
@@ -97,83 +93,6 @@ func TestRunSmall(t *testing.T) {
 		}
 		if res.BatchRejected != 0 {
 			t.Errorf("batch=%d: %d rejected items", batch, res.BatchRejected)
-		}
-	}
-}
-
-// TestRunDurable drives the closed loop against a WAL-backed in-process
-// edge and checks the log actually recorded the traffic.
-func TestRunDurable(t *testing.T) {
-	dir := t.TempDir()
-	cfg := config{
-		Users: 4, Workers: 2, Requests: 80, Mix: "4:1", Batch: 8,
-		Shards: 4, Campaigns: 5, Seed: 7, DataDir: dir, Fsync: "never",
-	}
-	var err error
-	cfg.mixReports, cfg.mixAds, err = parseMix(cfg.Mix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := runOne(cfg, "durable")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CheckIns == 0 {
-		t.Fatalf("no work done: %+v", res)
-	}
-	// The WAL outlives the run (user-provided directory) and replays.
-	st, err := wal.Open(dir, wal.Options{Policy: wal.SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	var records int
-	if err := st.Replay(0, func(lsn uint64, payload []byte) error {
-		records++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if records == 0 {
-		t.Error("durable run left an empty WAL")
-	}
-}
-
-// TestSweepJSON runs a minimal sweep through the CLI and checks the
-// emitted document has the BENCH_pr4 serving shape.
-func TestSweepJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep runs four load phases")
-	}
-	out := filepath.Join(t.TempDir(), "sweep.json")
-	err := run([]string{
-		"-sweep", "-users", "4", "-workers", "2", "-requests", "120",
-		"-campaigns", "5", "-out", out,
-	}, os.Stdout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep sweepReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Runs) != 4 {
-		t.Fatalf("runs = %d, want 4 (shards {1,8} x batch {1,64})", len(rep.Runs))
-	}
-	seen := map[string]bool{}
-	for _, r := range rep.Runs {
-		seen[r.Name] = true
-		if r.CheckIns == 0 {
-			t.Errorf("%s ingested nothing", r.Name)
-		}
-	}
-	for _, want := range []string{"shards=1/batch=1", "shards=1/batch=64", "shards=8/batch=1", "shards=8/batch=64"} {
-		if !seen[want] {
-			t.Errorf("missing run %s", want)
 		}
 	}
 }

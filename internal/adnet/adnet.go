@@ -134,35 +134,113 @@ func tierCell(t int) float64 {
 type Network struct {
 	limit *PlatformLimit
 
-	mu        sync.RWMutex
+	// The campaign fields are guarded by the embedded log's mu: one lock
+	// serves the index and the log, so a request that is logging holds
+	// off Register and Match.
 	campaigns map[string]Campaign
 	tiers     []*radiusTier // radius-bucketed campaign indexes, nil until first use
 	order     []string      // campaign ids in registration order, for the indexes
-	// log holds the bid-request records. Unbounded by default; with
-	// WithBidLogCap it is a ring of logCap records where logStart indexes
-	// the oldest retained record. logged counts every record ever logged
-	// (monotonic, unaffected by rotation).
-	log      []BidRecord
-	logCap   int
-	logStart int
+
+	// RequestLog records every ad request the network serves.
+	RequestLog
+}
+
+// RequestLog is the bid-request log an ad-serving endpoint keeps: one
+// BidRecord per ad request, the longitudinal attacker's input. It is
+// unbounded unless WithBidLogCap makes it a ring of the most recent
+// records. The zero value is an empty, unbounded log; it is safe for
+// concurrent use.
+type RequestLog struct {
+	mu sync.RWMutex
+	// recs holds the retained records. Once a capped log is full it is a
+	// ring whose oldest record sits at start. logged counts every record
+	// ever appended (monotonic, unaffected by rotation).
+	recs     []BidRecord
+	capacity int
+	start    int
 	logged   uint64
 }
 
-// Option customises a Network.
-type Option func(*Network)
+// Option configures the bid-request log of a Network, or of another ad
+// provider built on RequestLog such as rtb.Provider.
+type Option func(*RequestLog)
 
 // WithBidLogCap bounds the bid-request log to the most recent n records,
 // turning it into a ring buffer: once full, each new record overwrites
-// the oldest. Long load-generation and replay runs would otherwise grow
+// the oldest. Long-running servers and load runs would otherwise grow
 // the log (one record per ad request) without bound; a bounded log keeps
 // memory flat while TotalLogged still reports the lifetime count.
 // n <= 0 leaves the log unbounded.
 func WithBidLogCap(n int) Option {
-	return func(nw *Network) {
+	return func(l *RequestLog) {
 		if n > 0 {
-			nw.logCap = n
+			l.capacity = n
 		}
 	}
+}
+
+// Append logs one bid request, overwriting the oldest retained record
+// when a capped log is full.
+func (l *RequestLog) Append(rec BidRecord) {
+	l.mu.Lock()
+	if l.capacity > 0 && len(l.recs) == l.capacity {
+		l.recs[l.start] = rec
+		l.start = (l.start + 1) % l.capacity
+	} else {
+		l.recs = append(l.recs, rec)
+	}
+	l.logged++
+	l.mu.Unlock()
+}
+
+// forEachLocked visits every retained record oldest-first, unwinding the
+// ring rotation. The caller holds l.mu (read or write).
+func (l *RequestLog) forEachLocked(fn func(BidRecord)) {
+	for i := range l.recs {
+		fn(l.recs[(l.start+i)%len(l.recs)])
+	}
+}
+
+// BidLog returns a copy of the retained bid-request log, oldest first.
+// With an unbounded log that is every record ever; under WithBidLogCap
+// it is the most recent cap records.
+func (l *RequestLog) BidLog() []BidRecord {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	out := make([]BidRecord, 0, len(l.recs))
+	l.forEachLocked(func(rec BidRecord) { out = append(out, rec) })
+	return out
+}
+
+// ObservedLocations returns the locations a longitudinal attacker has
+// collected for one user, in request order (oldest retained first). This
+// is the attack's input.
+func (l *RequestLog) ObservedLocations(userID string) []geo.Point {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	var out []geo.Point
+	l.forEachLocked(func(rec BidRecord) {
+		if rec.UserID == userID {
+			out = append(out, rec.Loc)
+		}
+	})
+	return out
+}
+
+// LogSize returns the number of retained bid records (equal to the
+// lifetime count unless WithBidLogCap rotated older records out).
+func (l *RequestLog) LogSize() int {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return len(l.recs)
+}
+
+// TotalLogged returns the lifetime number of logged bid requests,
+// counting records a bounded log has already rotated out.
+func (l *RequestLog) TotalLogged() uint64 {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.logged
 }
 
 // NewNetwork creates a network enforcing the given platform limits on
@@ -179,7 +257,7 @@ func NewNetwork(limit *PlatformLimit, opts ...Option) (*Network, error) {
 		campaigns: make(map[string]Campaign),
 	}
 	for _, opt := range opts {
-		opt(n)
+		opt(&n.RequestLog)
 	}
 	return n, nil
 }
@@ -189,8 +267,8 @@ func (n *Network) Register(c Campaign) error {
 	if err := c.Validate(n.limit); err != nil {
 		return err
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	n.RequestLog.mu.Lock()
+	defer n.RequestLog.mu.Unlock()
 	if _, ok := n.campaigns[c.ID]; ok {
 		return fmt.Errorf("%w: %q", ErrDuplicateCampaign, c.ID)
 	}
@@ -216,8 +294,8 @@ func (n *Network) Register(c Campaign) error {
 
 // Campaigns returns the number of registered campaigns.
 func (n *Network) Campaigns() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
+	n.RequestLog.mu.RLock()
+	defer n.RequestLog.mu.RUnlock()
 	return len(n.campaigns)
 }
 
@@ -228,8 +306,8 @@ func (n *Network) Campaigns() int {
 // sorting. Containment is defined as Dist2(loc) ≤ Radius², which the
 // equivalence fuzz test pins against a naive scan over all campaigns.
 func (n *Network) Match(loc geo.Point) []Campaign {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
+	n.RequestLog.mu.RLock()
+	defer n.RequestLog.mu.RUnlock()
 	type hit struct {
 		c  Campaign
 		d2 float64
@@ -265,18 +343,7 @@ func (n *Network) Match(loc geo.Point) []Campaign {
 // attacker observes) and returns up to limit matched ads, nearest first.
 // limit <= 0 returns all matches.
 func (n *Network) RequestAds(userID string, loc geo.Point, at time.Time, limit int) []Ad {
-	rec := BidRecord{UserID: userID, Loc: loc, Time: at}
-	n.mu.Lock()
-	if n.logCap > 0 && len(n.log) == n.logCap {
-		// Ring is full: overwrite the oldest record.
-		n.log[n.logStart] = rec
-		n.logStart = (n.logStart + 1) % n.logCap
-	} else {
-		n.log = append(n.log, rec)
-	}
-	n.logged++
-	n.mu.Unlock()
-
+	n.Append(BidRecord{UserID: userID, Loc: loc, Time: at})
 	matches := n.Match(loc)
 	if limit > 0 && len(matches) > limit {
 		matches = matches[:limit]
@@ -286,57 +353,4 @@ func (n *Network) RequestAds(userID string, loc geo.Point, at time.Time, limit i
 		ads[i] = c.Ad
 	}
 	return ads
-}
-
-// forEachRecordLocked visits every retained record oldest-first,
-// unwinding the ring rotation. The caller holds n.mu (read or write).
-func (n *Network) forEachRecordLocked(fn func(BidRecord)) {
-	if len(n.log) == 0 {
-		return
-	}
-	for i := 0; i < len(n.log); i++ {
-		fn(n.log[(n.logStart+i)%len(n.log)])
-	}
-}
-
-// BidLog returns a copy of the retained bid-request log, oldest first.
-// With an unbounded log that is every record ever; under WithBidLogCap
-// it is the most recent cap records.
-func (n *Network) BidLog() []BidRecord {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]BidRecord, 0, len(n.log))
-	n.forEachRecordLocked(func(rec BidRecord) { out = append(out, rec) })
-	return out
-}
-
-// ObservedLocations returns the locations a longitudinal attacker has
-// collected for one user, in request order (oldest retained first). This
-// is the attack's input.
-func (n *Network) ObservedLocations(userID string) []geo.Point {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	var out []geo.Point
-	n.forEachRecordLocked(func(rec BidRecord) {
-		if rec.UserID == userID {
-			out = append(out, rec.Loc)
-		}
-	})
-	return out
-}
-
-// LogSize returns the number of retained bid records (equal to the
-// lifetime count unless WithBidLogCap rotated older records out).
-func (n *Network) LogSize() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return len(n.log)
-}
-
-// TotalLogged returns the lifetime number of logged bid requests,
-// counting records a bounded log has already rotated out.
-func (n *Network) TotalLogged() uint64 {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.logged
 }

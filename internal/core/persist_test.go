@@ -321,7 +321,8 @@ func TestRestoreAllOrNothing(t *testing.T) {
 // every engine shape — shards {1,8} × resident cap {unbounded, 4} — and
 // snapshots back to the same bytes. At cap 4 Restore trims the
 // population into the cold tier, so the second snapshot copies spilled
-// users' frames rather than encoding them.
+// users' frames rather than encoding them. snapshotLen, which sizes the
+// stream's buffer, must read its exact length in every shape.
 func TestRestoreIdentityAcrossShardsAndCaps(t *testing.T) {
 	want := snapshotBytes(t, feedTrace(t, shardTrace(12, 120, 99), 1, 1))
 	for _, shards := range []int{1, 8} {
@@ -342,6 +343,9 @@ func TestRestoreIdentityAcrossShardsAndCaps(t *testing.T) {
 				}
 				if ts := e.TierStats(); cap > 0 && ts.Spilled == 0 {
 					t.Fatalf("cap %d left every user resident: %+v", cap, ts)
+				}
+				if n := e.snapshotLen(len(e.Users())); n != len(want) {
+					t.Errorf("snapshotLen = %d, want the stream's %d bytes", n, len(want))
 				}
 				if got := snapshotBytes(t, e); !bytes.Equal(got, want) {
 					t.Errorf("re-snapshot differs (%d vs %d bytes)", len(got), len(want))

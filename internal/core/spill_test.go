@@ -185,18 +185,26 @@ func TestEvictFaultInCycleByteIdentity(t *testing.T) {
 
 // TestRebuildPartSequentialEquivalence pins RebuildPart's contract: K
 // sub-rounds with the same timestamp leave the engine byte-identical to
-// one RebuildAll call.
+// one RebuildAll call, uncapped and under a resident cap. Capped, the
+// rebuild also faults spilled users in while other workers hold theirs,
+// so it must end with every shard back at quota: at most
+// max(cap, shards) residents.
 func TestRebuildPartSequentialEquivalence(t *testing.T) {
+	const shards = 8
 	items := shardTrace(10, 120, 42)
 	now := items[len(items)-1].At.Add(time.Hour)
 
-	build := func(t *testing.T, rebuild func(e *Engine)) *Engine {
+	build := func(t *testing.T, cap int, rebuild func(e *Engine)) *Engine {
 		cfg := testConfig(t)
-		cfg.Shards = 8
+		if cap > 0 {
+			cfg = tieredConfig(t, cap)
+		}
+		cfg.Shards = shards
 		e, err := NewEngine(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { _ = e.Close() })
 		if errs := e.ReportBatch(items); len(errs) > 0 {
 			t.Fatalf("ReportBatch: %v", errs[0].Err)
 		}
@@ -204,7 +212,7 @@ func TestRebuildPartSequentialEquivalence(t *testing.T) {
 		return e
 	}
 
-	ref := build(t, func(e *Engine) {
+	ref := build(t, 0, func(e *Engine) {
 		if err := e.RebuildAll(now, 4); err != nil {
 			t.Fatal(err)
 		}
@@ -213,22 +221,35 @@ func TestRebuildPartSequentialEquivalence(t *testing.T) {
 
 	for _, parts := range []int{2, 3, 8} {
 		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
-			e := build(t, func(e *Engine) {
-				for k := 0; k < parts; k++ {
-					if err := e.RebuildPart(now, 2, k, parts); err != nil {
-						t.Fatal(err)
+			for _, cap := range []int{0, 4} {
+				t.Run(fmt.Sprintf("cap=%d", cap), func(t *testing.T) {
+					e := build(t, cap, func(e *Engine) {
+						for k := 0; k < parts; k++ {
+							if err := e.RebuildPart(now, 2, k, parts); err != nil {
+								t.Fatal(err)
+							}
+						}
+					})
+					if cap > 0 {
+						ts := e.TierStats()
+						if ts.Evictions == 0 || ts.FaultIns == 0 {
+							t.Errorf("cap=%d saw no tier churn: %+v", cap, ts)
+						}
+						if ts.Resident > max(cap, shards) {
+							t.Errorf("%d users resident after the rebuild, want at most %d: %+v", ts.Resident, max(cap, shards), ts)
+						}
 					}
-				}
-			})
-			if got := snapshotBytes(t, e); !bytes.Equal(got, want) {
-				t.Errorf("parts=%d: state diverged from RebuildAll", parts)
+					if got := snapshotBytes(t, e); !bytes.Equal(got, want) {
+						t.Errorf("parts=%d cap=%d: state diverged from RebuildAll", parts, cap)
+					}
+				})
 			}
 		})
 	}
 
 	// Part index normalization: negative and ≥parts indexes alias into
 	// range instead of silently skipping shards.
-	e := build(t, func(e *Engine) {
+	e := build(t, 0, func(e *Engine) {
 		for k := 0; k < 3; k++ {
 			if err := e.RebuildPart(now, 2, k-3, 3); err != nil {
 				t.Fatal(err)

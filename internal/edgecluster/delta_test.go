@@ -2,6 +2,7 @@ package edgecluster
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -123,6 +124,67 @@ func TestDeltaReplicationScalesWithChange(t *testing.T) {
 	}
 	if repl.Fallbacks != 0 {
 		t.Errorf("healthy cluster took %d snapshot fallbacks", repl.Fallbacks)
+	}
+}
+
+// TestDeltaBytesPerChangedUserFlat pins the other axis of "replicated
+// bytes follow change": with every table warmed by one merged top, a
+// round that moves k users to a fresh spot must cost about the same
+// delta bytes per changed user whether k is 1 or every user, and the
+// deltas must undercut the snapshots the same applies would have sent.
+func TestDeltaBytesPerChangedUserFlat(t *testing.T) {
+	c, err := New(testClusterConfig(t, overlappingEdges()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const users = 8
+	rnd := randx.New(1, 0x5EEB)
+	at := time.Date(2021, 5, 1, 0, 0, 0, 0, time.UTC)
+	userID := func(u int) string { return fmt.Sprintf("u%02d", u) }
+	// Each phase moves a user far past the table's identity radius, so
+	// one merged round adds about one table entry.
+	spot := func(u, phase int) geo.Point {
+		return geo.Point{X: float64(u) * 600, Y: float64(phase) * 900}
+	}
+	// mergeRound moves users 0..k-1 to their phase spot, merges them, and
+	// returns the cluster's delta and would-be snapshot bytes for it.
+	mergeRound := func(k, phase int) (delta, snapshot int) {
+		t.Helper()
+		before := c.ReplStats()
+		for u := 0; u < k; u++ {
+			for i := 0; i < 20; i++ {
+				at = at.Add(time.Hour)
+				if _, err := c.Report(userID(u), spot(u, phase).Add(rnd.GaussianPolar(10)), at); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for u := 0; u < k; u++ {
+			if _, err := c.MergeProfiles(userID(u), at); err != nil {
+				t.Fatalf("merge %s: %v", userID(u), err)
+			}
+		}
+		after := c.ReplStats()
+		return after.DeltaBytes - before.DeltaBytes, after.SnapshotBytes - before.SnapshotBytes
+	}
+
+	mergeRound(users, 0) // tables are born: delta == snapshot, not measured
+
+	var totalDelta, totalSnapshot int
+	minPer, maxPer := math.Inf(1), 0.0
+	for phase, k := range []int{1, 2, 4, 8} {
+		delta, snapshot := mergeRound(k, phase+1)
+		per := float64(delta) / float64(k)
+		t.Logf("changed_users=%d delta_bytes=%d snapshot_bytes=%d per_changed_user=%.0f", k, delta, snapshot, per)
+		minPer, maxPer = math.Min(minPer, per), math.Max(maxPer, per)
+		totalDelta += delta
+		totalSnapshot += snapshot
+	}
+	if maxPer > 2*minPer {
+		t.Errorf("delta bytes per changed user span %.0f..%.0f, want within 2x", minPer, maxPer)
+	}
+	if totalDelta == 0 || totalDelta >= totalSnapshot {
+		t.Errorf("delta replication did not beat snapshots: delta=%d snapshot=%d", totalDelta, totalSnapshot)
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/adnet"
@@ -115,27 +115,29 @@ collect:
 // longitudinal attacker observes.
 type Provider struct {
 	exchange *Exchange
+	seq      atomic.Uint64
 
-	mu  sync.Mutex
-	seq int
-	log []adnet.BidRecord
+	// RequestLog records every ad request the provider auctions.
+	adnet.RequestLog
 }
 
-// NewProvider wraps an exchange.
-func NewProvider(exchange *Exchange) (*Provider, error) {
+// NewProvider wraps an exchange. The options configure its bid-request
+// log, as they do for adnet.NewNetwork.
+func NewProvider(exchange *Exchange, opts ...adnet.Option) (*Provider, error) {
 	if exchange == nil {
 		return nil, errors.New("rtb: provider requires an exchange")
 	}
-	return &Provider{exchange: exchange}, nil
+	p := &Provider{exchange: exchange}
+	for _, opt := range opts {
+		opt(&p.RequestLog)
+	}
+	return p, nil
 }
 
 // RequestAds implements the edge.AdProvider contract.
 func (p *Provider) RequestAds(userID string, loc geo.Point, at time.Time, limit int) []adnet.Ad {
-	p.mu.Lock()
-	p.seq++
-	id := fmt.Sprintf("req-%08d", p.seq)
-	p.log = append(p.log, adnet.BidRecord{UserID: userID, Loc: loc, Time: at})
-	p.mu.Unlock()
+	id := fmt.Sprintf("req-%08d", p.seq.Add(1))
+	p.Append(adnet.BidRecord{UserID: userID, Loc: loc, Time: at})
 
 	slots := limit
 	if slots <= 0 {
@@ -152,34 +154,4 @@ func (p *Provider) RequestAds(userID string, loc geo.Point, at time.Time, limit 
 		ads[i] = r.Winner.Ad
 	}
 	return ads
-}
-
-// BidLog returns a copy of the observed bid records.
-func (p *Provider) BidLog() []adnet.BidRecord {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]adnet.BidRecord, len(p.log))
-	copy(out, p.log)
-	return out
-}
-
-// LogSize returns the number of logged bid requests.
-func (p *Provider) LogSize() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.log)
-}
-
-// ObservedLocations returns the locations logged for one user, in
-// request order — the longitudinal attacker's input.
-func (p *Provider) ObservedLocations(userID string) []geo.Point {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var out []geo.Point
-	for _, rec := range p.log {
-		if rec.UserID == userID {
-			out = append(out, rec.Loc)
-		}
-	}
-	return out
 }

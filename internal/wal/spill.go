@@ -167,6 +167,13 @@ func (s *SpillFile) Len() int {
 	return len(s.index)
 }
 
+// Live returns the bytes of the live frames, headers included.
+func (s *SpillFile) Live() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.live
+}
+
 // Size returns the file's current byte size (live + garbage frames).
 func (s *SpillFile) Size() int64 {
 	s.mu.Lock()
