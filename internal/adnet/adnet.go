@@ -10,7 +10,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -75,10 +76,14 @@ type Campaign struct {
 }
 
 // Validate checks the campaign against the given platform limits (nil
-// limits only require a positive radius).
+// limits only require a positive radius). A campaign located at a NaN or
+// infinite coordinate is rejected: it could never match.
 func (c Campaign) Validate(limit *PlatformLimit) error {
 	if c.ID == "" {
 		return fmt.Errorf("%w: empty id", ErrInvalidCampaign)
+	}
+	if !c.Location.Finite() {
+		return fmt.Errorf("%w: location %v must be finite", ErrInvalidCampaign, c.Location)
 	}
 	if !(c.Radius > 0) || math.IsInf(c.Radius, 0) {
 		return fmt.Errorf("%w: radius %g must be positive and finite", ErrInvalidCampaign, c.Radius)
@@ -137,9 +142,9 @@ type Network struct {
 	// The campaign fields are guarded by the embedded log's mu: one lock
 	// serves the index and the log, so a request that is logging holds
 	// off Register and Match.
-	campaigns map[string]Campaign
-	tiers     []*radiusTier // radius-bucketed campaign indexes, nil until first use
-	order     []string      // campaign ids in registration order, for the indexes
+	campaigns []Campaign          // in registration order; the tier grids store positions in it
+	ids       map[string]struct{} // registered campaign IDs, for the duplicate check
+	tiers     []*radiusTier       // radius-bucketed campaign indexes, nil until first use
 
 	// RequestLog records every ad request the network serves.
 	RequestLog
@@ -253,8 +258,8 @@ func NewNetwork(limit *PlatformLimit, opts ...Option) (*Network, error) {
 		lim = &l
 	}
 	n := &Network{
-		limit:     lim,
-		campaigns: make(map[string]Campaign),
+		limit: lim,
+		ids:   make(map[string]struct{}),
 	}
 	for _, opt := range opts {
 		opt(&n.RequestLog)
@@ -269,7 +274,7 @@ func (n *Network) Register(c Campaign) error {
 	}
 	n.RequestLog.mu.Lock()
 	defer n.RequestLog.mu.Unlock()
-	if _, ok := n.campaigns[c.ID]; ok {
+	if _, ok := n.ids[c.ID]; ok {
 		return fmt.Errorf("%w: %q", ErrDuplicateCampaign, c.ID)
 	}
 	t := tierFor(c.Radius)
@@ -283,9 +288,9 @@ func (n *Network) Register(c Campaign) error {
 		}
 		n.tiers[t] = &radiusTier{index: g}
 	}
-	n.campaigns[c.ID] = c
-	n.tiers[t].index.Insert(len(n.order), c.Location)
-	n.order = append(n.order, c.ID)
+	n.ids[c.ID] = struct{}{}
+	n.tiers[t].index.Insert(len(n.campaigns), c.Location)
+	n.campaigns = append(n.campaigns, c)
 	if c.Radius > n.tiers[t].max {
 		n.tiers[t].max = c.Radius
 	}
@@ -299,58 +304,87 @@ func (n *Network) Campaigns() int {
 	return len(n.campaigns)
 }
 
+// hit is one matched campaign: its squared distance to the query and its
+// position in Network.campaigns.
+type hit struct {
+	d2  float64
+	idx int
+}
+
+// hitScratch is the pooled buffer a grid walk collects hits into; only
+// copies of the matched campaigns or ads leave the network.
+type hitScratch struct{ hits []hit }
+
+var hitPool = sync.Pool{New: func() any { return new(hitScratch) }}
+
 // Match returns the campaigns whose targeting circle contains loc, in
-// ascending distance order (nearest business first). Each radius tier is
-// probed only out to its own maximum radius, and candidates are rejected
-// on squared distance — the sqrt is paid only for actual matches when
-// sorting. Containment is defined as Dist2(loc) ≤ Radius², which the
-// equivalence fuzz test pins against a naive scan over all campaigns.
+// ascending distance order (nearest business first), ties broken by
+// campaign ID. Each radius tier is probed only out to its own maximum
+// radius, and candidates are rejected on squared distance, so no sqrt
+// is paid at all. Containment is defined as Dist2(loc) ≤ Radius², which
+// the equivalence fuzz test pins against a naive scan over all
+// campaigns.
 func (n *Network) Match(loc geo.Point) []Campaign {
+	sc := hitPool.Get().(*hitScratch)
 	n.RequestLog.mu.RLock()
-	defer n.RequestLog.mu.RUnlock()
-	type hit struct {
-		c  Campaign
-		d2 float64
+	sc.hits = n.matchLocked(sc.hits[:0], loc)
+	out := make([]Campaign, len(sc.hits))
+	for i, h := range sc.hits {
+		out[i] = n.campaigns[h.idx]
 	}
-	var hits []hit
-	for _, tier := range n.tiers {
-		if tier == nil {
-			continue
-		}
-		tier.index.ForEachWithin(loc, tier.max, func(id int, center geo.Point) {
-			c := n.campaigns[n.order[id]]
-			if d2 := center.Dist2(loc); d2 <= c.Radius*c.Radius {
-				hits = append(hits, hit{c: c, d2: d2})
-			}
-		})
-	}
-	// Ordering by squared distance is ordering by distance (sqrt is
-	// monotone), with ties broken by campaign ID as before.
-	sort.Slice(hits, func(a, b int) bool {
-		if hits[a].d2 != hits[b].d2 {
-			return hits[a].d2 < hits[b].d2
-		}
-		return hits[a].c.ID < hits[b].c.ID
-	})
-	out := make([]Campaign, len(hits))
-	for i, h := range hits {
-		out[i] = h.c
-	}
+	n.RequestLog.mu.RUnlock()
+	hitPool.Put(sc)
 	return out
 }
 
 // RequestAds serves an ad request: it logs the bid record (what the
-// attacker observes) and returns up to limit matched ads, nearest first.
-// limit <= 0 returns all matches.
+// attacker observes) and returns up to limit matched ads, nearest first
+// in Match's order. limit <= 0 returns all matches.
 func (n *Network) RequestAds(userID string, loc geo.Point, at time.Time, limit int) []Ad {
 	n.Append(BidRecord{UserID: userID, Loc: loc, Time: at})
-	matches := n.Match(loc)
-	if limit > 0 && len(matches) > limit {
-		matches = matches[:limit]
+	sc := hitPool.Get().(*hitScratch)
+	n.RequestLog.mu.RLock()
+	sc.hits = n.matchLocked(sc.hits[:0], loc)
+	hits := sc.hits
+	if limit > 0 && len(hits) > limit {
+		hits = hits[:limit]
 	}
-	ads := make([]Ad, len(matches))
-	for i, c := range matches {
-		ads[i] = c.Ad
+	ads := make([]Ad, len(hits))
+	for i, h := range hits {
+		ads[i] = n.campaigns[h.idx].Ad
 	}
+	n.RequestLog.mu.RUnlock()
+	hitPool.Put(sc)
 	return ads
+}
+
+// matchLocked appends to dst the campaigns whose targeting circle
+// contains loc, sorted nearest first by (d², ID). The caller holds n.mu.
+func (n *Network) matchLocked(dst []hit, loc geo.Point) []hit {
+	for _, tier := range n.tiers {
+		if tier == nil {
+			continue
+		}
+		tier.index.ForEachWithin(loc, tier.max, func(idx int, center geo.Point) {
+			r := n.campaigns[idx].Radius
+			if d2 := center.Dist2(loc); d2 <= r*r {
+				dst = append(dst, hit{d2: d2, idx: idx})
+			}
+		})
+	}
+	slices.SortFunc(dst, n.cmpHits)
+	return dst
+}
+
+// cmpHits orders hits nearest first (ordering by squared distance is
+// ordering by distance), ties broken by campaign ID. IDs are unique, so
+// the order is total.
+func (n *Network) cmpHits(a, b hit) int {
+	switch {
+	case a.d2 < b.d2:
+		return -1
+	case a.d2 > b.d2:
+		return 1
+	}
+	return strings.Compare(n.campaigns[a.idx].ID, n.campaigns[b.idx].ID)
 }

@@ -59,6 +59,9 @@ func TestCampaignValidate(t *testing.T) {
 		{"below min", Campaign{ID: "a", Radius: 500}, limit, true},
 		{"above max", Campaign{ID: "a", Radius: 50000}, limit, true},
 		{"inf radius", Campaign{ID: "a", Radius: math.Inf(1)}, nil, true},
+		{"nan location", Campaign{ID: "a", Location: geo.Point{X: math.NaN()}, Radius: 5000}, nil, true},
+		{"inf location", Campaign{ID: "a", Location: geo.Point{Y: math.Inf(1)}, Radius: 5000}, limit, true},
+		{"-inf location", Campaign{ID: "a", Location: geo.Point{X: math.Inf(-1), Y: math.Inf(-1)}, Radius: 5000}, nil, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -256,6 +259,7 @@ func BenchmarkMatch(b *testing.B) {
 		}
 	}
 	q := geo.Point{X: 45000, Y: 37000}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = n.Match(q)

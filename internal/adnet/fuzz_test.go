@@ -3,8 +3,10 @@ package adnet
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/geo"
 	"repro/internal/randx"
@@ -22,8 +24,7 @@ func (n *Network) matchNaive(loc geo.Point) []Campaign {
 		d2 float64
 	}
 	var hits []hit
-	for _, id := range n.order {
-		c := n.campaigns[id]
+	for _, c := range n.campaigns {
 		if d2 := c.Location.Dist2(loc); d2 <= c.Radius*c.Radius {
 			hits = append(hits, hit{c: c, d2: d2})
 		}
@@ -41,11 +42,22 @@ func (n *Network) matchNaive(loc geo.Point) []Campaign {
 	return out
 }
 
+// tieStack is where buildFuzzNetwork stacks tieCampaigns campaigns on
+// one location, so every query sees them at one distance. Their IDs run
+// against registration order (tie5 first, tie0 last), which is also
+// the walk's order within a cell: only a tie broken by campaign ID, not
+// by registration index, returns them as the naive scan does. Radii
+// alternate between two tiers, so ties meet across tiers and inside one
+// cell.
+var tieStack = geo.Point{X: 16_000, Y: -16_000}
+
+const tieCampaigns = 6
+
 // buildFuzzNetwork registers a deterministic campaign population from
 // seed: locations across a ~200 km region, radii spanning every tier
 // from sub-kilometre to the 800 km platform extreme (the huge-radius
 // campaigns are exactly the case that made the pre-tiering index scan
-// the whole world per query).
+// the whole world per query), then the tied campaigns at tieStack.
 func buildFuzzNetwork(tb testing.TB, seed uint64, campaigns int) *Network {
 	tb.Helper()
 	n, err := NewNetwork(nil)
@@ -76,36 +88,55 @@ func buildFuzzNetwork(tb testing.TB, seed uint64, campaigns int) *Network {
 			tb.Fatal(err)
 		}
 	}
+	for j := tieCampaigns - 1; j >= 0; j-- {
+		radius := 20_000.0
+		if j%2 == 1 {
+			radius = 300_000
+		}
+		id := fmt.Sprintf("tie%d", j)
+		if err := n.Register(Campaign{ID: id, Location: tieStack, Radius: radius, Ad: Ad{ID: "ad-" + id, Location: tieStack}}); err != nil {
+			tb.Fatal(err)
+		}
+	}
 	return n
 }
 
-// FuzzMatchEquivalence asserts the tiered, grid-indexed Match returns
-// exactly what a naive linear scan over all campaigns returns — same
-// campaigns, same order — for fuzzer-chosen query points and campaign
-// populations.
+// checkEquivalence asserts that Match equals the naive scan, campaigns
+// and order, and that RequestAds(limit) returns exactly the naive
+// scan's ads truncated to limit.
+func checkEquivalence(t *testing.T, n *Network, loc geo.Point, limit int) {
+	t.Helper()
+	got, want := n.Match(loc), n.matchNaive(loc)
+	if !slices.Equal(ids(got), ids(want)) {
+		t.Fatalf("Match(%v) = %v, naive scan %v", loc, ids(got), ids(want))
+	}
+	ads := adIDs(n.RequestAds("fuzz", loc, time.Time{}, limit))
+	if wantAds := n.naiveAds(loc, limit); !slices.Equal(ads, wantAds) {
+		t.Fatalf("RequestAds(%v, limit %d) = %v, naive sort-then-truncate %v", loc, limit, ads, wantAds)
+	}
+}
+
+// FuzzMatchEquivalence asserts the tiered, grid-indexed matcher returns
+// exactly what a naive linear scan over all campaigns returns, for
+// fuzzer-chosen query points, campaign populations and ad limits: Match
+// gives the same campaigns in the same order, and RequestAds(limit) the
+// first limit of them (all of them for limit <= 0). Committed seeds in
+// testdata/fuzz/FuzzMatchEquivalence pin ties at tieStack straddling the
+// limit-th place, limits of 1, the match count and past it, zero and
+// negative limits, a query on a cell boundary and one outside every
+// campaign.
 func FuzzMatchEquivalence(f *testing.F) {
-	f.Add(uint64(1), float64(0), float64(0))
-	f.Add(uint64(2), float64(99_000), float64(-99_000))
-	f.Add(uint64(3), float64(-250_000), float64(250_000)) // outside every small tier
-	f.Add(uint64(42), float64(2_000), float64(2_000))     // on a cell boundary
-	f.Add(uint64(7), float64(0.5), float64(-0.5))
-	f.Fuzz(func(t *testing.T, seed uint64, qx, qy float64) {
+	f.Add(uint64(1), float64(0), float64(0), 10)
+	f.Add(uint64(2), float64(99_000), float64(-99_000), 3)
+	f.Add(uint64(3), float64(-250_000), float64(250_000), 0) // outside every small tier
+	f.Add(uint64(42), float64(2_000), float64(2_000), 1)     // on a cell boundary
+	f.Add(uint64(7), float64(0.5), float64(-0.5), -1)
+	f.Fuzz(func(t *testing.T, seed uint64, qx, qy float64, limit int) {
 		if math.IsNaN(qx) || math.IsNaN(qy) || math.Abs(qx) > 1e7 || math.Abs(qy) > 1e7 {
 			t.Skip("query outside the plausible coordinate range")
 		}
 		n := buildFuzzNetwork(t, seed, 40+int(seed%60))
-		loc := geo.Point{X: qx, Y: qy}
-		got := n.Match(loc)
-		want := n.matchNaive(loc)
-		if len(got) != len(want) {
-			t.Fatalf("Match returned %d campaigns, naive scan %d\n got: %v\nwant: %v",
-				len(got), len(want), ids(got), ids(want))
-		}
-		for i := range got {
-			if got[i].ID != want[i].ID {
-				t.Fatalf("match order diverges at %d: got %v, want %v", i, ids(got), ids(want))
-			}
-		}
+		checkEquivalence(t, n, geo.Point{X: qx, Y: qy}, limit)
 	})
 }
 
@@ -119,23 +150,24 @@ func ids(cs []Campaign) []string {
 
 // TestMatchEquivalenceSweep runs the equivalence check over a grid of
 // deterministic query points (including points far outside every
-// campaign) so plain `go test` covers the geometry without the fuzzer.
+// campaign, and the tied stack itself) at every limit from -1 to one
+// past the match count, so plain `go test` covers the geometry, the
+// order and the truncation to limit without the fuzzer.
 func TestMatchEquivalenceSweep(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
-		n := buildFuzzNetwork(t, seed, 80)
-		rnd := randx.New(seed, 0xF00D)
-		for i := 0; i < 200; i++ {
-			loc := geo.Point{X: rnd.Float64()*2_400_000 - 1_200_000, Y: rnd.Float64()*2_400_000 - 1_200_000}
-			got, want := n.Match(loc), n.matchNaive(loc)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d query %v: %d vs naive %d", seed, loc, len(got), len(want))
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			n := buildFuzzNetwork(t, seed, 80)
+			rnd := randx.New(seed, 0xF00D)
+			queries := []geo.Point{tieStack, tieStack.Add(geo.Point{X: 15_000, Y: 5_000})}
+			for i := 0; i < 200; i++ {
+				queries = append(queries, geo.Point{X: rnd.Float64()*2_400_000 - 1_200_000, Y: rnd.Float64()*2_400_000 - 1_200_000})
 			}
-			for j := range got {
-				if got[j].ID != want[j].ID {
-					t.Fatalf("seed %d query %v: order diverges at %d: %v vs %v",
-						seed, loc, j, ids(got), ids(want))
+			for _, loc := range queries {
+				matches := len(n.matchNaive(loc))
+				for limit := -1; limit <= matches+1; limit++ {
+					checkEquivalence(t, n, loc, limit)
 				}
 			}
-		}
+		})
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
@@ -159,6 +161,54 @@ func TestBinaryErrorEnvelope(t *testing.T) {
 	}
 	if env.Error != "user_id is required" {
 		t.Fatalf("error message = %q", env.Error)
+	}
+}
+
+// TestBinaryNonFinitePosRejected pins the position check on the serving
+// routes. JSON cannot carry NaN or ±Inf, but the binary codec decodes any
+// float64: a report, or an ad request, at such a position gets 400 before
+// the engine stores a check-in or the ad network logs a bid record, and
+// in a batch only that item fails.
+func TestBinaryNonFinitePosRejected(t *testing.T) {
+	f := newFixture(t)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, pos := range []geo.Point{{X: bad, Y: 1}, {X: 1, Y: bad}} {
+			for _, tc := range []struct {
+				path string
+				m    wire.Message
+			}{
+				{"/v1/report", &ReportRequest{UserID: "bad", Pos: pos}},
+				{"/v1/ads", &AdsRequest{UserID: "bad", Pos: pos, Limit: 3}},
+			} {
+				resp := postWire(t, f.server.URL+tc.path, tc.m, wire.ContentType, "application/json")
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "pos must be finite") {
+					t.Errorf("%s at %v: status %d, body %q; want 400 pos must be finite", tc.path, pos, resp.StatusCode, body)
+				}
+			}
+		}
+		batch := &ReportBatchRequest{Reports: []ReportRequest{
+			{UserID: "good", Pos: geo.Point{X: 10, Y: 10}},
+			{UserID: "bad", Pos: geo.Point{X: bad, Y: bad}},
+			{UserID: "good", Pos: geo.Point{X: 20, Y: 20}},
+		}}
+		out := decodeBatchResp(t, postWire(t, f.server.URL+"/v1/report/batch", batch, wire.ContentType, ""))
+		if out.Accepted != 2 || len(out.Errors) != 1 || out.Errors[0] != (BatchItemError{Index: 1, Error: "pos must be finite"}) {
+			t.Errorf("batch with pos %g: %+v, want 2 accepted and item 1 refused", bad, out)
+		}
+	}
+	if users := f.engine.Users(); len(users) != 1 || users[0] != "good" {
+		t.Errorf("engine users = %v, want only the batch's good user", users)
+	}
+	if st := f.engine.Stats(); st != (core.EngineStats{Users: 1}) {
+		t.Errorf("engine stats = %+v, want one user and no table", st)
+	}
+	if n := f.network.TotalLogged(); n != 0 {
+		t.Errorf("ad network logged %d bid records, want 0", n)
 	}
 }
 

@@ -381,14 +381,34 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
+// CheckReport validates what every report and ad request carries: a
+// user ID and a position with finite coordinates. JSON cannot carry NaN
+// or ±Inf, but the binary codec decodes any float64. Both HTTP fronts,
+// the edge and the cluster gateway, answer its error as a 400 (a
+// per-item error in batches).
+func CheckReport(userID string, pos geo.Point) error {
+	if userID == "" {
+		return errUserIDRequired
+	}
+	if !pos.Finite() {
+		return errPosNotFinite
+	}
+	return nil
+}
+
+var (
+	errUserIDRequired = errors.New("user_id is required")
+	errPosNotFinite   = errors.New("pos must be finite")
+)
+
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	reqCodec, respCodec := s.negotiate(r)
 	var req ReportRequest
 	if !s.readBody(w, r, reqCodec, respCodec, &req, MaxRequestBody) {
 		return
 	}
-	if req.UserID == "" {
-		WriteCodecError(w, respCodec, http.StatusBadRequest, errors.New("user_id is required"))
+	if err := CheckReport(req.UserID, req.Pos); err != nil {
+		WriteCodecError(w, respCodec, http.StatusBadRequest, err)
 		return
 	}
 	at := req.Time
@@ -423,8 +443,8 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 	origIndex := make([]int, 0, len(req.Reports)) // engine item -> request index
 	var itemErrs []BatchItemError
 	for i, rr := range req.Reports {
-		if rr.UserID == "" {
-			itemErrs = append(itemErrs, BatchItemError{Index: i, Error: "user_id is required"})
+		if err := CheckReport(rr.UserID, rr.Pos); err != nil {
+			itemErrs = append(itemErrs, BatchItemError{Index: i, Error: err.Error()})
 			continue
 		}
 		at := rr.Time
@@ -451,8 +471,8 @@ func (s *Server) handleAds(w http.ResponseWriter, r *http.Request) {
 	if !s.readBody(w, r, reqCodec, respCodec, &req, MaxRequestBody) {
 		return
 	}
-	if req.UserID == "" {
-		WriteCodecError(w, respCodec, http.StatusBadRequest, errors.New("user_id is required"))
+	if err := CheckReport(req.UserID, req.Pos); err != nil {
+		WriteCodecError(w, respCodec, http.StatusBadRequest, err)
 		return
 	}
 

@@ -159,8 +159,8 @@ func (g *Gateway) handleReport(w http.ResponseWriter, r *http.Request) {
 	if !g.readBody(w, r, reqCodec, respCodec, &req, edge.MaxRequestBody) {
 		return
 	}
-	if req.UserID == "" {
-		edge.WriteCodecError(w, respCodec, http.StatusBadRequest, errors.New("user_id is required"))
+	if err := edge.CheckReport(req.UserID, req.Pos); err != nil {
+		edge.WriteCodecError(w, respCodec, http.StatusBadRequest, err)
 		return
 	}
 	at := req.Time
@@ -195,8 +195,8 @@ func (g *Gateway) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 	origIndex := make([]int, 0, len(req.Reports)) // cluster item -> request index
 	var itemErrs []edge.BatchItemError
 	for i, rr := range req.Reports {
-		if rr.UserID == "" {
-			itemErrs = append(itemErrs, edge.BatchItemError{Index: i, Error: "user_id is required"})
+		if err := edge.CheckReport(rr.UserID, rr.Pos); err != nil {
+			itemErrs = append(itemErrs, edge.BatchItemError{Index: i, Error: err.Error()})
 			continue
 		}
 		at := rr.Time

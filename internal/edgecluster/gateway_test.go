@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -160,6 +161,41 @@ func TestGatewaySingleReportAndStats(t *testing.T) {
 	binReqs := reg.Counter("wire_requests_total", "", telemetry.L("codec", "binary")).Value()
 	if binReqs != 3 { // two reports + one stats
 		t.Fatalf("wire_requests_total{codec=binary} = %d, want 3", binReqs)
+	}
+}
+
+// TestGatewayNonFinitePos pins the gateway's position check: a binary
+// report at a NaN or infinite coordinate is the client's mistake, 400,
+// not 503 "no edge covers this location"; in a batch only that item
+// fails.
+func TestGatewayNonFinitePos(t *testing.T) {
+	cluster, ts, _ := newGatewayFixture(t)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		resp := gatewayPost(t, ts.URL+"/v1/report",
+			&edge.ReportRequest{UserID: "bad", Pos: geo.Point{X: bad, Y: 0}}, wire.ContentType, "application/json")
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "pos must be finite") {
+			t.Errorf("report at x=%g: status %d, body %q; want 400 pos must be finite", bad, resp.StatusCode, body)
+		}
+		batch := &edge.ReportBatchRequest{Reports: []edge.ReportRequest{
+			{UserID: "good", Pos: geo.Point{X: 0, Y: 0}},
+			{UserID: "bad", Pos: geo.Point{X: 0, Y: bad}},
+		}}
+		out := decodeGatewayBatch(t, gatewayPost(t, ts.URL+"/v1/report/batch", batch, wire.ContentType, ""))
+		if out.Accepted != 1 || len(out.Errors) != 1 || out.Errors[0] != (edge.BatchItemError{Index: 1, Error: "pos must be finite"}) {
+			t.Errorf("batch with y=%g: %+v, want 1 accepted and item 1 refused", bad, out)
+		}
+	}
+	users := 0
+	for _, n := range cluster.Nodes() {
+		users += n.Engine.Stats().Users
+	}
+	if users != 1 {
+		t.Errorf("cluster holds %d users, want only the batch's good user", users)
 	}
 }
 

@@ -44,6 +44,13 @@ func (p Point) Dist2(q Point) float64 {
 	return dx*dx + dy*dy
 }
 
+// Finite reports whether neither coordinate is NaN or infinite. JSON
+// cannot carry such values, but the binary wire codec decodes any
+// float64, so servers check positions with it.
+func (p Point) Finite() bool {
+	return !math.IsNaN(p.X) && !math.IsInf(p.X, 0) && !math.IsNaN(p.Y) && !math.IsInf(p.Y, 0)
+}
+
 // Norm returns the Euclidean norm of p viewed as a vector.
 func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
 

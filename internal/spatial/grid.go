@@ -23,13 +23,20 @@ type cellKey struct {
 	ix, iy int64
 }
 
+// entry is one indexed point as its cell stores it: queries read the
+// point from the cell instead of looking it up by id.
+type entry struct {
+	id int
+	p  geo.Point
+}
+
 // Grid is a uniform-cell spatial index mapping points to integer IDs.
 // IDs are caller-chosen (typically slice indexes). The zero value is not
 // usable; construct with NewGrid.
 type Grid struct {
 	cell  float64
-	cells map[cellKey][]int
-	pts   map[int]geo.Point
+	cells map[cellKey][]entry
+	pts   map[int]geo.Point // by id, for Get, Remove, re-insert and Len
 }
 
 // NewGrid builds an index with the given cell size in metres. Neighbour
@@ -40,7 +47,7 @@ func NewGrid(cellSize float64) (*Grid, error) {
 	}
 	return &Grid{
 		cell:  cellSize,
-		cells: make(map[cellKey][]int),
+		cells: make(map[cellKey][]entry),
 		pts:   make(map[int]geo.Point),
 	}, nil
 }
@@ -102,7 +109,7 @@ func (g *Grid) Insert(id int, p geo.Point) {
 	}
 	g.pts[id] = p
 	k := g.key(p)
-	g.cells[k] = append(g.cells[k], id)
+	g.cells[k] = append(g.cells[k], entry{id: id, p: p})
 }
 
 // Remove deletes a point by id; it reports whether the id was present.
@@ -117,18 +124,18 @@ func (g *Grid) Remove(id int) bool {
 }
 
 func (g *Grid) removeFromCell(id int, k cellKey) {
-	ids := g.cells[k]
-	for i, v := range ids {
-		if v == id {
-			ids[i] = ids[len(ids)-1]
-			ids = ids[:len(ids)-1]
+	es := g.cells[k]
+	for i, e := range es {
+		if e.id == id {
+			es[i] = es[len(es)-1]
+			es = es[:len(es)-1]
 			break
 		}
 	}
-	if len(ids) == 0 {
+	if len(es) == 0 {
 		delete(g.cells, k)
 	} else {
-		g.cells[k] = ids
+		g.cells[k] = es
 	}
 }
 
@@ -149,9 +156,9 @@ func (g *Grid) Within(dst []int, q geo.Point, radius float64) []int {
 	r2 := radius * radius
 	for ix := lo.ix; ix <= hi.ix; ix++ {
 		for iy := lo.iy; iy <= hi.iy; iy++ {
-			for _, id := range g.cells[cellKey{ix, iy}] {
-				if g.pts[id].Dist2(q) <= r2 {
-					dst = append(dst, id)
+			for _, e := range g.cells[cellKey{ix, iy}] {
+				if e.p.Dist2(q) <= r2 {
+					dst = append(dst, e.id)
 				}
 			}
 		}
@@ -169,10 +176,9 @@ func (g *Grid) ForEachWithin(q geo.Point, radius float64, fn func(id int, p geo.
 	r2 := radius * radius
 	for ix := lo.ix; ix <= hi.ix; ix++ {
 		for iy := lo.iy; iy <= hi.iy; iy++ {
-			for _, id := range g.cells[cellKey{ix, iy}] {
-				p := g.pts[id]
-				if p.Dist2(q) <= r2 {
-					fn(id, p)
+			for _, e := range g.cells[cellKey{ix, iy}] {
+				if e.p.Dist2(q) <= r2 {
+					fn(e.id, e.p)
 				}
 			}
 		}

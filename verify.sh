@@ -26,6 +26,12 @@ go test -race ./...
 # ~6 min on a 1-CPU host, so two runs legitimately exceed Go's 10m default.
 go test -race -count=2 -timeout 30m ./internal/edgecluster ./internal/client ./internal/edge
 
+# Ad matching collects its hits into pooled scratch shared by concurrent
+# requests; ten race-detector passes of the concurrent tests check that
+# no returned ad slice aliases the pool and that the index and the bid
+# log stay consistent under Register and RequestAds from 8 goroutines.
+go test -race -count=10 -run 'TestRequestAdsConcurrentPooledScratch$|TestNetworkConcurrency$' ./internal/adnet
+
 # Short fuzz smoke over the delta replication codec: round-trip identity
 # and the content-addressing invariant (extending the base fingerprint by
 # the shipped entries must land on the full-table fingerprint, i.e. a
@@ -48,6 +54,11 @@ go test ./internal/cluster -run '^$' -fuzz 'FuzzConnectivity$' -fuzztime 10s
 
 # Secure-merge fuzz smoke: masked rows must equal the per-party reference shares and the merge the plaintext sum.
 go test ./internal/secagg -run '^$' -fuzz 'FuzzSecureMerge$' -fuzztime 10s
+
+# Ad-matching fuzz smoke: Match must equal a naive scan over every
+# campaign, order included, and RequestAds(limit) its first limit ads,
+# ties by campaign ID included, for any query, population and limit.
+go test ./internal/adnet -run '^$' -fuzz 'FuzzMatchEquivalence$' -fuzztime 10s
 
 # Checkpoint codec fuzz smoke: hostile snapshot streams must be rejected
 # whole (no users, zero stats) without a panic or a count-sized
