@@ -38,7 +38,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -50,14 +49,11 @@ import (
 
 	"repro/internal/adnet"
 	"repro/internal/core"
+	"repro/internal/deploy"
 	"repro/internal/edge"
-	"repro/internal/geo"
 	"repro/internal/geoind"
 	"repro/internal/logx"
 	"repro/internal/par"
-	"repro/internal/randx"
-	"repro/internal/rtb"
-	"repro/internal/trace"
 	"repro/internal/tracing"
 	"repro/internal/wal"
 )
@@ -71,14 +67,15 @@ func main() {
 
 func run(args []string) error {
 	flags := flag.NewFlagSet("edged", flag.ContinueOnError)
+	defaults := deploy.Params()
 	var (
 		addr      = flags.String("addr", "127.0.0.1:8080", "listen address")
 		debugAddr = flags.String("debug-addr", "", "optional debug listen address serving net/http/pprof under /debug/pprof/")
 		campaigns = flags.Int("campaigns", 500, "synthetic radius-targeted campaigns to register")
-		epsilon   = flags.Float64("epsilon", 1, "privacy budget epsilon of the n-fold mechanism")
-		radius    = flags.Float64("radius", 500, "indistinguishability radius r in metres")
-		delta     = flags.Float64("delta", 0.01, "privacy slack delta")
-		nFold     = flags.Int("n", 10, "number of obfuscated candidates per top location")
+		epsilon   = flags.Float64("epsilon", defaults.Epsilon, "privacy budget epsilon of the n-fold mechanism")
+		radius    = flags.Float64("radius", defaults.Radius, "indistinguishability radius r in metres")
+		delta     = flags.Float64("delta", defaults.Delta, "privacy slack delta")
+		nFold     = flags.Int("n", defaults.N, "number of obfuscated candidates per top location")
 		seed      = flags.Uint64("seed", 1, "randomness seed")
 		shards    = flags.Int("shards", core.DefaultShards, "lock-striped user-map shards (rounded up to a power of two; purely a concurrency knob — state is byte-identical at any shard count)")
 		useRTB    = flags.Bool("rtb", false, "serve ads through second-price RTB auctions instead of direct matching")
@@ -101,15 +98,11 @@ func run(args []string) error {
 		return err
 	}
 
-	mech, err := geoind.NewNFoldGaussian(geoind.Params{
+	engineCfg, err := deploy.Engine(geoind.Params{
 		Radius: *radius, Epsilon: *epsilon, Delta: *delta, N: *nFold,
-	})
+	}, *seed)
 	if err != nil {
-		return fmt.Errorf("building n-fold mechanism: %w", err)
-	}
-	nomadic, err := geoind.NewPlanarLaplace(math.Log(4), 200)
-	if err != nil {
-		return fmt.Errorf("building nomadic mechanism: %w", err)
+		return err
 	}
 	if *rebuildParts < 1 {
 		return errors.New("-rebuild-parts must be at least 1")
@@ -131,14 +124,10 @@ func run(args []string) error {
 			spillDir = tmp
 		}
 	}
-	engine, err := core.NewEngine(core.Config{
-		Mechanism:        mech,
-		NomadicMechanism: nomadic,
-		Seed:             *seed,
-		Shards:           *shards,
-		SpillDir:         spillDir,
-		MaxResidentUsers: *maxResident,
-	})
+	engineCfg.Shards = *shards
+	engineCfg.SpillDir = spillDir
+	engineCfg.MaxResidentUsers = *maxResident
+	engine, err := core.NewEngine(engineCfg)
 	if err != nil {
 		return fmt.Errorf("building engine: %w", err)
 	}
@@ -167,7 +156,7 @@ func run(args []string) error {
 			slog.Int("op_errors", stats.OpErrors))
 	}
 
-	provider, bidLog, exchange, err := newProvider(*campaigns, *seed, *useRTB)
+	provider, bidLog, exchange, err := deploy.NewProvider(*campaigns, *seed, *useRTB, adnet.WithBidLogCap(bidLogCap))
 	if err != nil {
 		return err
 	}
@@ -236,59 +225,6 @@ func run(args []string) error {
 // bidLogCap bounds the bid-request log of either ad provider: a
 // long-running edge serves one record per ad request, forever.
 const bidLogCap = 1 << 16
-
-// newProvider builds the untrusted ad side: an ad network seeded with
-// synthetic radius-targeted campaigns, and the RTB exchange those
-// campaigns bid on. With useRTB the exchange serves ads through an
-// rtb.Provider; otherwise the network matches them directly. It returns
-// the serving provider, its bid-request log (capped at bidLogCap), and
-// the exchange (its metrics are registered in both modes).
-func newProvider(campaigns int, seed uint64, useRTB bool) (edge.AdProvider, *adnet.RequestLog, *rtb.Exchange, error) {
-	limit := adnet.PlatformLimits()[0] // Google: 5–65 km
-	network, err := adnet.NewNetwork(&limit, adnet.WithBidLogCap(bidLogCap))
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("building ad network: %w", err)
-	}
-	exchange, err := rtb.NewExchange(100*time.Millisecond, 0.05)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("building exchange: %w", err)
-	}
-	region := trace.DefaultConfig().Region
-	rnd := randx.New(seed, 0xEDEDED)
-	for i := 0; i < campaigns; i++ {
-		loc := privRandomInRegion(rnd, region.BBox)
-		campaign := adnet.Campaign{
-			ID:       fmt.Sprintf("campaign-%05d", i),
-			Location: loc,
-			Radius:   limit.MinRadius + rnd.Float64()*(25_000-limit.MinRadius),
-			Ad: adnet.Ad{
-				ID:       fmt.Sprintf("ad-%05d", i),
-				Title:    fmt.Sprintf("Offer #%d", i),
-				Location: loc,
-			},
-		}
-		if err := network.Register(campaign); err != nil {
-			return nil, nil, nil, fmt.Errorf("registering campaign %d: %w", i, err)
-		}
-		if useRTB {
-			bidder, err := rtb.NewCampaignBidder(campaign, 0.5+rnd.Float64()*4, 1e6)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("building bidder %d: %w", i, err)
-			}
-			if err := exchange.Register(bidder); err != nil {
-				return nil, nil, nil, fmt.Errorf("registering bidder %d: %w", i, err)
-			}
-		}
-	}
-	if !useRTB {
-		return network, &network.RequestLog, exchange, nil
-	}
-	rtbProvider, err := rtb.NewProvider(exchange, adnet.WithBidLogCap(bidLogCap))
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("building RTB provider: %w", err)
-	}
-	return rtbProvider, &rtbProvider.RequestLog, exchange, nil
-}
 
 // serveAndPersist runs the server and, in durable mode (store != nil),
 // the periodic checkpointer, then takes a final checkpoint and seals the
@@ -423,12 +359,4 @@ func serveDebug(ln net.Listener) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	srv := edge.NewHTTPServer(mux)
 	_ = srv.Serve(ln)
-}
-
-// privRandomInRegion draws a uniform point inside the bounding box.
-func privRandomInRegion(rnd *randx.Rand, b geo.BBox) geo.Point {
-	return geo.Point{
-		X: b.MinX + rnd.Float64()*b.Width(),
-		Y: b.MinY + rnd.Float64()*b.Height(),
-	}
 }

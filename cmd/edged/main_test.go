@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/adnet"
 	"repro/internal/core"
+	"repro/internal/deploy"
 	"repro/internal/edge"
 	"repro/internal/geo"
 	"repro/internal/geoind"
@@ -254,15 +255,16 @@ func TestServeDebug(t *testing.T) {
 }
 
 // TestProviderBidLogBounded drives one ad request past 2^16 through the
-// provider edged serves from, in both modes: its bid log keeps the most
-// recent 2^16 records and still counts every request. An uncapped log
-// would keep a record per request for the life of the process.
+// provider edged serves from (deploy.NewProvider at edged's bidLogCap),
+// in both modes: its bid log keeps the most recent 2^16 records and
+// still counts every request. An uncapped log would keep a record per
+// request for the life of the process.
 func TestProviderBidLogBounded(t *testing.T) {
 	const capped = 1 << 16
 	at := time.Date(2021, 1, 1, 0, 0, 0, 0, time.UTC)
 	for _, useRTB := range []bool{false, true} {
 		t.Run(fmt.Sprintf("rtb=%v", useRTB), func(t *testing.T) {
-			provider, bidLog, _, err := newProvider(0, 1, useRTB)
+			provider, bidLog, _, err := deploy.NewProvider(0, 1, useRTB, adnet.WithBidLogCap(bidLogCap))
 			if err != nil {
 				t.Fatal(err)
 			}

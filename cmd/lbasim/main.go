@@ -21,17 +21,15 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/adnet"
 	"repro/internal/attack"
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/deploy"
 	"repro/internal/edge"
 	"repro/internal/edgecluster"
 	"repro/internal/geo"
-	"repro/internal/geoind"
 	"repro/internal/logx"
 	"repro/internal/randx"
-	"repro/internal/rtb"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/tracing"
@@ -96,67 +94,25 @@ func run(args []string) error {
 	}
 
 	// Untrusted side: either a direct-matching ad network or an RTB
-	// exchange with budgeted campaign bidders.
-	network, err := adnet.NewNetwork(nil)
+	// exchange with budgeted campaign bidders. attacker is the
+	// provider-side bid log the longitudinal attack mines, so it keeps
+	// every record.
+	provider, attacker, exchange, err := deploy.NewProvider(*campaigns, *seed, *useRTB)
 	if err != nil {
-		return fmt.Errorf("building network: %w", err)
+		return err
 	}
-	exchange, err := rtb.NewExchange(100*time.Millisecond, 0.05)
-	if err != nil {
-		return fmt.Errorf("building exchange: %w", err)
-	}
-	rnd := randx.New(*seed, 0x51A151)
-	for i := 0; i < *campaigns; i++ {
-		loc := geo.Point{
-			X: cfg.Region.MinX + rnd.Float64()*cfg.Region.Width(),
-			Y: cfg.Region.MinY + rnd.Float64()*cfg.Region.Height(),
-		}
-		campaign := adnet.Campaign{
-			ID:       fmt.Sprintf("c%05d", i),
-			Location: loc,
-			Radius:   5000 + rnd.Float64()*20000,
-			Ad:       adnet.Ad{ID: fmt.Sprintf("ad%05d", i), Title: fmt.Sprintf("Offer %d", i), Location: loc},
-		}
-		if err := network.Register(campaign); err != nil {
-			return fmt.Errorf("registering campaign: %w", err)
-		}
-		if *useRTB {
-			bidder, err := rtb.NewCampaignBidder(campaign, 0.5+rnd.Float64()*4, 1e6)
-			if err != nil {
-				return fmt.Errorf("building bidder: %w", err)
-			}
-			if err := exchange.Register(bidder); err != nil {
-				return fmt.Errorf("registering bidder: %w", err)
-			}
-		}
+	if *useRTB {
+		fmt.Printf("serving ads via RTB second-price auctions (%d bidders, 100 ms deadline)\n", exchange.Bidders())
 	}
 
 	// Trusted side: edge engine + HTTP service.
-	mech, err := geoind.NewNFoldGaussian(geoind.Params{Radius: 500, Epsilon: 1, Delta: 0.01, N: 10})
+	engineCfg, err := deploy.Engine(deploy.Params(), *seed)
 	if err != nil {
-		return fmt.Errorf("building mechanism: %w", err)
+		return err
 	}
-	nomadic, err := geoind.NewPlanarLaplace(math.Log(4), 200)
-	if err != nil {
-		return fmt.Errorf("building nomadic mechanism: %w", err)
-	}
-	engine, err := core.NewEngine(core.Config{Mechanism: mech, NomadicMechanism: nomadic, Seed: *seed})
+	engine, err := core.NewEngine(engineCfg)
 	if err != nil {
 		return fmt.Errorf("building engine: %w", err)
-	}
-	// attacker is the provider-side bid log the longitudinal attack mines.
-	var (
-		provider edge.AdProvider = network
-		attacker                 = &network.RequestLog
-	)
-	if *useRTB {
-		rtbProvider, err := rtb.NewProvider(exchange)
-		if err != nil {
-			return fmt.Errorf("building RTB provider: %w", err)
-		}
-		provider = rtbProvider
-		attacker = &rtbProvider.RequestLog
-		fmt.Printf("serving ads via RTB second-price auctions (%d bidders, 100 ms deadline)\n", exchange.Bidders())
 	}
 
 	server, err := edge.NewServer(engine, provider, nil, logger)
@@ -212,7 +168,7 @@ func run(args []string) error {
 		adsFetched, adsDelivered, 100*(1-float64(adsDelivered)/math.Max(1, float64(adsFetched))))
 
 	// The attacker's view: mine the bid log.
-	rAlpha, err := mech.ConfidenceRadius(0.05)
+	rAlpha, err := engineCfg.Mechanism.ConfidenceRadius(0.05)
 	if err != nil {
 		return fmt.Errorf("confidence radius: %w", err)
 	}
@@ -269,42 +225,6 @@ func replayReports(ctx context.Context, cl *client.Client, userID string, checkI
 	return nil
 }
 
-// buildSimCluster stands up the simulation's multi-edge deployment:
-// edge centres spread across the region's midline, each disk wide
-// enough to cover the whole region — every point has a failover target,
-// so a single down edge never strands traffic.
-func buildSimCluster(region geo.BBox, edges int, seed uint64) (*edgecluster.Cluster, *geoind.NFoldGaussian, error) {
-	mech, err := geoind.NewNFoldGaussian(geoind.Params{Radius: 500, Epsilon: 1, Delta: 0.01, N: 10})
-	if err != nil {
-		return nil, nil, fmt.Errorf("building mechanism: %w", err)
-	}
-	nomadic, err := geoind.NewPlanarLaplace(math.Log(4), 200)
-	if err != nil {
-		return nil, nil, fmt.Errorf("building nomadic mechanism: %w", err)
-	}
-	diag := math.Hypot(region.Width(), region.Height())
-	coverage := make([]geo.Circle, edges)
-	for i := range coverage {
-		coverage[i] = geo.Circle{
-			Center: geo.Point{
-				X: region.MinX + (float64(i)+0.5)*region.Width()/float64(edges),
-				Y: region.MinY + region.Height()/2,
-			},
-			Radius: diag,
-		}
-	}
-	cluster, err := edgecluster.New(edgecluster.Config{
-		Engine:      core.Config{Mechanism: mech, NomadicMechanism: nomadic, Seed: seed},
-		Coverage:    coverage,
-		MergeRegion: region,
-		Seed:        seed,
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("building cluster: %w", err)
-	}
-	return cluster, mech, nil
-}
-
 // runCluster replays the workload through a fault-tolerant multi-edge
 // deployment (paper Section V-B) using the cluster API directly: check-ins
 // route to the nearest covering live edge, per-user profiles merge through
@@ -316,7 +236,11 @@ func buildSimCluster(region geo.BBox, edges int, seed uint64) (*edgecluster.Clus
 // byte-identity audit of every edge's table, and the longitudinal attack
 // on the obfuscated request stream the ad providers would observe.
 func runCluster(cfg trace.Config, ds *trace.Dataset, edges int, chaos bool, seed uint64, batch int, codec edge.Codec, logger *slog.Logger) error {
-	cluster, mech, err := buildSimCluster(cfg.Region.BBox, edges, seed)
+	engineCfg, err := deploy.Engine(deploy.Params(), seed)
+	if err != nil {
+		return err
+	}
+	cluster, err := deploy.NewCluster(engineCfg, cfg.Region.BBox, cfg.Region.BBox, edges, seed)
 	if err != nil {
 		return err
 	}
@@ -517,7 +441,7 @@ func runCluster(cfg trace.Config, ds *trace.Dataset, edges int, chaos bool, seed
 
 	// The attacker's view: the obfuscated request stream is all any ad
 	// provider behind these edges observes.
-	rAlpha, err := mech.ConfidenceRadius(0.05)
+	rAlpha, err := engineCfg.Mechanism.ConfidenceRadius(0.05)
 	if err != nil {
 		return fmt.Errorf("confidence radius: %w", err)
 	}

@@ -6,10 +6,8 @@ import (
 	"sort"
 
 	"repro/internal/attack"
-	"repro/internal/core"
-	"repro/internal/edgecluster"
+	"repro/internal/deploy"
 	"repro/internal/geo"
-	"repro/internal/geoind"
 	"repro/internal/profile"
 	"repro/internal/randx"
 	"repro/internal/telemetry"
@@ -104,7 +102,14 @@ func runScenario(modeName string, users, maxCk, edges int, seed uint64) error {
 
 	reg := telemetry.NewRegistry()
 	wl.Instrument(reg)
-	cluster, mech, err := buildScenarioCluster(wl.Extent, tcfg.Region.BBox, edges, seed)
+	// Traveler events leave the home box, so the edges cover the whole
+	// workload extent while secure aggregation still merges only
+	// home-region check-ins (out-of-region ones count as Dropped).
+	engineCfg, err := deploy.Engine(deploy.Params(), seed)
+	if err != nil {
+		return err
+	}
+	cluster, err := deploy.NewCluster(engineCfg, wl.Extent, tcfg.Region.BBox, edges, seed)
 	if err != nil {
 		return err
 	}
@@ -113,7 +118,7 @@ func runScenario(modeName string, users, maxCk, edges int, seed uint64) error {
 	// One-time geo-IND comparison deployment for the collude mode: the
 	// same events, obfuscated once with planar Laplace instead of the
 	// n-fold table — the paper's weak baseline.
-	oneTime, err := geoind.NewPlanarLaplace(math.Log(4), 200)
+	oneTime, err := deploy.NewNomadic()
 	if err != nil {
 		return err
 	}
@@ -213,7 +218,7 @@ func runScenario(modeName string, users, maxCk, edges int, seed uint64) error {
 	// The longitudinal attack against the defended per-ad-ID streams: a
 	// user counts as compromised if any identifier it ever carried leaks
 	// its top-1 location.
-	rAlpha, err := mech.ConfidenceRadius(0.05)
+	rAlpha, err := engineCfg.Mechanism.ConfidenceRadius(0.05)
 	if err != nil {
 		return err
 	}
@@ -372,43 +377,6 @@ func runCollusion(wl *workload.Workload, oneTimeObs, defended []attack.Observati
 	fmt.Printf("collusion: defense holds — colluding adversary degraded from %.1f%% to %.1f%% (paper band ≤ %.1f%%)\n",
 		100*col.ColludeRate, 100*col.DefendedRate, 100*allowed)
 	return col, nil
-}
-
-// buildScenarioCluster is buildSimCluster with the coverage extent
-// decoupled from the merge region: traveler events leave the home box,
-// so edges must cover the full workload extent, while secure aggregation
-// still only merges home-region check-ins (out-of-region ones count as
-// Dropped).
-func buildScenarioCluster(cover, merge geo.BBox, edges int, seed uint64) (*edgecluster.Cluster, *geoind.NFoldGaussian, error) {
-	mech, err := geoind.NewNFoldGaussian(geoind.Params{Radius: 500, Epsilon: 1, Delta: 0.01, N: 10})
-	if err != nil {
-		return nil, nil, fmt.Errorf("building mechanism: %w", err)
-	}
-	nomadic, err := geoind.NewPlanarLaplace(math.Log(4), 200)
-	if err != nil {
-		return nil, nil, fmt.Errorf("building nomadic mechanism: %w", err)
-	}
-	diag := math.Hypot(cover.Width(), cover.Height())
-	coverage := make([]geo.Circle, edges)
-	for i := range coverage {
-		coverage[i] = geo.Circle{
-			Center: geo.Point{
-				X: cover.MinX + (float64(i)+0.5)*cover.Width()/float64(edges),
-				Y: cover.MinY + cover.Height()/2,
-			},
-			Radius: diag,
-		}
-	}
-	cluster, err := edgecluster.New(edgecluster.Config{
-		Engine:      core.Config{Mechanism: mech, NomadicMechanism: nomadic, Seed: seed},
-		Coverage:    coverage,
-		MergeRegion: merge,
-		Seed:        seed,
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("building cluster: %w", err)
-	}
-	return cluster, mech, nil
 }
 
 // groupByAdID buckets observation locations per advertising identifier.

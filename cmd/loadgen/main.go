@@ -37,9 +37,9 @@ import (
 	"repro/internal/adnet"
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/deploy"
 	"repro/internal/edge"
 	"repro/internal/geo"
-	"repro/internal/geoind"
 	"repro/internal/randx"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -47,17 +47,15 @@ import (
 	"repro/internal/workload"
 )
 
-// Stream selector bases for the generator's independent PRNG families.
-// Worker streams are derived with the avalanche-then-increment idiom
-// (randx.Mix64 over a GoldenGamma-spaced index): a plain additive
-// selector like stream = w + base is linear, so the worker family can
-// collide with any other additively chosen stream — and with PCG,
-// low-entropy consecutive selectors pick correlated streams, skewing
-// the generated load toward shared user/timing choices.
-const (
-	streamWorkerBase = 0x10AD
-	streamCampaigns  = 0x51A151
-)
+// streamWorkerBase is the stream selector base of the load workers'
+// PRNG family. Worker streams are derived with the
+// avalanche-then-increment idiom (randx.Mix64 over a GoldenGamma-spaced
+// index): a plain additive selector like stream = w + base is linear, so
+// the worker family can collide with any other additively chosen stream
+// (the in-process edge's deploy.CampaignStream included) — and with PCG,
+// low-entropy consecutive selectors pick correlated streams, skewing the
+// generated load toward shared user/timing choices.
+const streamWorkerBase = 0x10AD
 
 // workerStream returns the PRNG stream selector for load worker w.
 func workerStream(w int) uint64 {
@@ -468,45 +466,25 @@ func quantileMs(h *telemetry.Histogram, q float64) float64 {
 	return v * 1000
 }
 
-// startEdge stands up the in-process edge: an engine with the default
-// shard count, an ad network with a bounded bid log (loadgen runs are
-// exactly the sustained load the ring cap exists for), and the HTTP
-// server. The engine holds no files, so closing the returned test
-// server releases everything.
+// startEdge stands up the in-process edge: edged's default deployment
+// (mechanisms, engine with the default shard count, and campaign layout)
+// with a bounded bid log (loadgen runs are exactly the sustained load
+// the ring cap exists for), behind the HTTP server. The engine holds no
+// files, so closing the returned test server releases everything.
 func startEdge(cfg config) (*httptest.Server, *edge.Server, error) {
-	mech, err := geoind.NewNFoldGaussian(geoind.Params{Radius: 500, Epsilon: 1, Delta: 0.01, N: 10})
+	engineCfg, err := deploy.Engine(deploy.Params(), cfg.Seed)
 	if err != nil {
-		return nil, nil, fmt.Errorf("building mechanism: %w", err)
+		return nil, nil, err
 	}
-	nomadic, err := geoind.NewPlanarLaplace(math.Log(4), 200)
-	if err != nil {
-		return nil, nil, fmt.Errorf("building nomadic mechanism: %w", err)
-	}
-	engine, err := core.NewEngine(core.Config{Mechanism: mech, NomadicMechanism: nomadic, Seed: cfg.Seed})
+	engine, err := core.NewEngine(engineCfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("building engine: %w", err)
 	}
-	network, err := adnet.NewNetwork(nil, adnet.WithBidLogCap(1<<16))
+	provider, _, _, err := deploy.NewProvider(cfg.Campaigns, cfg.Seed, false, adnet.WithBidLogCap(1<<16))
 	if err != nil {
-		return nil, nil, fmt.Errorf("building network: %w", err)
+		return nil, nil, err
 	}
-	region := trace.DefaultConfig().Region
-	rnd := randx.New(cfg.Seed, streamCampaigns)
-	for i := 0; i < cfg.Campaigns; i++ {
-		loc := geo.Point{
-			X: region.MinX + rnd.Float64()*region.Width(),
-			Y: region.MinY + rnd.Float64()*region.Height(),
-		}
-		if err := network.Register(adnet.Campaign{
-			ID:       fmt.Sprintf("c%05d", i),
-			Location: loc,
-			Radius:   5000 + rnd.Float64()*20000,
-			Ad:       adnet.Ad{ID: fmt.Sprintf("ad%05d", i), Title: fmt.Sprintf("Offer %d", i), Location: loc},
-		}); err != nil {
-			return nil, nil, fmt.Errorf("registering campaign: %w", err)
-		}
-	}
-	server, err := edge.NewServer(engine, network, nil, nil)
+	server, err := edge.NewServer(engine, provider, nil, nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("building server: %w", err)
 	}

@@ -4,19 +4,21 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/deploy"
 	"repro/internal/randx"
 )
 
 // TestWorkerStreamDerivation is the regression for the additive worker
 // stream selector (stream = w + base): worker streams must be pairwise
 // distinct across realistic fan-out widths, must never land on the
-// campaign-placement stream, and must not recur when the base itself
+// campaign-placement stream the in-process edge draws its layout from
+// (deploy.CampaignStream), and must not recur when the base itself
 // shifts by a worker index (the linear-collision family the additive
 // scheme suffered — selector w+base equals selector w'+base whenever
 // w' = w, but ALSO equals any other additively derived stream whose
 // base differs by an index delta).
 func TestWorkerStreamDerivation(t *testing.T) {
-	seen := map[uint64]string{streamCampaigns: "campaign stream"}
+	seen := map[uint64]string{deploy.CampaignStream: "campaign stream"}
 	for w := 0; w < 4096; w++ {
 		s := workerStream(w)
 		if prev, ok := seen[s]; ok {
@@ -29,7 +31,7 @@ func TestWorkerStreamDerivation(t *testing.T) {
 	// gamma is exactly the stream of worker w+1, so derive from a
 	// DIFFERENT family base and require full separation.
 	for w := 0; w < 4096; w++ {
-		s := randx.Mix64(streamCampaigns + uint64(w)*randx.GoldenGamma)
+		s := randx.Mix64(deploy.CampaignStream + uint64(w)*randx.GoldenGamma)
 		if prev, ok := seen[s]; ok {
 			t.Fatalf("campaign-family stream %d (%#x) collides with %s", w, s, prev)
 		}

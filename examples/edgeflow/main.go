@@ -6,7 +6,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"math"
 	"net"
 	"os"
 	"time"
@@ -14,9 +13,9 @@ import (
 	"repro/internal/adnet"
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/deploy"
 	"repro/internal/edge"
 	"repro/internal/geo"
-	"repro/internal/geoind"
 	"repro/internal/randx"
 )
 
@@ -51,16 +50,13 @@ func run() error {
 		}
 	}
 
-	// --- Trusted environment: the edge device.
-	mech, err := geoind.NewNFoldGaussian(geoind.Params{Radius: 500, Epsilon: 1, Delta: 0.01, N: 10})
+	// --- Trusted environment: the edge device, running the paper's
+	// defense at its default parameters.
+	cfg, err := deploy.Engine(deploy.Params(), 21)
 	if err != nil {
-		return fmt.Errorf("building mechanism: %w", err)
+		return err
 	}
-	nomadic, err := geoind.NewPlanarLaplace(math.Log(4), 200)
-	if err != nil {
-		return fmt.Errorf("building nomadic mechanism: %w", err)
-	}
-	engine, err := core.NewEngine(core.Config{Mechanism: mech, NomadicMechanism: nomadic, Seed: 21})
+	engine, err := core.NewEngine(cfg)
 	if err != nil {
 		return fmt.Errorf("building engine: %w", err)
 	}

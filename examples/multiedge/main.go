@@ -8,14 +8,12 @@ package main
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/deploy"
 	"repro/internal/edgecluster"
 	"repro/internal/geo"
-	"repro/internal/geoind"
 	"repro/internal/randx"
 )
 
@@ -27,18 +25,16 @@ func main() {
 }
 
 func run() error {
-	mech, err := geoind.NewNFoldGaussian(geoind.Params{Radius: 500, Epsilon: 1, Delta: 0.01, N: 10})
+	// Every edge runs the paper's defense at its default parameters; the
+	// cluster derives each edge's seed from its own.
+	engine, err := deploy.Engine(deploy.Params(), 11)
 	if err != nil {
-		return fmt.Errorf("building mechanism: %w", err)
-	}
-	nomadic, err := geoind.NewPlanarLaplace(math.Log(4), 200)
-	if err != nil {
-		return fmt.Errorf("building nomadic mechanism: %w", err)
+		return err
 	}
 
 	// Three edges: home district, office district, shopping district.
 	cluster, err := edgecluster.New(edgecluster.Config{
-		Engine: core.Config{Mechanism: mech, NomadicMechanism: nomadic},
+		Engine: engine,
 		Coverage: []geo.Circle{
 			{Center: geo.Point{X: 0, Y: 0}, Radius: 10_000},
 			{Center: geo.Point{X: 20_000, Y: 0}, Radius: 10_000},

@@ -27,7 +27,7 @@ const (
 )
 
 // buildEdgedLayout registers edged's default campaign layout (the same
-// stream of draws as cmd/edged's newProvider at -seed 1) and returns the
+// stream of draws as deploy.NewProvider at seed 1) and returns the
 // network with layoutQueries query points spread over the city.
 func buildEdgedLayout(tb testing.TB) (*Network, []geo.Point) {
 	tb.Helper()

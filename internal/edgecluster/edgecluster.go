@@ -200,6 +200,31 @@ func (c *Cluster) ReplStats() ReplStats {
 	return c.repl
 }
 
+// Stats returns the cluster-wide counts GET /v1/stats reports. Users
+// are the distinct IDs across all edges, so a user held by three edges
+// counts once. Protected tops and candidates come from each user's
+// latest journal round: in a cluster only merges build tables, and every
+// replica converges to its round's table, so summing the edges would
+// count each table once per replica.
+func (c *Cluster) Stats() core.EngineStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	users := make(map[string]struct{})
+	for _, n := range c.nodes {
+		for _, id := range n.Engine.Users() {
+			users[id] = struct{}{}
+		}
+	}
+	st := core.EngineStats{Users: len(users)}
+	for _, round := range c.journal {
+		st.ProtectedTops += len(round.entries)
+		for _, e := range round.entries {
+			st.Candidates += len(e.Candidates)
+		}
+	}
+	return st
+}
+
 // NodeLag returns how many users edge i is known to be behind on — the
 // size of its lag map, which a healthy caught-up cluster keeps at zero.
 func (c *Cluster) NodeLag(i int) int {

@@ -222,12 +222,10 @@ func (g *Gateway) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	_, respCodec := g.negotiate(r)
-	var resp edge.StatsResponse
-	for _, n := range g.cluster.Nodes() {
-		st := n.Engine.Stats()
-		resp.Users += st.Users
-		resp.ProtectedTops += st.ProtectedTops
-		resp.TotalCandidate += st.Candidates
-	}
-	edge.WriteMessage(w, respCodec, http.StatusOK, &resp)
+	st := g.cluster.Stats()
+	edge.WriteMessage(w, respCodec, http.StatusOK, &edge.StatsResponse{
+		Users:          st.Users,
+		ProtectedTops:  st.ProtectedTops,
+		TotalCandidate: st.Candidates,
+	})
 }

@@ -11,9 +11,12 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/edge"
 	"repro/internal/geo"
+	"repro/internal/randx"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -161,6 +164,47 @@ func TestGatewaySingleReportAndStats(t *testing.T) {
 	binReqs := reg.Counter("wire_requests_total", "", telemetry.L("codec", "binary")).Value()
 	if binReqs != 3 { // two reports + one stats
 		t.Fatalf("wire_requests_total{codec=binary} = %d, want 3", binReqs)
+	}
+}
+
+// TestGatewayStatsCountsEachUserOnce pins /v1/stats to cluster-wide
+// counts. A user whose merged table replicated to all three edges is one
+// user with one protected top, not one per edge; a second user who
+// reported on one edge and was never merged adds a user but no table.
+func TestGatewayStatsCountsEachUserOnce(t *testing.T) {
+	cluster, ts, _ := newGatewayFixture(t)
+	home := geo.Point{X: 125, Y: 125} // edge-00, mid merge cell
+	rnd := randx.New(6, 6)
+	at := time.Date(2021, 1, 1, 0, 0, 0, 0, time.UTC)
+	for i := 0; i < 60; i++ {
+		at = at.Add(2 * time.Hour)
+		if _, err := cluster.Report("roamer", home.Add(rnd.GaussianPolar(5)), at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cluster.MergeProfiles("roamer", at); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range cluster.Nodes() {
+		if st := n.Engine.Stats(); st != (core.EngineStats{Users: 1, ProtectedTops: 1, Candidates: 10}) {
+			t.Fatalf("%s stats = %+v, want the one merged table replicated", n.ID, st)
+		}
+	}
+	if _, err := cluster.Report("visitor", geo.Point{X: 20_000, Y: 0}, at); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got edge.StatsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if want := (edge.StatsResponse{Users: 2, ProtectedTops: 1, TotalCandidate: 10}); got != want {
+		t.Fatalf("gateway stats = %+v, want %+v", got, want)
 	}
 }
 

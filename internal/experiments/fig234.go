@@ -2,13 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"time"
 
 	"repro/internal/attack"
+	"repro/internal/deploy"
 	"repro/internal/geo"
-	"repro/internal/geoind"
 	"repro/internal/mathx"
 	"repro/internal/par"
 	"repro/internal/profile"
@@ -189,7 +188,7 @@ func RunFig4(opts Options) (Fig4CaseStudy, error) {
 	}
 
 	// One-time geo-IND obfuscation at the original paper's parameters.
-	mech, err := geoind.NewPlanarLaplace(math.Log(4), 200)
+	mech, err := deploy.NewNomadic()
 	if err != nil {
 		return Fig4CaseStudy{}, fmt.Errorf("building mechanism: %w", err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/core"
+	"repro/internal/deploy"
 	"repro/internal/geo"
 	"repro/internal/geoind"
 	"repro/internal/par"
@@ -106,7 +107,8 @@ func RunFig6(opts Options) ([]Fig6Row, error) {
 	// attacker sees exactly what the system exposes.
 	for _, eps := range []float64{1, 1.5} {
 		name := fmt.Sprintf("Edge-PrivLocAd 10-fold eps=%g", eps)
-		params := geoind.Params{Radius: 500, Epsilon: eps, Delta: 0.01, N: 10}
+		params := deploy.Params()
+		params.Epsilon = eps
 		results, err := runDefenseExposure(ds, params, opts.Seed, opts.Parallelism)
 		if err != nil {
 			return nil, fmt.Errorf("defense exposure eps=%g: %w", eps, err)
@@ -123,24 +125,16 @@ func RunFig6(opts Options) ([]Fig6Row, error) {
 // from its ID, so the exposed streams — and the attack results — are
 // identical at any parallelism level.
 func runDefenseExposure(ds *trace.Dataset, params geoind.Params, seed uint64, parallelism int) ([][]geo.Point, error) {
-	mech, err := geoind.NewNFoldGaussian(params)
+	cfg, err := deploy.Engine(params, seed)
 	if err != nil {
-		return nil, fmt.Errorf("building n-fold mechanism: %w", err)
+		return nil, err
 	}
-	nomadic, err := geoind.NewPlanarLaplace(math.Log(4), 200)
-	if err != nil {
-		return nil, fmt.Errorf("building nomadic mechanism: %w", err)
-	}
-	engine, err := core.NewEngine(core.Config{
-		Mechanism:        mech,
-		NomadicMechanism: nomadic,
-		Seed:             seed,
-	})
+	engine, err := core.NewEngine(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("building engine: %w", err)
 	}
 
-	rAlpha, err := mech.ConfidenceRadius(0.05)
+	rAlpha, err := cfg.Mechanism.ConfidenceRadius(0.05)
 	if err != nil {
 		return nil, fmt.Errorf("defense confidence radius: %w", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"repro/internal/core"
+	"repro/internal/deploy"
 	"repro/internal/geo"
 	"repro/internal/geoind"
 	"repro/internal/metrics"
@@ -50,7 +51,8 @@ func RunFig7(opts Options) ([]Fig7Point, error) {
 	const targetRadius = 5000.0
 	var points []Fig7Point
 	for n := 1; n <= 10; n++ {
-		params := geoind.Params{Radius: 500, Epsilon: 1, Delta: 0.01, N: n}
+		params := deploy.Params()
+		params.N = n
 		builders := []struct {
 			name  string
 			build func() (geoind.Mechanism, error)

@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"repro/internal/attack"
+	"repro/internal/deploy"
 	"repro/internal/geo"
 	"repro/internal/geoind"
 	"repro/internal/randx"
@@ -46,7 +47,8 @@ func RunNSweep(opts Options) ([]NSweepPoint, error) {
 
 	var points []NSweepPoint
 	for _, n := range []int{1, 2, 5, 10} {
-		params := geoind.Params{Radius: 500, Epsilon: 1, Delta: 0.01, N: n}
+		params := deploy.Params()
+		params.N = n
 		results, err := runDefenseExposure(ds, params, opts.Seed, opts.Parallelism)
 		if err != nil {
 			return nil, fmt.Errorf("nsweep exposure n=%d: %w", n, err)

@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"repro/internal/core"
+	"repro/internal/deploy"
 	"repro/internal/geo"
 	"repro/internal/geoind"
 	"repro/internal/metrics"
@@ -38,7 +39,7 @@ func RunQoS(opts Options) ([]QoSPoint, error) {
 	var points []QoSPoint
 
 	// One-time geo-IND reference (per-report noise, no selection).
-	oneTime, err := geoind.NewPlanarLaplace(math.Log(4), 200)
+	oneTime, err := deploy.NewNomadic()
 	if err != nil {
 		return nil, fmt.Errorf("building planar laplace: %w", err)
 	}
@@ -67,7 +68,8 @@ func RunQoS(opts Options) ([]QoSPoint, error) {
 	})
 
 	for _, n := range []int{1, 5, 10} {
-		params := geoind.Params{Radius: 500, Epsilon: 1, Delta: 0.01, N: n}
+		params := deploy.Params()
+		params.N = n
 		builders := []struct {
 			name  string
 			build func() (geoind.Mechanism, error)

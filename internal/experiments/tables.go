@@ -2,12 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"time"
 
 	"repro/internal/adnet"
 	"repro/internal/core"
+	"repro/internal/deploy"
 	"repro/internal/geo"
 	"repro/internal/geoind"
 	"repro/internal/randx"
@@ -74,23 +74,16 @@ type Table2Point struct {
 // across opts.Parallelism workers.
 func RunTable2(opts Options) ([]Table2Point, error) {
 	const checkInsPerUser = 250 // ~3 months of LBA activity
-	mech, err := geoind.NewNFoldGaussian(geoind.Params{Radius: 500, Epsilon: 1, Delta: 0.01, N: 10})
+	cfg, err := deploy.Engine(deploy.Params(), 0)
 	if err != nil {
-		return nil, fmt.Errorf("building mechanism: %w", err)
-	}
-	nomadic, err := geoind.NewPlanarLaplace(math.Log(4), 200)
-	if err != nil {
-		return nil, fmt.Errorf("building nomadic mechanism: %w", err)
+		return nil, err
 	}
 
 	var points []Table2Point
 	for _, users := range scaleCounts(opts.Users) {
 		rnd := randx.New(opts.Seed, uint64(users))
-		engine, err := core.NewEngine(core.Config{
-			Mechanism:        mech,
-			NomadicMechanism: nomadic,
-			Seed:             opts.Seed + uint64(users),
-		})
+		cfg.Seed = opts.Seed + uint64(users)
+		engine, err := core.NewEngine(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("building engine: %w", err)
 		}
@@ -176,7 +169,7 @@ type Table3Point struct {
 // RunTable3 measures the output-selection module answering one LBA
 // request per user for doubling user counts (the paper's Table III).
 func RunTable3(opts Options) ([]Table3Point, error) {
-	mech, err := geoind.NewNFoldGaussian(geoind.Params{Radius: 500, Epsilon: 1, Delta: 0.01, N: 10})
+	mech, err := geoind.NewNFoldGaussian(deploy.Params())
 	if err != nil {
 		return nil, fmt.Errorf("building mechanism: %w", err)
 	}

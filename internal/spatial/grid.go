@@ -31,12 +31,14 @@ type entry struct {
 }
 
 // Grid is a uniform-cell spatial index mapping points to integer IDs.
-// IDs are caller-chosen (typically slice indexes). The zero value is not
-// usable; construct with NewGrid.
+// IDs are caller-chosen (typically slice indexes) and unique since the
+// last Reset: each point is stored once, in its cell, so the grid keeps
+// no per-id record to find, move or delete a point by. The zero value
+// is not usable; construct with NewGrid.
 type Grid struct {
 	cell  float64
 	cells map[cellKey][]entry
-	pts   map[int]geo.Point // by id, for Get, Remove, re-insert and Len
+	n     int // points inserted since the last Reset
 }
 
 // NewGrid builds an index with the given cell size in metres. Neighbour
@@ -45,27 +47,23 @@ func NewGrid(cellSize float64) (*Grid, error) {
 	if !(cellSize > 0) || math.IsInf(cellSize, 0) {
 		return nil, fmt.Errorf("spatial: cell size %g must be positive and finite", cellSize)
 	}
-	return &Grid{
-		cell:  cellSize,
-		cells: make(map[cellKey][]entry),
-		pts:   make(map[int]geo.Point),
-	}, nil
+	return &Grid{cell: cellSize, cells: make(map[cellKey][]entry)}, nil
 }
 
 // CellSize returns the configured cell edge length.
 func (g *Grid) CellSize() float64 { return g.cell }
 
-// Reset empties the index while retaining the maps' bucket storage, so a
-// grid can be reused across many similar-scale point sets (the attack
-// indexes each user's check-ins in turn) without paying the map-growth
-// rehashing of a fresh NewGrid on every call.
+// Reset empties the index while retaining the cell map's bucket
+// storage, so a grid can be reused across many similar-scale point sets
+// (the attack indexes each user's check-ins in turn) without paying the
+// map-growth rehashing of a fresh NewGrid on every call.
 func (g *Grid) Reset() {
 	clear(g.cells)
-	clear(g.pts)
+	g.n = 0
 }
 
 // Len returns the number of indexed points.
-func (g *Grid) Len() int { return len(g.pts) }
+func (g *Grid) Len() int { return g.n }
 
 // index returns floor(v / cell) saturated at ±cellLimit (NaN maps to
 // -cellLimit). A saturated cell may hold far-apart points, but every
@@ -101,48 +99,12 @@ func (g *Grid) box(q geo.Point, radius float64) (lo, hi cellKey, ok bool) {
 	return lo, hi, true
 }
 
-// Insert adds a point under id. Inserting an existing id replaces its
-// location.
+// Insert adds a point under id, which must not have been inserted since
+// the last Reset: a repeated id is indexed twice and reported twice.
 func (g *Grid) Insert(id int, p geo.Point) {
-	if old, ok := g.pts[id]; ok {
-		g.removeFromCell(id, g.key(old))
-	}
-	g.pts[id] = p
 	k := g.key(p)
 	g.cells[k] = append(g.cells[k], entry{id: id, p: p})
-}
-
-// Remove deletes a point by id; it reports whether the id was present.
-func (g *Grid) Remove(id int) bool {
-	p, ok := g.pts[id]
-	if !ok {
-		return false
-	}
-	delete(g.pts, id)
-	g.removeFromCell(id, g.key(p))
-	return true
-}
-
-func (g *Grid) removeFromCell(id int, k cellKey) {
-	es := g.cells[k]
-	for i, e := range es {
-		if e.id == id {
-			es[i] = es[len(es)-1]
-			es = es[:len(es)-1]
-			break
-		}
-	}
-	if len(es) == 0 {
-		delete(g.cells, k)
-	} else {
-		g.cells[k] = es
-	}
-}
-
-// Get returns the location stored under id.
-func (g *Grid) Get(id int) (geo.Point, bool) {
-	p, ok := g.pts[id]
-	return p, ok
+	g.n++
 }
 
 // Within appends to dst the ids of all points within radius of q

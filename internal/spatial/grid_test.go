@@ -25,44 +25,6 @@ func TestNewGridValidation(t *testing.T) {
 	}
 }
 
-func TestGridInsertGetRemove(t *testing.T) {
-	g, err := NewGrid(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Insert(1, geo.Point{X: 5, Y: 5})
-	g.Insert(2, geo.Point{X: -5, Y: -5})
-	if g.Len() != 2 {
-		t.Fatalf("Len = %d", g.Len())
-	}
-	p, ok := g.Get(1)
-	if !ok || p != (geo.Point{X: 5, Y: 5}) {
-		t.Errorf("Get(1) = %v, %v", p, ok)
-	}
-	// Replacement moves the point.
-	g.Insert(1, geo.Point{X: 100, Y: 100})
-	if g.Len() != 2 {
-		t.Fatalf("Len after replace = %d", g.Len())
-	}
-	got := g.Within(nil, geo.Point{X: 5, Y: 5}, 1)
-	if len(got) != 0 {
-		t.Errorf("old location still indexed: %v", got)
-	}
-	got = g.Within(nil, geo.Point{X: 100, Y: 100}, 1)
-	if len(got) != 1 || got[0] != 1 {
-		t.Errorf("new location not indexed: %v", got)
-	}
-	if !g.Remove(1) || g.Remove(1) {
-		t.Error("Remove semantics broken")
-	}
-	if g.Len() != 1 {
-		t.Errorf("Len after remove = %d", g.Len())
-	}
-	if _, ok := g.Get(1); ok {
-		t.Error("removed id still present")
-	}
-}
-
 // TestGridWithinMatchesBruteForce property: the grid query must agree
 // with an O(n²) scan for random point sets, radii, and cell sizes, near
 // the origin and far out: past 2^31 cells (±1e11, ±1e15), where float
@@ -137,8 +99,8 @@ func TestGridFarOutPoints(t *testing.T) {
 	if got := g.Within(nil, geo.Point{X: math.Inf(1), Y: 0}, 1); len(got) != 0 {
 		t.Errorf("Within(+Inf) = %v, want none", got)
 	}
-	if !g.Remove(len(far)) || !g.Remove(len(far)+1) || g.Len() != len(far) {
-		t.Errorf("removing non-finite points: Len = %d", g.Len())
+	if g.Len() != len(far)+2 {
+		t.Errorf("Len = %d, want every inserted point counted, non-finite ones included", g.Len())
 	}
 }
 

@@ -20,7 +20,7 @@
 //	mech, _ := privlocad.NewNFoldGaussian(privlocad.MechanismParams{
 //		Radius: 500, Epsilon: 1, Delta: 0.01, N: 10,
 //	})
-//	nomadic, _ := privlocad.NewPlanarLaplace(math.Ln2, 200)
+//	nomadic, _ := privlocad.NewPlanarLaplace(math.Log(4), 200)
 //	engine, _ := privlocad.NewEngine(privlocad.EngineConfig{
 //		Mechanism: mech, NomadicMechanism: nomadic, Seed: 1,
 //	})

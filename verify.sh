@@ -86,6 +86,14 @@ rm -f "$CHAOS_OUT"
 # bench/ (run above) is the one that judges performance.
 go test -run '^$' -bench . -benchtime 1x ./...
 
+# Every example program runs once: go build ./... above only compiles
+# them, and edgeflow and multiedge build the default deployment from
+# internal/deploy, so a broken default shows here too. set -e fails the
+# verify on the first example that exits non-zero.
+for EXAMPLE in examples/*/; do
+    go run "./$EXAMPLE"
+done
+
 # Smoke the serving path under closed-loop load in both wire codecs: a
 # few hundred batched requests against an in-process edge, so every
 # verify exercises the sharded engine, /v1/report/batch, the pooled
