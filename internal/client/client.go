@@ -175,16 +175,27 @@ func (e *connError) Unwrap() error { return e.err }
 
 func (c *Client) post(ctx context.Context, path string, body, out any, idempotent bool) error {
 	// Serving-path messages go binary when the client was built with
-	// WithCodec(edge.CodecBinary); everything else (and every message on a
-	// JSON client) takes the legacy JSON encoding.
-	if m, ok := body.(wire.Message); ok && c.codec == edge.CodecBinary {
-		return c.call(ctx, http.MethodPost, path, wire.ContentType, wire.Encode(m), out, idempotent)
+	// WithCodec(edge.CodecBinary), and through wire's JSON codec
+	// otherwise; control-plane bodies (rebuild) take encoding/json.
+	var (
+		payload     []byte
+		err         error
+		contentType = "application/json"
+	)
+	m, isMsg := body.(wire.Message)
+	switch {
+	case isMsg && c.codec == edge.CodecBinary:
+		payload, contentType = wire.Encode(m), wire.ContentType
+	case isMsg:
+		// A single report or ad request is about a hundred bytes.
+		payload, err = wire.AppendJSON(make([]byte, 0, 128), m)
+	default:
+		payload, err = json.Marshal(body)
 	}
-	payload, err := json.Marshal(body)
 	if err != nil {
 		return fmt.Errorf("client: encoding %s request: %w", path, err)
 	}
-	return c.call(ctx, http.MethodPost, path, "application/json", payload, out, idempotent)
+	return c.call(ctx, http.MethodPost, path, contentType, payload, out, idempotent)
 }
 
 func (c *Client) get(ctx context.Context, path string, out any) error {
@@ -302,7 +313,7 @@ func (c *Client) do(req *http.Request, out any) error {
 				if derr := wire.Decode(body, &env); derr == nil {
 					msg = env.Error
 				}
-			case json.Unmarshal(body, &env) == nil:
+			case wire.DecodeJSON(body, &env) == nil:
 				msg = env.Error
 			default:
 				msg = string(body)
@@ -313,28 +324,53 @@ func (c *Client) do(req *http.Request, out any) error {
 	if out == nil {
 		return nil
 	}
-	// The response body's own Content-Type picks the decoder: a
-	// binary-preferring client still decodes JSON answers from routes (or
-	// old edges) that never negotiate.
-	if binaryResp {
-		m, ok := out.(wire.Message)
-		if !ok {
+	m, isMsg := out.(wire.Message)
+	if !isMsg {
+		if binaryResp {
 			return fmt.Errorf("client: %s answered %s but %T is not a wire message", req.URL.Path, wire.ContentType, out)
 		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return &connError{err: fmt.Errorf("client: reading %s response: %w", req.URL.Path, err)}
-		}
-		if err := wire.Decode(body, m); err != nil {
+		// Control-plane responses (profile, privacy) are not wire messages.
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 			return fmt.Errorf("client: decoding %s response: %w", req.URL.Path, err)
 		}
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	// A wire message is read whole into a pooled buffer, then decoded by
+	// the body's own Content-Type: a binary-preferring client still
+	// decodes JSON answers from routes (or old edges) that never
+	// negotiate. Both decoders copy strings out, so the buffer is free
+	// again once the message is decoded.
+	buf := bodyBufPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			bodyBufPool.Put(buf)
+		}
+	}()
+	buf.Reset()
+	if n := resp.ContentLength; n > 0 && n <= wire.MaxMessageBytes {
+		// Room for the body and for the final read that reports EOF.
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return &connError{err: fmt.Errorf("client: reading %s response: %w", req.URL.Path, err)}
+	}
+	if binaryResp {
+		err = wire.Decode(buf.Bytes(), m)
+	} else {
+		err = wire.DecodeJSON(buf.Bytes(), m)
+	}
+	if err != nil {
 		return fmt.Errorf("client: decoding %s response: %w", req.URL.Path, err)
 	}
 	return nil
 }
+
+// bodyBufPool recycles the buffers wire-message responses are read into.
+var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody caps the buffers bodyBufPool keeps, so one huge response
+// does not pin its buffer for the client's lifetime.
+const maxPooledBody = 1 << 18
 
 // Report sends one location check-in. A zero time lets the edge stamp
 // it. Not retried: a lost response leaves the edge possibly having

@@ -21,7 +21,8 @@ import (
 type Codec int
 
 const (
-	// CodecJSON is the legacy application/json encoding.
+	// CodecJSON is the application/json encoding, written and read by
+	// internal/wire's hand-written JSON codec.
 	CodecJSON Codec = iota
 	// CodecBinary is the application/x-privlocad-bin encoding from
 	// internal/wire.
@@ -70,31 +71,40 @@ func ResponseCodec(r *http.Request) Codec {
 	return CodecJSON
 }
 
-// binBufPool recycles binary encode buffers, mirroring jsonBufPool on
-// the JSON side: the serving path reuses one flat buffer per response
-// instead of allocating a fresh frame.
-var binBufPool = sync.Pool{New: func() any {
+// msgBufPool recycles the encode buffers of serving-path responses in
+// both codecs: the serving path reuses one flat buffer per response
+// instead of allocating a fresh one.
+var msgBufPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 512)
 	return &b
 }}
 
 // WriteMessage writes m with the given status in the chosen codec,
 // setting Content-Type and Content-Length. It is shared by the edge
-// server and the edgecluster gateway.
+// server and the edgecluster gateway. A JSON body is the bytes
+// json.Encoder.Encode writes, the trailing newline included; a message
+// JSON cannot carry (a NaN coordinate) is answered with a 500.
 func WriteMessage(w http.ResponseWriter, codec Codec, status int, m wire.Message) {
+	bp := msgBufPool.Get().(*[]byte)
+	buf, contentType := (*bp)[:0], wire.ContentType
 	if codec == CodecJSON {
-		writeJSON(w, status, m)
-		return
+		var err error
+		if buf, err = wire.AppendJSON(buf, m); err != nil {
+			msgBufPool.Put(bp)
+			http.Error(w, `{"error":"encoding response"}`, http.StatusInternalServerError)
+			return
+		}
+		buf, contentType = append(buf, '\n'), "application/json"
+	} else {
+		buf = wire.Append(buf, m)
 	}
-	bp := binBufPool.Get().(*[]byte)
-	buf := wire.Append((*bp)[:0], m)
-	w.Header().Set("Content-Type", wire.ContentType)
+	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
 	w.WriteHeader(status)
 	_, _ = w.Write(buf)
 	if cap(buf) <= maxPooledBuf {
 		*bp = buf
-		binBufPool.Put(bp)
+		msgBufPool.Put(bp)
 	}
 }
 
@@ -106,8 +116,11 @@ func WriteCodecError(w http.ResponseWriter, codec Codec, status int, err error) 
 
 // ReadMessage decodes the request body (bounded at limit bytes) into m
 // according to reqCodec, answering a 400 in respCodec on failure. Both
-// codecs read through the same pooled buffer, so binary decode extends
-// the JSON path's flat allocation profile rather than forking it.
+// codecs read through the same pooled buffer and copy their strings out
+// of it. JSON goes through wire.DecodeJSON, which rejects what the
+// strict encoding/json decoding did (unknown members included) plus
+// trailing data, a member given twice, a key matching only by Unicode
+// case folding, and a position without both coordinates.
 func ReadMessage(w http.ResponseWriter, r *http.Request, reqCodec, respCodec Codec, m wire.Message, limit int64) error {
 	buf, release, err := readBodyBuf(w, r, limit)
 	if err != nil {
@@ -116,11 +129,12 @@ func ReadMessage(w http.ResponseWriter, r *http.Request, reqCodec, respCodec Cod
 	}
 	defer release()
 	if reqCodec == CodecJSON {
-		err = decodeJSONStrict(buf.Bytes(), m)
-	} else if err = wire.Decode(buf.Bytes(), m); err != nil {
-		err = fmt.Errorf("decoding request: %w", err)
+		err = wire.DecodeJSON(buf.Bytes(), m)
+	} else {
+		err = wire.Decode(buf.Bytes(), m)
 	}
 	if err != nil {
+		err = fmt.Errorf("decoding request: %w", err)
 		WriteCodecError(w, respCodec, http.StatusBadRequest, err)
 		return err
 	}

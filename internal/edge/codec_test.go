@@ -285,3 +285,47 @@ func TestWireMetricsCount(t *testing.T) {
 		t.Fatalf("json decode errors = %d, want 0", got)
 	}
 }
+
+// TestJSONBodyRejections covers the JSON bodies the edge used to store
+// something from: trailing data after the value, where json.Decoder
+// read the first check-in and silently dropped the second, and a report
+// or ad request without a whole position, which was stored at the
+// projection origin (a batch item too). Each is now a 400 counted as a
+// JSON decode error, and none reaches the engine. The control-plane
+// decoder behind /v1/rebuild rejects trailing data as well.
+func TestJSONBodyRejections(t *testing.T) {
+	f := newMetricsFixture(t)
+	cases := []struct{ path, body string }{
+		{"/v1/report", `{"user_id":"b","pos":{"x":1,"y":2}}{"user_id":"c","pos":{"x":3,"y":4}}`},
+		{"/v1/report", `{"user_id":"b","pos":{"x":1,"y":2}} garbage`},
+		{"/v1/report", `{"user_id":"d"}`},
+		{"/v1/report", `{"user_id":"f","pos":null}`},
+		{"/v1/report", `{"user_id":"g","pos":{"x":1}}`},
+		{"/v1/ads", `{"user_id":"d","limit":3}`},
+		{"/v1/report/batch", `{"reports":[{"user_id":"a","pos":{"x":1,"y":2}},{"user_id":"e"}]}`},
+		{"/v1/rebuild", `{"user_id":"b"} {"user_id":"c"}`},
+	}
+	for _, c := range cases {
+		resp, err := http.Post(f.ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env wire.ErrorResponse
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &env) != nil ||
+			!strings.HasPrefix(env.Error, "decoding request: ") {
+			t.Errorf("POST %s %s: status %d, body %q; want a 400 decoding error", c.path, c.body, resp.StatusCode, body)
+		}
+	}
+	if users := f.engine.Users(); len(users) != 0 {
+		t.Errorf("engine users = %v, want none", users)
+	}
+	decErrs := f.srv.Registry().Counter("wire_decode_errors_total", "", telemetry.L("codec", "json")).Value()
+	if want := uint64(len(cases) - 1); decErrs != want {
+		t.Errorf("wire_decode_errors_total{codec=json} = %d, want %d (every serving-path body)", decErrs, want)
+	}
+}

@@ -281,8 +281,10 @@ type PrivacyResponse struct {
 }
 
 // jsonBuf pairs a reusable buffer with a JSON encoder bound to it, so
-// the serving path neither allocates a fresh encoder per response nor
-// grows a fresh buffer through the payload size every request.
+// the control-plane routes neither allocate a fresh encoder per response
+// nor grow a fresh buffer through the payload size every request. The
+// serving-path messages skip encoding/json: WriteMessage encodes them
+// with wire.AppendJSON.
 type jsonBuf struct {
 	buf bytes.Buffer
 	enc *json.Encoder
@@ -318,8 +320,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
+// writeError answers a control-plane route's error in the serving
+// path's JSON error envelope.
 func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, wire.ErrorResponse{Error: err.Error()})
+	WriteCodecError(w, CodecJSON, status, err)
 }
 
 // bodyBufPool recycles request-body read buffers for decodeBody.
@@ -351,12 +355,17 @@ func readBodyBuf(w http.ResponseWriter, r *http.Request, limit int64) (buf *byte
 	return buf, release, nil
 }
 
-// decodeJSONStrict decodes data into v, rejecting unknown fields.
+// decodeJSONStrict decodes data into v, rejecting unknown fields and,
+// as wire.DecodeJSON does on the serving path, anything but whitespace
+// after the value: json.Decoder stops after the first one.
 func decodeJSONStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("decoding request: %w", err)
+	}
+	if rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return fmt.Errorf("decoding request: data after the JSON value at offset %d", len(data)-len(rest))
 	}
 	return nil
 }

@@ -243,6 +243,43 @@ func TestGatewayNonFinitePos(t *testing.T) {
 	}
 }
 
+// TestGatewayJSONBodyRejections is the gateway's half of the edge's
+// TestJSONBodyRejections: trailing data after a JSON body, and a report
+// without a whole position, answer 400 and store nothing on any edge.
+func TestGatewayJSONBodyRejections(t *testing.T) {
+	cluster, ts, reg := newGatewayFixture(t)
+	cases := []struct{ path, body string }{
+		{"/v1/report", `{"user_id":"b","pos":{"x":1,"y":2}}{"user_id":"c","pos":{"x":3,"y":4}}`},
+		{"/v1/report", `{"user_id":"b","pos":{"x":1,"y":2}} garbage`},
+		{"/v1/report", `{"user_id":"d"}`},
+		{"/v1/report", `{"user_id":"f","pos":null}`},
+		{"/v1/report", `{"user_id":"g","pos":{"x":1}}`},
+		{"/v1/report/batch", `{"reports":[{"user_id":"a","pos":{"x":1,"y":2}},{"user_id":"e"}]}`},
+	}
+	for _, c := range cases {
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "decoding request: ") {
+			t.Errorf("POST %s %s: status %d, body %q; want a 400 decoding error", c.path, c.body, resp.StatusCode, body)
+		}
+	}
+	for i, n := range cluster.Nodes() {
+		if users := n.Engine.Stats().Users; users != 0 {
+			t.Errorf("edge %d holds %d users, want none", i, users)
+		}
+	}
+	if got := reg.Counter("wire_decode_errors_total", "", telemetry.L("codec", "json")).Value(); got != uint64(len(cases)) {
+		t.Errorf("wire_decode_errors_total{codec=json} = %d, want %d", got, len(cases))
+	}
+}
+
 // TestGatewayErrorsAndHealth pins the unavailable/decode error envelopes
 // and the health endpoint's live-edge count.
 func TestGatewayErrorsAndHealth(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -33,61 +34,127 @@ var messageTypes = []struct {
 	{"repl_delta", func() Message { return &ReplDelta{} }},
 }
 
-// genString draws a short ASCII string (JSON-marshalable without
-// replacement characters, so binary and JSON round trips can be
-// compared for struct equality).
-func genString(rnd *randx.Rand) string {
+// gen draws random message values. The plain generator draws what both
+// codecs carry unchanged (ASCII strings, finite floats, UTC times), so
+// binary and JSON round trips can be compared for struct equality; the
+// wide one, used for the JSON leg only, also draws every class of value
+// the JSON codec treats specially.
+type gen struct {
+	rnd  *randx.Rand
+	wide bool
+}
+
+// wideStrings are the string pieces the wide generator mixes in: HTML
+// escapes, control bytes, the quote and the backslash, DEL, non-ASCII,
+// invalid UTF-8 (a stray continuation byte, a truncated sequence, an
+// encoded surrogate), U+2028/U+2029 and U+FFFD itself.
+var wideStrings = []string{
+	"<", ">", "&", "\x00", "\x01", "\x1f", "\b", "\f", "\n", "\r", "\t",
+	`"`, `\`, "\x7f", "é", "中文", "😀", "\xff", "\xc3", "\xed\xa0\x80",
+	"\u2028", "\u2029", "\ufffd",
+}
+
+// str draws a short string.
+func (g gen) str() string {
+	if g.wide && g.rnd.IntN(2) == 0 {
+		var b []byte
+		for n := 1 + g.rnd.IntN(6); n > 0; n-- {
+			if g.rnd.IntN(3) == 0 {
+				b = append(b, 'a'+byte(g.rnd.IntN(26)))
+			} else {
+				b = append(b, wideStrings[g.rnd.IntN(len(wideStrings))]...)
+			}
+		}
+		return string(b)
+	}
 	const charset = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 _-/.:,!?\"\\{}"
-	n := rnd.IntN(24)
+	n := g.rnd.IntN(24)
 	b := make([]byte, n)
 	for i := range b {
-		b[i] = charset[rnd.IntN(len(charset))]
+		b[i] = charset[g.rnd.IntN(len(charset))]
 	}
 	return string(b)
 }
 
-// genFloat draws a finite float (JSON cannot carry NaN/Inf), mixing
-// plain coordinates with exact integers and negative values.
-func genFloat(rnd *randx.Rand) float64 {
-	switch rnd.IntN(4) {
+// wideFloats are the floats whose JSON form encoding/json special-cases:
+// negative zero, both sides of the 'e'-notation cutoffs at 1e-6 and
+// 1e21, subnormals, the extremes, and the values JSON cannot carry.
+var wideFloats = []float64{
+	math.Copysign(0, -1), 1e-7, -1e-7, 1e-6, 9.999999999999999e-7, 1e21, -1e21,
+	9.999999999999999e20, 1.5e300, 5e-324, 2.2250738585072014e-308,
+	math.MaxFloat64, -math.SmallestNonzeroFloat64, 123456789e-15,
+}
+
+// float draws a finite float, mixing plain coordinates with exact
+// integers and negative values; the wide generator adds wideFloats and,
+// rarely, NaN or ±Inf, which both JSON encoders must refuse.
+func (g gen) float() float64 {
+	if g.wide {
+		switch g.rnd.IntN(8) {
+		case 0:
+			return wideFloats[g.rnd.IntN(len(wideFloats))]
+		case 1:
+			if g.rnd.IntN(8) == 0 {
+				return []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[g.rnd.IntN(3)]
+			}
+			return math.Ldexp(g.rnd.Float64(), g.rnd.IntN(2000)-1000)
+		}
+	}
+	switch g.rnd.IntN(4) {
 	case 0:
 		return 0
 	case 1:
-		return float64(rnd.IntN(2_000_000) - 1_000_000)
+		return float64(g.rnd.IntN(2_000_000) - 1_000_000)
 	default:
-		return (rnd.Float64() - 0.5) * 2e6
+		return (g.rnd.Float64() - 0.5) * 2e6
 	}
 }
 
-func genPoint(rnd *randx.Rand) geo.Point {
-	return geo.Point{X: genFloat(rnd), Y: genFloat(rnd)}
+func (g gen) point() geo.Point {
+	return geo.Point{X: g.float(), Y: g.float()}
 }
 
-// genTime draws either the zero time or a UTC instant with nanoseconds
-// in the RFC 3339-representable year range. UTC matters: the binary
-// codec normalizes decoded times to UTC, and JSON round-trips "Z"
-// timestamps back to UTC, so generated values compare equal under
-// reflect.DeepEqual after either codec.
-func genTime(rnd *randx.Rand) time.Time {
-	if rnd.IntN(4) == 0 {
+// wideZones are the zones the wide generator puts times in: offsets
+// with minutes or seconds, the extremes RFC 3339 can write, and offsets
+// of 24 hours or more, which time.Time.MarshalJSON refuses.
+var wideZones = []*time.Location{
+	time.FixedZone("IST", 5*3600+30*60), time.FixedZone("", -30*60), time.FixedZone("", 14*3600),
+	time.FixedZone("", 23*3600+59*60), time.FixedZone("", 3600+30), time.FixedZone("", 24*3600),
+	time.FixedZone("", -25*3600),
+}
+
+// time draws either the zero time or a UTC instant with nanoseconds in
+// the RFC 3339-representable year range. UTC matters: the binary codec
+// normalizes decoded times to UTC, and JSON round-trips "Z" timestamps
+// back to UTC, so generated values compare equal under
+// reflect.DeepEqual after either codec. The wide generator adds other
+// zones and the years around 0 and 9999.
+func (g gen) time() time.Time {
+	if g.wide && g.rnd.IntN(3) == 0 {
+		year := []int{-1, 0, 1, 9999, 10000}[g.rnd.IntN(5)]
+		t := time.Date(year, time.Month(1+g.rnd.IntN(12)), 1+g.rnd.IntN(28), g.rnd.IntN(24), 0, 0, g.rnd.IntN(1_000_000_000), time.UTC)
+		return t.In(wideZones[g.rnd.IntN(len(wideZones))])
+	}
+	if g.rnd.IntN(4) == 0 {
 		return time.Time{}
 	}
-	sec := int64(rnd.IntN(4_000_000_000)) - 1_000_000_000 // ~1938..2096
-	return time.Unix(sec, int64(rnd.IntN(1_000_000_000))).UTC()
+	sec := int64(g.rnd.IntN(4_000_000_000)) - 1_000_000_000 // ~1938..2096
+	return time.Unix(sec, int64(g.rnd.IntN(1_000_000_000))).UTC()
 }
 
-func genInt(rnd *randx.Rand) int {
-	return rnd.IntN(1_000_000) - 500_000
+func (g gen) int() int {
+	return g.rnd.IntN(1_000_000) - 500_000
 }
 
-func genReport(rnd *randx.Rand) ReportRequest {
-	return ReportRequest{UserID: genString(rnd), Pos: genPoint(rnd), Time: genTime(rnd)}
+func (g gen) report() ReportRequest {
+	return ReportRequest{UserID: g.str(), Pos: g.point(), Time: g.time()}
 }
 
-// genMessage draws a random value of the given message type. Slices are
+// message draws a random value of the given message type. Slices are
 // nil, empty, or populated with roughly equal probability, covering the
 // nil-preservation encoding.
-func genMessage(rnd *randx.Rand, name string) Message {
+func (g gen) message(name string) Message {
+	rnd := g.rnd
 	genReports := func() []ReportRequest {
 		switch rnd.IntN(3) {
 		case 0:
@@ -97,35 +164,35 @@ func genMessage(rnd *randx.Rand, name string) Message {
 		}
 		out := make([]ReportRequest, 1+rnd.IntN(8))
 		for i := range out {
-			out[i] = genReport(rnd)
+			out[i] = g.report()
 		}
 		return out
 	}
 	switch name {
 	case "report":
-		r := genReport(rnd)
+		r := g.report()
 		return &r
 	case "report_batch":
 		return &ReportBatchRequest{Reports: genReports()}
 	case "report_batch_response":
-		m := &ReportBatchResponse{Accepted: genInt(rnd)}
+		m := &ReportBatchResponse{Accepted: g.int()}
 		// Errors carries json omitempty, which collapses a non-nil empty
 		// slice to nil across a JSON round trip; the server only ever
 		// produces nil or populated, so the generator does too.
 		if rnd.IntN(2) == 0 {
 			m.Errors = make([]BatchItemError, 1+rnd.IntN(6))
 			for i := range m.Errors {
-				m.Errors[i] = BatchItemError{Index: genInt(rnd), Error: genString(rnd)}
+				m.Errors[i] = BatchItemError{Index: g.int(), Error: g.str()}
 			}
 		}
 		return m
 	case "ads_request":
-		return &AdsRequest{UserID: genString(rnd), Pos: genPoint(rnd), Limit: genInt(rnd)}
+		return &AdsRequest{UserID: g.str(), Pos: g.point(), Limit: g.int()}
 	case "ads_response":
 		m := &AdsResponse{
-			Reported:  genPoint(rnd),
+			Reported:  g.point(),
 			FromTable: rnd.IntN(2) == 0,
-			Fetched:   genInt(rnd),
+			Fetched:   g.int(),
 			Degraded:  rnd.IntN(2) == 0,
 		}
 		switch rnd.IntN(3) {
@@ -136,49 +203,50 @@ func genMessage(rnd *randx.Rand, name string) Message {
 		default:
 			m.Ads = make([]adnet.Ad, 1+rnd.IntN(6))
 			for i := range m.Ads {
-				m.Ads[i] = adnet.Ad{ID: genString(rnd), Title: genString(rnd), Location: genPoint(rnd)}
+				m.Ads[i] = adnet.Ad{ID: g.str(), Title: g.str(), Location: g.point()}
 			}
 		}
 		return m
 	case "stats":
-		return &StatsResponse{Users: genInt(rnd), ProtectedTops: genInt(rnd), TotalCandidate: genInt(rnd)}
+		return &StatsResponse{Users: g.int(), ProtectedTops: g.int(), TotalCandidate: g.int()}
 	case "error":
-		return &ErrorResponse{Error: genString(rnd)}
+		return &ErrorResponse{Error: g.str()}
 	case "repl_delta":
-		d := genReplDelta(rnd)
+		d := g.replDelta()
 		return &d
 	}
 	panic("unknown message type " + name)
 }
 
-func genTableEntries(rnd *randx.Rand, n int) []core.TableEntry {
+func (g gen) tableEntries(n int) []core.TableEntry {
 	out := make([]core.TableEntry, n)
 	for i := range out {
-		out[i].Top = genPoint(rnd)
-		switch rnd.IntN(3) {
+		out[i].Top = g.point()
+		switch g.rnd.IntN(3) {
 		case 0:
 			out[i].Candidates = nil
 		case 1:
 			out[i].Candidates = []geo.Point{}
 		default:
-			out[i].Candidates = make([]geo.Point, 1+rnd.IntN(6))
+			out[i].Candidates = make([]geo.Point, 1+g.rnd.IntN(6))
 			for j := range out[i].Candidates {
-				out[i].Candidates[j] = genPoint(rnd)
+				out[i].Candidates[j] = g.point()
 			}
 		}
-		out[i].CreatedAt = genTime(rnd)
+		out[i].CreatedAt = g.time()
 	}
 	return out
 }
 
-func genReplDelta(rnd *randx.Rand) ReplDelta {
+func (g gen) replDelta() ReplDelta {
+	rnd := g.rnd
 	d := ReplDelta{
-		UserID:  genString(rnd),
+		UserID:  g.str(),
 		Version: rnd.Uint64(),
 		BaseLen: rnd.IntN(1000),
 		BaseFP:  rnd.Uint64(),
 		FullFP:  rnd.Uint64(),
-		At:      genTime(rnd),
+		At:      g.time(),
 	}
 	switch rnd.IntN(3) {
 	case 0:
@@ -186,7 +254,7 @@ func genReplDelta(rnd *randx.Rand) ReplDelta {
 	case 1:
 		d.Entries = []core.TableEntry{}
 	default:
-		d.Entries = genTableEntries(rnd, 1+rnd.IntN(6))
+		d.Entries = g.tableEntries(1 + rnd.IntN(6))
 	}
 	switch rnd.IntN(3) {
 	case 0:
@@ -196,7 +264,7 @@ func genReplDelta(rnd *randx.Rand) ReplDelta {
 	default:
 		d.Tops = make(profile.Profile, 1+rnd.IntN(6))
 		for i := range d.Tops {
-			d.Tops[i] = profile.LocationFreq{Loc: genPoint(rnd), Freq: genInt(rnd)}
+			d.Tops[i] = profile.LocationFreq{Loc: g.point(), Freq: g.int()}
 		}
 	}
 	return d
@@ -214,19 +282,20 @@ func FuzzReplDelta(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, splitRaw uint) {
 		rnd := randx.New(seed, 0x0DE1)
-		d := genReplDelta(rnd)
+		g := gen{rnd: rnd}
+		d := g.replDelta()
 		checkRoundTrip(t, "repl_delta", &d, func() Message { return &ReplDelta{} })
 
-		full := genTableEntries(rnd, 1+rnd.IntN(12))
+		full := g.tableEntries(1 + rnd.IntN(12))
 		split := int(splitRaw % uint(len(full)+1))
 		delta := ReplDelta{
-			UserID:  genString(rnd),
+			UserID:  g.str(),
 			Version: rnd.Uint64(),
 			BaseLen: split,
 			BaseFP:  core.FingerprintTable(full[:split]),
 			FullFP:  core.FingerprintTable(full),
 			Entries: full[split:],
-			At:      genTime(rnd),
+			At:      g.time(),
 		}
 		var got ReplDelta
 		if err := Decode(Encode(&delta), &got); err != nil {
@@ -247,8 +316,9 @@ func FuzzReplDelta(f *testing.F) {
 
 // FuzzRoundTrip drives the structured properties from a fuzzer-chosen
 // seed: for every message type, (1) binary encode→decode is identity,
-// and (2) decoding the JSON encoding yields the same struct the binary
-// decode yields.
+// (2) decoding the JSON encoding yields the same struct the binary
+// decode yields, and (3) the hand-written JSON codec agrees with
+// encoding/json, on plain values and on the wide generator's.
 func FuzzRoundTrip(f *testing.F) {
 	for seed := uint64(0); seed < 8; seed++ {
 		f.Add(seed)
@@ -256,10 +326,20 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		rnd := randx.New(seed, 0x3142)
 		for _, mt := range messageTypes {
-			orig := genMessage(rnd, mt.name)
+			orig := gen{rnd: rnd}.message(mt.name)
 			checkRoundTrip(t, mt.name, orig, mt.new)
+			if hasJSON(orig) {
+				checkJSON(t, mt.name, gen{rnd: rnd, wide: true}.message(mt.name), mt.new)
+			}
 		}
 	})
+}
+
+// hasJSON reports whether m is one of the seven serving messages with a
+// JSON encoding; ReplDelta travels binary only.
+func hasJSON(m Message) bool {
+	_, repl := m.(*ReplDelta)
+	return !repl
 }
 
 func checkRoundTrip(t *testing.T, name string, orig Message, fresh func() Message) {
@@ -290,6 +370,85 @@ func checkRoundTrip(t *testing.T, name string, orig Message, fresh func() Messag
 	if !bytes.Equal(prefixed[len("junk-prefix"):], frame) {
 		t.Fatalf("%s: Append onto a prefix diverges from Encode", name)
 	}
+	if hasJSON(orig) {
+		checkJSON(t, name, orig, fresh)
+	}
+}
+
+// checkJSON holds the hand-written JSON codec to encoding/json on one
+// value: AppendJSON writes json.Marshal's bytes, onto a dirty buffer
+// too, or fails where json.Marshal fails; and DecodeJSON reads those
+// bytes into the value json.Unmarshal reads.
+func checkJSON(t *testing.T, name string, orig Message, fresh func() Message) {
+	t.Helper()
+	want, wantErr := json.Marshal(orig)
+	got, err := AppendJSON([]byte("junk-prefix"), orig)
+	if (err != nil) != (wantErr != nil) {
+		t.Fatalf("%s: AppendJSON error %v, json.Marshal error %v (value %+v)", name, err, wantErr, orig)
+	}
+	if err != nil {
+		if string(got) != "junk-prefix" {
+			t.Fatalf("%s: failed AppendJSON left %q, want the prefix alone", name, got)
+		}
+		return
+	}
+	if got = got[len("junk-prefix"):]; !bytes.Equal(got, want) {
+		t.Fatalf("%s: AppendJSON differs from json.Marshal:\n got:  %s\n want: %s", name, got, want)
+	}
+	ref := fresh()
+	if err := json.Unmarshal(want, ref); err != nil {
+		t.Fatalf("%s: json unmarshal: %v", name, err)
+	}
+	decoded := fresh()
+	if err := DecodeJSON(want, decoded); err != nil {
+		t.Fatalf("%s: DecodeJSON of %s: %v", name, want, err)
+	}
+	if !sameJSONValue(decoded, ref) {
+		t.Fatalf("%s: DecodeJSON differs from json.Unmarshal:\n got:  %+v\n want: %+v", name, decoded, ref)
+	}
+}
+
+// sameJSONValue compares two decoded messages: times by instant and
+// zone offset (a decoded offset zone is a fresh *time.Location, so
+// DeepEqual would compare pointers' contents that do not matter), the
+// rest exactly.
+func sameJSONValue(a, b Message) bool {
+	ca, ta := withoutTimes(a)
+	cb, tb := withoutTimes(b)
+	if !reflect.DeepEqual(ca, cb) || len(ta) != len(tb) {
+		return false
+	}
+	for i := range ta {
+		_, oa := ta[i].Zone()
+		_, ob := tb[i].Zone()
+		if !ta[i].Equal(tb[i]) || oa != ob {
+			return false
+		}
+	}
+	return true
+}
+
+// withoutTimes returns a copy of m with its times zeroed, and the times.
+func withoutTimes(m Message) (Message, []time.Time) {
+	switch m := m.(type) {
+	case *ReportRequest:
+		c := *m
+		c.Time = time.Time{}
+		return &c, []time.Time{m.Time}
+	case *ReportBatchRequest:
+		if m.Reports == nil {
+			return m, nil
+		}
+		c := &ReportBatchRequest{Reports: make([]ReportRequest, len(m.Reports))}
+		times := make([]time.Time, len(m.Reports))
+		for i, r := range m.Reports {
+			times[i] = r.Time
+			r.Time = time.Time{}
+			c.Reports[i] = r
+		}
+		return c, times
+	}
+	return m, nil
 }
 
 // TestRoundTripSeeds runs the seed corpus through plain `go test` with
@@ -298,23 +457,43 @@ func TestRoundTripSeeds(t *testing.T) {
 	for seed := uint64(0); seed < 50; seed++ {
 		rnd := randx.New(seed, 0x3142)
 		for _, mt := range messageTypes {
-			checkRoundTrip(t, mt.name, genMessage(rnd, mt.name), mt.new)
+			orig := gen{rnd: rnd}.message(mt.name)
+			checkRoundTrip(t, mt.name, orig, mt.new)
+			if hasJSON(orig) {
+				checkJSON(t, mt.name, gen{rnd: rnd, wide: true}.message(mt.name), mt.new)
+			}
 		}
 	}
 }
 
-// FuzzDecodeArbitrary throws raw bytes at every message decoder. The
-// decoder must never panic or over-allocate; when it accepts the input,
-// re-encoding the decoded value must produce a frame that decodes to the
-// same value again (byte-compared through a second encode, which also
-// holds for NaN floats where DeepEqual would not).
+// FuzzDecodeArbitrary throws raw bytes at every message decoder, binary
+// and JSON. A decoder must never panic or over-allocate. When the binary
+// decoder accepts the input, re-encoding the decoded value must produce
+// a frame that decodes to the same value again (byte-compared through a
+// second encode, which also holds for NaN floats where DeepEqual would
+// not). The JSON leg is differential: DecodeJSON may accept only what
+// encoding/json accepts (strictly for requests, as the edge read them
+// before, plainly for responses), with an equal value, and may reject
+// what encoding/json accepts only for one of its four deliberate
+// reasons; an accepted value must re-encode to json.Marshal's bytes,
+// stably.
 func FuzzDecodeArbitrary(f *testing.F) {
 	for _, mt := range messageTypes {
 		rnd := randx.New(7, 0x3142)
-		f.Add(Encode(genMessage(rnd, mt.name)))
+		f.Add(Encode(gen{rnd: rnd}.message(mt.name)))
 	}
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
+	for _, mt := range messageTypes {
+		rnd := randx.New(7, 0x3142)
+		if m := (gen{rnd: rnd}).message(mt.name); hasJSON(m) {
+			js, err := json.Marshal(m)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(js)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, mt := range messageTypes {
 			m := mt.new()
@@ -330,7 +509,70 @@ func FuzzDecodeArbitrary(f *testing.F) {
 				t.Fatalf("%s: canonical encoding unstable:\n first:  %x\n second: %x", mt.name, first, second)
 			}
 		}
+		for _, mt := range messageTypes {
+			if hasJSON(mt.new()) {
+				checkDecodeJSON(t, mt.name, data, mt.new)
+			}
+		}
 	})
+}
+
+// checkDecodeJSON is FuzzDecodeArbitrary's JSON leg for one message type.
+func checkDecodeJSON(t *testing.T, name string, data []byte, fresh func() Message) {
+	t.Helper()
+	m, ref := fresh(), fresh()
+	err := DecodeJSON(data, m)
+	refErr := decodeReference(data, ref)
+	if err != nil {
+		if refErr == nil && !deliberate(err) {
+			t.Fatalf("%s: DecodeJSON rejects what encoding/json accepts: %v\n input: %q", name, err, data)
+		}
+		return
+	}
+	if refErr != nil {
+		t.Fatalf("%s: DecodeJSON accepts what encoding/json rejects (%v)\n input: %q", name, refErr, data)
+	}
+	if !sameJSONValue(m, ref) {
+		t.Fatalf("%s: DecodeJSON differs from encoding/json:\n got:  %+v\n want: %+v\n input: %q", name, m, ref, data)
+	}
+	first, err := AppendJSON(nil, m)
+	if err != nil {
+		t.Fatalf("%s: re-encoding a decoded value: %v", name, err)
+	}
+	if want, _ := json.Marshal(m); !bytes.Equal(first, want) {
+		t.Fatalf("%s: AppendJSON differs from json.Marshal:\n got:  %s\n want: %s", name, first, want)
+	}
+	m2 := fresh()
+	if err := DecodeJSON(first, m2); err != nil {
+		t.Fatalf("%s: re-decode of %s: %v", name, first, err)
+	}
+	if second, _ := AppendJSON(nil, m2); !bytes.Equal(first, second) {
+		t.Fatalf("%s: JSON re-encoding unstable:\n first:  %s\n second: %s", name, first, second)
+	}
+}
+
+// decodeReference decodes data with encoding/json as the edge did before
+// the hand-written codec: requests strictly, unknown members rejected,
+// and responses plainly.
+func decodeReference(data []byte, m Message) error {
+	switch m.(type) {
+	case *ReportRequest, *ReportBatchRequest, *AdsRequest:
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		return dec.Decode(m)
+	}
+	return json.Unmarshal(data, m)
+}
+
+// deliberate reports whether err is one of DecodeJSON's four deliberate
+// rejections of input encoding/json accepts.
+func deliberate(err error) bool {
+	for _, want := range []error{errTrailingData, errNoPos, errDuplicate, errFoldedKey} {
+		if errors.Is(err, want) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestDecodeRejectsCorruption pins the error taxonomy: truncation,
@@ -424,8 +666,8 @@ func TestFrameOverhead(t *testing.T) {
 	for i := range batch.Reports {
 		batch.Reports[i] = ReportRequest{
 			UserID: fmt.Sprintf("user-%04d", i),
-			Pos:    genPoint(rnd),
-			Time:   genTime(rnd),
+			Pos:    gen{rnd: rnd}.point(),
+			Time:   gen{rnd: rnd}.time(),
 		}
 	}
 	bin := Encode(batch)

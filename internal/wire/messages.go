@@ -10,8 +10,10 @@ import (
 // The serving-path message types. These are the canonical definitions:
 // internal/edge aliases them (type ReportRequest = wire.ReportRequest)
 // so the HTTP layer's exported API is unchanged while both codecs share
-// one struct per message. JSON tags define the legacy encoding; the
-// methods below define the binary one.
+// one struct per message. Each message has its binary encoding
+// (appendBody/readBody) and its JSON one (appendJSON/readJSON, json.go);
+// the JSON tags name the members, and the fuzz tests hold the JSON
+// methods to what encoding/json does with those tags.
 
 // ReportRequest is the body of POST /v1/report.
 type ReportRequest struct {
@@ -33,6 +35,38 @@ func (m *ReportRequest) readBody(r *reader) {
 	m.UserID = r.str()
 	m.Pos = r.point()
 	m.Time = r.time()
+}
+
+func (m *ReportRequest) appendJSON(e *jsonEncoder) {
+	e.raw(`{"user_id":`)
+	e.str(m.UserID)
+	e.raw(`,"pos":`)
+	e.point(m.Pos)
+	// omitempty never drops a struct, so a zero time is written too.
+	e.raw(`,"time":`)
+	e.time(m.Time)
+	e.raw("}")
+}
+
+var reportFields = []string{"user_id", "pos", "time"}
+
+func (m *ReportRequest) readJSON(d *jsonDecoder) {
+	*m = ReportRequest{}
+	var hasPos bool
+	o := d.object(reportFields)
+	for d.next(&o) {
+		switch o.field {
+		case 0:
+			m.UserID = d.str()
+		case 1:
+			m.Pos, hasPos = d.point()
+		case 2:
+			m.Time = d.time()
+		}
+	}
+	if !hasPos {
+		d.fail(errNoPos)
+	}
 }
 
 // ReportBatchRequest is the body of POST /v1/report/batch: many
@@ -62,6 +96,42 @@ func (m *ReportBatchRequest) readBody(r *reader) {
 	m.Reports = make([]ReportRequest, n)
 	for i := range m.Reports {
 		m.Reports[i].readBody(r)
+	}
+}
+
+func (m *ReportBatchRequest) appendJSON(e *jsonEncoder) {
+	e.raw(`{"reports":`)
+	if m.Reports == nil {
+		e.raw("null")
+	} else {
+		e.raw("[")
+		for i := range m.Reports {
+			if i > 0 {
+				e.raw(",")
+			}
+			m.Reports[i].appendJSON(e)
+		}
+		e.raw("]")
+	}
+	e.raw("}")
+}
+
+var reportBatchFields = []string{"reports"}
+
+func (m *ReportBatchRequest) readJSON(d *jsonDecoder) {
+	*m = ReportBatchRequest{}
+	o := d.object(reportBatchFields)
+	for d.next(&o) {
+		if !d.array() {
+			continue
+		}
+		var buf [8]ReportRequest
+		reports := buf[:0]
+		for i := 0; d.more(i); i++ {
+			reports = append(reports, ReportRequest{})
+			reports[i].readJSON(d)
+		}
+		m.Reports = exactCopy(reports)
 	}
 }
 
@@ -107,6 +177,60 @@ func (m *ReportBatchResponse) readBody(r *reader) {
 	}
 }
 
+func (m *ReportBatchResponse) appendJSON(e *jsonEncoder) {
+	e.raw(`{"accepted":`)
+	e.int(m.Accepted)
+	if len(m.Errors) > 0 {
+		e.raw(`,"errors":[`)
+		for i, be := range m.Errors {
+			if i > 0 {
+				e.raw(",")
+			}
+			e.raw(`{"index":`)
+			e.int(be.Index)
+			e.raw(`,"error":`)
+			e.str(be.Error)
+			e.raw("}")
+		}
+		e.raw("]")
+	}
+	e.raw("}")
+}
+
+var (
+	reportBatchResponseFields = []string{"accepted", "errors"}
+	batchItemErrorFields      = []string{"index", "error"}
+)
+
+func (m *ReportBatchResponse) readJSON(d *jsonDecoder) {
+	*m = ReportBatchResponse{}
+	o := d.object(reportBatchResponseFields)
+	for d.next(&o) {
+		if o.field == 0 {
+			m.Accepted = d.int()
+			continue
+		}
+		if !d.array() {
+			continue
+		}
+		var buf [8]BatchItemError
+		errs := buf[:0]
+		for i := 0; d.more(i); i++ {
+			var be BatchItemError
+			eo := d.object(batchItemErrorFields)
+			for d.next(&eo) {
+				if eo.field == 0 {
+					be.Index = d.int()
+				} else {
+					be.Error = d.str()
+				}
+			}
+			errs = append(errs, be)
+		}
+		m.Errors = exactCopy(errs)
+	}
+}
+
 // AdsRequest is the body of POST /v1/ads.
 type AdsRequest struct {
 	UserID string    `json:"user_id"`
@@ -126,6 +250,39 @@ func (m *AdsRequest) readBody(r *reader) {
 	m.UserID = r.str()
 	m.Pos = r.point()
 	m.Limit = r.int_()
+}
+
+func (m *AdsRequest) appendJSON(e *jsonEncoder) {
+	e.raw(`{"user_id":`)
+	e.str(m.UserID)
+	e.raw(`,"pos":`)
+	e.point(m.Pos)
+	if m.Limit != 0 {
+		e.raw(`,"limit":`)
+		e.int(m.Limit)
+	}
+	e.raw("}")
+}
+
+var adsRequestFields = []string{"user_id", "pos", "limit"}
+
+func (m *AdsRequest) readJSON(d *jsonDecoder) {
+	*m = AdsRequest{}
+	var hasPos bool
+	o := d.object(adsRequestFields)
+	for d.next(&o) {
+		switch o.field {
+		case 0:
+			m.UserID = d.str()
+		case 1:
+			m.Pos, hasPos = d.point()
+		case 2:
+			m.Limit = d.int()
+		}
+	}
+	if !hasPos {
+		d.fail(errNoPos)
+	}
 }
 
 // AdsResponse is the body returned by POST /v1/ads.
@@ -182,6 +339,82 @@ func (m *AdsResponse) readBody(r *reader) {
 	m.Degraded = r.bool_()
 }
 
+func (m *AdsResponse) appendJSON(e *jsonEncoder) {
+	e.raw(`{"ads":`)
+	if m.Ads == nil {
+		e.raw("null")
+	} else {
+		e.raw("[")
+		for i := range m.Ads {
+			if i > 0 {
+				e.raw(",")
+			}
+			e.raw(`{"id":`)
+			e.str(m.Ads[i].ID)
+			e.raw(`,"title":`)
+			e.str(m.Ads[i].Title)
+			e.raw(`,"location":`)
+			e.point(m.Ads[i].Location)
+			e.raw("}")
+		}
+		e.raw("]")
+	}
+	e.raw(`,"reported":`)
+	e.point(m.Reported)
+	e.raw(`,"from_table":`)
+	e.bool(m.FromTable)
+	e.raw(`,"fetched":`)
+	e.int(m.Fetched)
+	if m.Degraded {
+		e.raw(`,"degraded":true`)
+	}
+	e.raw("}")
+}
+
+var (
+	adsResponseFields = []string{"ads", "reported", "from_table", "fetched", "degraded"}
+	adFields          = []string{"id", "title", "location"}
+)
+
+func (m *AdsResponse) readJSON(d *jsonDecoder) {
+	*m = AdsResponse{}
+	o := d.object(adsResponseFields)
+	for d.next(&o) {
+		switch o.field {
+		case 0:
+			if !d.array() {
+				continue
+			}
+			var buf [8]adnet.Ad
+			ads := buf[:0]
+			for i := 0; d.more(i); i++ {
+				var ad adnet.Ad
+				ao := d.object(adFields)
+				for d.next(&ao) {
+					switch ao.field {
+					case 0:
+						ad.ID = d.str()
+					case 1:
+						ad.Title = d.str()
+					case 2:
+						ad.Location, _ = d.point()
+					}
+				}
+				ads = append(ads, ad)
+			}
+			m.Ads = exactCopy(ads)
+		case 1:
+			m.Reported, _ = d.point()
+		case 2:
+			m.FromTable = d.bool()
+		case 3:
+			m.Fetched = d.int()
+		case 4:
+			m.Degraded = d.bool()
+		}
+	}
+}
+
 // StatsResponse is the body of GET /v1/stats.
 type StatsResponse struct {
 	Users          int `json:"users"`
@@ -203,6 +436,33 @@ func (m *StatsResponse) readBody(r *reader) {
 	m.TotalCandidate = r.int_()
 }
 
+func (m *StatsResponse) appendJSON(e *jsonEncoder) {
+	e.raw(`{"users":`)
+	e.int(m.Users)
+	e.raw(`,"protected_tops":`)
+	e.int(m.ProtectedTops)
+	e.raw(`,"total_candidates":`)
+	e.int(m.TotalCandidate)
+	e.raw("}")
+}
+
+var statsResponseFields = []string{"users", "protected_tops", "total_candidates"}
+
+func (m *StatsResponse) readJSON(d *jsonDecoder) {
+	*m = StatsResponse{}
+	o := d.object(statsResponseFields)
+	for d.next(&o) {
+		switch o.field {
+		case 0:
+			m.Users = d.int()
+		case 1:
+			m.ProtectedTops = d.int()
+		case 2:
+			m.TotalCandidate = d.int()
+		}
+	}
+}
+
 // ErrorResponse is the error envelope of every serving-path route, in
 // whichever codec the client negotiated (JSON clients keep receiving
 // the {"error": ...} object unchanged).
@@ -215,3 +475,19 @@ func (*ErrorResponse) wireType() byte { return typeError }
 func (m *ErrorResponse) appendBody(dst []byte) []byte { return appendString(dst, m.Error) }
 
 func (m *ErrorResponse) readBody(r *reader) { m.Error = r.str() }
+
+func (m *ErrorResponse) appendJSON(e *jsonEncoder) {
+	e.raw(`{"error":`)
+	e.str(m.Error)
+	e.raw("}")
+}
+
+var errorResponseFields = []string{"error"}
+
+func (m *ErrorResponse) readJSON(d *jsonDecoder) {
+	*m = ErrorResponse{}
+	o := d.object(errorResponseFields)
+	for d.next(&o) {
+		m.Error = d.str()
+	}
+}

@@ -1,10 +1,11 @@
-// Package wire implements the compact binary wire protocol of the
-// serving hot path. At the request volumes the load generator sustains,
-// JSON encode/decode dominates per-request CPU; this codec replaces it
-// with a length-prefixed, CRC-checksummed, versioned binary framing —
-// the same idiom internal/wal uses on disk — negotiated per request via
-// HTTP content types, so JSON and binary clients interoperate against
-// the same edge.
+// Package wire implements both encodings of the serving messages. The
+// JSON one (json.go) is written by hand: it writes the bytes
+// encoding/json writes and reads what it reads, without reflection, so
+// JSON no longer dominates per-request CPU on the serving path. The
+// binary one is a length-prefixed, CRC-checksummed, versioned framing —
+// the same idiom internal/wal uses on disk — several times smaller and
+// faster again. The two are negotiated per request via HTTP content
+// types, so JSON and binary clients interoperate against the same edge.
 //
 // Framing (all integers little-endian, matching the WAL):
 //

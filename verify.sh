@@ -39,6 +39,12 @@ go test -race -count=10 -run 'TestRequestAdsConcurrentPooledScratch$|TestNetwork
 # cluster-level equivalence fuzzer (delta-converged replicas must be
 # byte-identical to a one-shot snapshot import).
 go test ./internal/wire -run '^$' -fuzz 'FuzzReplDelta$' -fuzztime 10s
+
+# Serving-codec fuzz smoke: arbitrary bytes into every binary and JSON
+# message decoder. The hand-written JSON decoder may accept only what
+# encoding/json accepts, with an equal value, and may reject what it
+# accepts only for its four deliberate reasons.
+go test ./internal/wire -run '^$' -fuzz 'FuzzDecodeArbitrary$' -fuzztime 10s
 go test ./internal/edgecluster -run '^$' -fuzz 'FuzzDeltaCatchUpEquivalence$' -fuzztime 15s
 
 # External-trace adapter fuzz smoke: hostile CSV/TSV input (truncated
@@ -174,6 +180,18 @@ curl -fs "http://$EDGED_ADDR/metrics" | grep -q 'wire_requests_total{codec="json
 # evict/fault-in churn, and the runtime memory gauges must be scraping.
 curl -fs "http://$EDGED_ADDR/metrics" | grep -q '^core_faultins_total [1-9]'
 curl -fs "http://$EDGED_ADDR/metrics" | grep -q '^mem_heap_alloc_bytes [1-9]'
+# Two JSON bodies the edge once stored a check-in from: a report with a
+# second value after it (the second was dropped silently) and a report
+# without a position (stored at the projection origin). Both must answer
+# 400, count as JSON decode errors and leave /v1/stats unchanged.
+BAD_BEFORE="$(curl -fs "http://$EDGED_ADDR/v1/stats")"
+BAD_STATUS="$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$EDGED_ADDR/v1/report" \
+    -d '{"user_id":"trailing","pos":{"x":1,"y":2}}{"user_id":"second","pos":{"x":3,"y":4}}')"
+[ "$BAD_STATUS" = 400 ]
+BAD_STATUS="$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$EDGED_ADDR/v1/report" -d '{"user_id":"nopos"}')"
+[ "$BAD_STATUS" = 400 ]
+[ "$BAD_BEFORE" = "$(curl -fs "http://$EDGED_ADDR/v1/stats")" ]
+curl -fs "http://$EDGED_ADDR/metrics" | grep -q 'wire_decode_errors_total{codec="json"} [1-9]'
 PRE_STATS="$(curl -fs "http://$EDGED_ADDR/v1/stats")"
 PRE_FP="$(curl -fs "http://$EDGED_ADDR/v1/fingerprint?user=smoke")"
 kill -9 "$EDGED_PID"
