@@ -2,14 +2,13 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 	"time"
 
+	"repro/internal/binfmt"
 	"repro/internal/geo"
 	"repro/internal/profile"
 	"repro/internal/tracing"
@@ -116,226 +115,101 @@ func (h *durHolder) emit(ctx context.Context, enc func(b []byte) []byte) error {
 	return nil
 }
 
-// Record type tags. The payload after the tag is compact binary:
-// uvarint lengths/counts, little-endian float64 bits, varint
-// seconds+nanos timestamps.
+// Record type tags. The payload after the tag is in binfmt's layouts.
+// Tag 6 is retired: it was an import record with a per-entry layout of
+// its own, and recovery now rejects it as an unknown tag.
 const (
 	recReport      byte = 1 // user, pos, at
 	recBatch       byte = 2 // user, n, n×(pos, at) — one per-user run
 	recRebuild     byte = 3 // user, now
 	recInstallTops byte = 4 // user, now, tops
 	recSyncTops    byte = 5 // user, now, tops
-	recImport      byte = 6 // user, entries
 	recRequest     byte = 7 // user, truePos (advances the user PRNG)
+	recImport      byte = 8 // user, then the packed table suffix as imported
 )
 
-func appendStr(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendF64(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-}
-
-func appendPoint(b []byte, p geo.Point) []byte {
-	b = appendF64(b, p.X)
-	return appendF64(b, p.Y)
-}
-
-// appendTime preserves the instant exactly (and the zero value exactly:
-// Report treats a zero windowStart as "unset", so a replayed zero time
-// must stay zero, not become an equal-instant non-zero Time).
-func appendTime(b []byte, t time.Time) []byte {
-	if t.IsZero() {
-		return append(b, 0)
-	}
-	b = append(b, 1)
-	b = binary.AppendVarint(b, t.Unix())
-	return binary.AppendVarint(b, int64(t.Nanosecond()))
-}
-
 func appendTops(b []byte, tops profile.Profile) []byte {
-	b = binary.AppendUvarint(b, uint64(len(tops)))
+	b = binfmt.AppendUvarint(b, uint64(len(tops)))
 	for _, lf := range tops {
-		b = appendPoint(b, lf.Loc)
-		b = binary.AppendVarint(b, int64(lf.Freq))
+		b = binfmt.AppendPoint(b, lf.Loc)
+		b = binfmt.AppendVarint(b, int64(lf.Freq))
 	}
 	return b
 }
 
+// readTops inverts appendTops; an empty top set reads as nil.
+func readTops(r *binfmt.Reader) profile.Profile {
+	n := r.Count(17) // 16B point + ≥1B freq
+	if n == 0 {
+		return nil
+	}
+	tops := make(profile.Profile, 0, n)
+	for i := 0; i < n; i++ {
+		loc := r.Point()
+		freq := r.Int()
+		tops = append(tops, profile.LocationFreq{Loc: loc, Freq: freq})
+	}
+	return tops
+}
+
+// finish wraps a reader failure, or bytes left unread, in
+// ErrCorruptRecord.
+func finish(r *binfmt.Reader) error {
+	if err := r.Finish(); err != nil {
+		return fmt.Errorf("%w: %v", ErrCorruptRecord, err)
+	}
+	return nil
+}
+
 func encodeReport(b []byte, userID string, pos geo.Point, at time.Time) []byte {
 	b = append(b, recReport)
-	b = appendStr(b, userID)
-	b = appendPoint(b, pos)
-	return appendTime(b, at)
+	b = binfmt.AppendString(b, userID)
+	b = binfmt.AppendPoint(b, pos)
+	return binfmt.AppendTime(b, at)
 }
 
 func encodeBatchRun(b []byte, userID string, items []BatchReport, idx []int) []byte {
 	b = append(b, recBatch)
-	b = appendStr(b, userID)
+	b = binfmt.AppendString(b, userID)
 	n := len(idx)
 	if idx == nil {
 		n = len(items)
 	}
-	b = binary.AppendUvarint(b, uint64(n))
+	b = binfmt.AppendUvarint(b, uint64(n))
 	for i := 0; i < n; i++ {
 		j := i
 		if idx != nil {
 			j = idx[i]
 		}
-		b = appendPoint(b, items[j].Pos)
-		b = appendTime(b, items[j].At)
+		b = binfmt.AppendPoint(b, items[j].Pos)
+		b = binfmt.AppendTime(b, items[j].At)
 	}
 	return b
 }
 
 func encodeRebuild(b []byte, userID string, now time.Time) []byte {
 	b = append(b, recRebuild)
-	b = appendStr(b, userID)
-	return appendTime(b, now)
+	b = binfmt.AppendString(b, userID)
+	return binfmt.AppendTime(b, now)
 }
 
 func encodeTops(b []byte, tag byte, userID string, tops profile.Profile, now time.Time) []byte {
 	b = append(b, tag)
-	b = appendStr(b, userID)
-	b = appendTime(b, now)
+	b = binfmt.AppendString(b, userID)
+	b = binfmt.AppendTime(b, now)
 	return appendTops(b, tops)
 }
 
-func encodeImport(b []byte, userID string, entries []TableEntry) []byte {
+func encodeImport(b []byte, userID string, suffix []byte) []byte {
 	b = append(b, recImport)
-	b = appendStr(b, userID)
-	b = binary.AppendUvarint(b, uint64(len(entries)))
-	for _, entry := range entries {
-		b = appendPoint(b, entry.Top)
-		b = appendTime(b, entry.CreatedAt)
-		b = binary.AppendUvarint(b, uint64(len(entry.Candidates)))
-		for _, c := range entry.Candidates {
-			b = appendPoint(b, c)
-		}
-	}
-	return b
+	b = binfmt.AppendString(b, userID)
+	return append(b, suffix...)
 }
 
 func encodeRequest(b []byte, userID string, truePos geo.Point) []byte {
 	b = append(b, recRequest)
-	b = appendStr(b, userID)
-	return appendPoint(b, truePos)
-}
-
-// recReader decodes a record payload with a sticky error.
-type recReader struct {
-	b   []byte
-	err error
-}
-
-func (r *recReader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s", ErrCorruptRecord, what)
-	}
-}
-
-func (r *recReader) uvarint(what string) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail(what)
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *recReader) varint(what string) int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.fail(what)
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *recReader) str(what string) string {
-	n := r.uvarint(what)
-	if r.err != nil {
-		return ""
-	}
-	if uint64(len(r.b)) < n {
-		r.fail(what)
-		return ""
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
-}
-
-func (r *recReader) f64(what string) float64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 8 {
-		r.fail(what)
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *recReader) point(what string) geo.Point {
-	return geo.Point{X: r.f64(what), Y: r.f64(what)}
-}
-
-func (r *recReader) time(what string) time.Time {
-	if r.err != nil {
-		return time.Time{}
-	}
-	if len(r.b) < 1 {
-		r.fail(what)
-		return time.Time{}
-	}
-	flag := r.b[0]
-	r.b = r.b[1:]
-	if flag == 0 {
-		return time.Time{}
-	}
-	sec := r.varint(what)
-	nsec := r.varint(what)
-	// UTC for the same reason the wire codec normalizes on decode: a
-	// replayed or faulted-in instant must read back identically to the
-	// live one regardless of host zone.
-	return time.Unix(sec, nsec).UTC()
-}
-
-func (r *recReader) count(what string, itemFloor int) int {
-	n := r.uvarint(what)
-	if r.err != nil {
-		return 0
-	}
-	// A corrupt count must not trigger a huge allocation: every item
-	// occupies at least itemFloor bytes of the remaining payload.
-	if itemFloor > 0 && n > uint64(len(r.b)/itemFloor) {
-		r.fail(what + " count")
-		return 0
-	}
-	return int(n)
-}
-
-func (r *recReader) done(what string) error {
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after %s", ErrCorruptRecord, len(r.b), what)
-	}
-	return nil
+	b = binfmt.AppendString(b, userID)
+	return binfmt.AppendPoint(b, truePos)
 }
 
 // ApplyRecord replays one logical record through the normal engine
@@ -347,26 +221,25 @@ func (e *Engine) ApplyRecord(rec []byte) error {
 	if len(rec) == 0 {
 		return fmt.Errorf("%w: empty", ErrCorruptRecord)
 	}
-	r := &recReader{b: rec[1:]}
+	r := binfmt.NewReader(rec[1:])
+	user := r.Str()
 	switch tag := rec[0]; tag {
 	case recReport:
-		user := r.str("report user")
-		pos := r.point("report pos")
-		at := r.time("report time")
-		if err := r.done("report"); err != nil {
+		pos := r.Point()
+		at := r.Time()
+		if err := finish(&r); err != nil {
 			return err
 		}
 		return e.Report(user, pos, at)
 	case recBatch:
-		user := r.str("batch user")
-		n := r.count("batch", 17) // point is 16 bytes, time ≥ 1
+		n := r.Count(17) // point is 16 bytes, time ≥ 1
 		items := make([]BatchReport, 0, n)
 		for i := 0; i < n; i++ {
-			pos := r.point("batch pos")
-			at := r.time("batch time")
+			pos := r.Point()
+			at := r.Time()
 			items = append(items, BatchReport{UserID: user, Pos: pos, At: at})
 		}
-		if err := r.done("batch"); err != nil {
+		if err := finish(&r); err != nil {
 			return err
 		}
 		if errs := e.ReportBatch(items); len(errs) > 0 {
@@ -374,23 +247,15 @@ func (e *Engine) ApplyRecord(rec []byte) error {
 		}
 		return nil
 	case recRebuild:
-		user := r.str("rebuild user")
-		now := r.time("rebuild time")
-		if err := r.done("rebuild"); err != nil {
+		now := r.Time()
+		if err := finish(&r); err != nil {
 			return err
 		}
 		return e.RebuildProfile(user, now)
 	case recInstallTops, recSyncTops:
-		user := r.str("tops user")
-		now := r.time("tops time")
-		n := r.count("tops", 17)
-		tops := make(profile.Profile, 0, n)
-		for i := 0; i < n; i++ {
-			loc := r.point("top loc")
-			freq := r.varint("top freq")
-			tops = append(tops, profile.LocationFreq{Loc: loc, Freq: int(freq)})
-		}
-		if err := r.done("tops"); err != nil {
+		now := r.Time()
+		tops := readTops(&r)
+		if err := finish(&r); err != nil {
 			return err
 		}
 		if tag == recInstallTops {
@@ -398,28 +263,14 @@ func (e *Engine) ApplyRecord(rec []byte) error {
 		}
 		return e.SyncTops(user, tops, now)
 	case recImport:
-		user := r.str("import user")
-		n := r.count("import entries", 18) // top 16, time ≥ 1, count ≥ 1
-		entries := make([]TableEntry, 0, n)
-		for i := 0; i < n; i++ {
-			var entry TableEntry
-			entry.Top = r.point("import top")
-			entry.CreatedAt = r.time("import time")
-			m := r.count("import candidates", 16)
-			entry.Candidates = make([]geo.Point, 0, m)
-			for j := 0; j < m; j++ {
-				entry.Candidates = append(entry.Candidates, r.point("import candidate"))
-			}
-			entries = append(entries, entry)
-		}
-		if err := r.done("import"); err != nil {
+		suffix := r.Rest()
+		if err := finish(&r); err != nil {
 			return err
 		}
-		return e.ImportTable(user, entries)
+		return e.ImportTable(user, suffix)
 	case recRequest:
-		user := r.str("request user")
-		pos := r.point("request pos")
-		if err := r.done("request"); err != nil {
+		pos := r.Point()
+		if err := finish(&r); err != nil {
 			return err
 		}
 		_, _, err := e.Request(user, pos)

@@ -107,7 +107,7 @@ func driveWorkload(t *testing.T, e *Engine, batch int) {
 				Candidates: []geo.Point{{X: 6100, Y: 6050}, {X: 5950, Y: 6010}},
 				CreatedAt:  at(),
 			}}
-			if err := e.ImportTable(users[0], entries); err != nil {
+			if err := e.ImportTable(users[0], PackTable(entries).AppendSuffix(nil, 0)); err != nil {
 				t.Fatalf("ImportTable: %v", err)
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/binfmt"
 	"repro/internal/geo"
 	"repro/internal/geoind"
 	"repro/internal/par"
@@ -1040,13 +1041,22 @@ func (e *Engine) installTops(userID string, tops profile.Profile, now time.Time,
 	return opErr
 }
 
-// ImportTable replicates externally generated obfuscation-table entries
-// for the user. Multi-edge deployments use it so every edge answers a
-// given top location from the SAME permanent candidate set — if each
-// edge obfuscated independently, the union of their outputs would leak
-// beyond the (r, ε, δ, n) guarantee. Entries for already-known top
-// locations are ignored (first writer wins, matching table semantics).
-func (e *Engine) ImportTable(userID string, entries []TableEntry) error {
+// ImportTable replicates a packed table suffix (packed.go): entries
+// another edge generated for the user. Multi-edge deployments use it so
+// every edge answers a given top location from the SAME permanent
+// candidate set — if each edge obfuscated independently, the union of
+// their outputs would leak beyond the (r, ε, δ, n) guarantee. Entries
+// for already-known top locations are ignored (first writer wins,
+// matching table semantics). A suffix that does not decode wraps
+// ErrCorruptRecord and imports nothing. The durability record stores
+// the suffix verbatim.
+func (e *Engine) ImportTable(userID string, suffix []byte) error {
+	var in ObfuscationTable
+	r := binfmt.NewReader(suffix)
+	in.loadPacked(&r)
+	if err := finish(&r); err != nil {
+		return fmt.Errorf("core: importing table for %q: %w", userID, err)
+	}
 	h := e.durBegin()
 	defer e.durEnd(h)
 	u, err := e.lockUser(userID, true)
@@ -1054,11 +1064,11 @@ func (e *Engine) ImportTable(userID string, entries []TableEntry) error {
 		return err
 	}
 	defer u.mu.Unlock()
-	for _, entry := range entries {
-		e.noteInsert(u.table.Insert(entry.Top, entry.Candidates, entry.CreatedAt))
+	for i := range in.tops {
+		e.noteInsert(u.table.Insert(in.tops[i], in.candsLocked(i), nanosToTime(in.createdNs[i])))
 	}
 	if h != nil {
-		return h.emit(context.Background(), func(b []byte) []byte { return encodeImport(b, userID, entries) })
+		return h.emit(context.Background(), func(b []byte) []byte { return encodeImport(b, userID, suffix) })
 	}
 	return nil
 }

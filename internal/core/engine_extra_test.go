@@ -2,9 +2,11 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
+	"repro/internal/binfmt"
 	"repro/internal/geo"
 	"repro/internal/geoind"
 	"repro/internal/profile"
@@ -132,7 +134,7 @@ func TestImportTableDirect(t *testing.T) {
 	entries := []TableEntry{
 		{Top: geo.Point{X: 1, Y: 1}, Candidates: []geo.Point{{X: 500, Y: 500}}, CreatedAt: time.Now()},
 	}
-	if err := e.ImportTable("imported", entries); err != nil {
+	if err := e.ImportTable("imported", PackTable(entries).AppendSuffix(nil, 0)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := e.Table("imported")
@@ -154,7 +156,7 @@ func TestImportTableDirect(t *testing.T) {
 	dup := []TableEntry{
 		{Top: geo.Point{X: 2, Y: 2}, Candidates: []geo.Point{{X: 999, Y: 999}}, CreatedAt: time.Now()},
 	}
-	if err := e.ImportTable("imported", dup); err != nil {
+	if err := e.ImportTable("imported", PackTable(dup).AppendSuffix(nil, 0)); err != nil {
 		t.Fatal(err)
 	}
 	got, err = e.Table("imported")
@@ -163,6 +165,35 @@ func TestImportTableDirect(t *testing.T) {
 	}
 	if len(got) != 1 {
 		t.Errorf("overlapping import created a second entry: %+v", got)
+	}
+}
+
+// TestImportTableRejectsWrappedCandidateCount feeds a suffix whose
+// candidate counts sum past 2^64 back to the arena it carries: entry 0
+// claims 3 candidates, entry 1 claims 2^64-1, and the arena holds the
+// wrapped total of 2 points. The import must fail whole, as a corrupt
+// record, not index entry 0's candidates past the arena.
+func TestImportTableRejectsWrappedCandidateCount(t *testing.T) {
+	e, err := NewEngine(testConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	suffix := binfmt.AppendUvarint(nil, 2)
+	for i, cn := range []uint64{3, math.MaxUint64} {
+		suffix = binfmt.AppendPoint(suffix, geo.Point{X: float64(i) * 5000})
+		suffix = binfmt.AppendUint64(suffix, 0)
+		suffix = binfmt.AppendUvarint(suffix, cn)
+	}
+	suffix = binfmt.AppendPoint(suffix, geo.Point{X: 1, Y: 1})
+	suffix = binfmt.AppendPoint(suffix, geo.Point{X: 2, Y: 2})
+	if err := e.ImportTable("u", suffix); !errors.Is(err, ErrCorruptRecord) {
+		t.Fatalf("ImportTable = %v, want ErrCorruptRecord", err)
+	}
+	if err := e.ApplyRecord(encodeImport(nil, "u", suffix)); !errors.Is(err, ErrCorruptRecord) {
+		t.Fatalf("ApplyRecord = %v, want ErrCorruptRecord", err)
+	}
+	if n, _, err := e.TableState("u"); err != nil || n != 0 {
+		t.Fatalf("TableState after the rejected imports = %d, %v; want an empty table", n, err)
 	}
 }
 

@@ -56,7 +56,7 @@ func TestTableFingerprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := b.ImportTable("u", entries); err != nil {
+		if err := b.ImportTable("u", PackTable(entries).AppendSuffix(nil, 0)); err != nil {
 			t.Fatal(err)
 		}
 		got, err := b.TableFingerprint("u")

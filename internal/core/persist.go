@@ -2,12 +2,11 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"slices"
 
-	"repro/internal/wal"
+	"repro/internal/binfmt"
 )
 
 // The permanence of the obfuscation table is load-bearing for privacy:
@@ -17,13 +16,13 @@ import (
 // describes. Snapshot/Restore make the table (and the rest of the
 // per-user state) durable across restarts; checkpoints carry them.
 //
-// A snapshot is a stream of checksummed frames in the wire codec's raw
-// framing (wal.AppendFrame). The first frame is the header: the format
-// tag, the version and the user count. One frame per user follows, in
-// Users() order; its payload is the uvarint-length user ID followed by
-// the user frame (encodeUserFrame), the same bytes the spill tier
-// stores. So a spilled user is copied into the stream as stored, never
-// decoded.
+// A snapshot is a stream of binfmt frames, the layout WAL records,
+// spill frames and wire messages share. The first frame is the header:
+// the format tag, the version and the user count. One frame per user
+// follows, in Users() order; its payload is the uvarint-length user ID
+// followed by the user frame (encodeUserFrame), the same bytes the
+// spill tier stores. So a spilled user is copied into the stream as
+// stored, never decoded.
 
 const (
 	snapshotFormat  = "edge-privlocad-frames"
@@ -33,13 +32,13 @@ const (
 	// one-byte fields of an empty user frame. Restore rejects a header
 	// count the rest of the stream cannot hold before sizing anything by
 	// it.
-	minUserRecord = wal.FrameOverhead + 2 + 7
+	minUserRecord = binfmt.HeaderSize + 2 + 7
 )
 
 func appendSnapshotHeader(b []byte, users uint64) []byte {
-	b = appendStr(b, snapshotFormat)
-	b = binary.AppendUvarint(b, snapshotVersion)
-	return binary.AppendUvarint(b, users)
+	b = binfmt.AppendString(b, snapshotFormat)
+	b = binfmt.AppendUvarint(b, snapshotVersion)
+	return binfmt.AppendUvarint(b, users)
 }
 
 // Snapshot writes all per-user state as a frame stream (see above),
@@ -65,15 +64,16 @@ func (e *Engine) Snapshot(w io.Writer) error {
 func (e *Engine) appendSnapshot(b []byte) ([]byte, error) {
 	ids := e.Users()
 	b = slices.Grow(b, e.snapshotLen(len(ids)))
-	b = wal.AppendFrame(b, appendSnapshotHeader(nil, uint64(len(ids))))
-	var rec, scratch []byte
+	b = binfmt.AppendFrame(b, appendSnapshotHeader(nil, uint64(len(ids))))
+	var scratch []byte
 	for _, id := range ids {
+		var start int
 		var err error
-		rec, scratch, err = e.appendUserRecord(rec[:0], scratch, id)
-		if err != nil {
+		b, start = binfmt.BeginFrame(b)
+		if b, scratch, err = e.appendUserRecord(b, scratch, id); err != nil {
 			return nil, fmt.Errorf("core: snapshotting %q: %w", id, err)
 		}
-		b = wal.AppendFrame(b, rec)
+		b = binfmt.EndFrame(b, start)
 	}
 	return b, nil
 }
@@ -85,7 +85,7 @@ func (e *Engine) appendSnapshot(b []byte) ([]byte, error) {
 // changes between this walk and appendSnapshot's makes it inexact, not
 // wrong.
 func (e *Engine) snapshotLen(n int) int {
-	size := wal.FrameOverhead + len(appendSnapshotHeader(nil, uint64(n)))
+	size := binfmt.HeaderSize + len(appendSnapshotHeader(nil, uint64(n)))
 	var frame []byte
 	for i := range e.shards {
 		s := &e.shards[i]
@@ -94,7 +94,7 @@ func (e *Engine) snapshotLen(n int) int {
 			u.mu.Lock()
 			frame, _ = encodeUserFrame(frame[:0], u)
 			u.mu.Unlock()
-			size += wal.FrameOverhead + strLen(id) + len(frame)
+			size += binfmt.HeaderSize + strLen(id) + len(frame)
 		}
 		for id := range s.spilled {
 			size += strLen(id)
@@ -107,10 +107,10 @@ func (e *Engine) snapshotLen(n int) int {
 	return size
 }
 
-// strLen is len(appendStr(nil, s)).
+// strLen is len(binfmt.AppendString(nil, s)).
 func strLen(s string) int {
-	var buf [binary.MaxVarintLen64]byte
-	return binary.PutUvarint(buf[:], uint64(len(s))) + len(s)
+	var buf [10]byte
+	return len(binfmt.AppendUvarint(buf[:0], uint64(len(s)))) + len(s)
 }
 
 // appendUserRecord appends id's record payload to rec: the ID, then its
@@ -121,7 +121,7 @@ func strLen(s string) int {
 // re-resolved until it answers consistently, so a user evicted or
 // faulted in between the ID walk and this read is captured exactly once.
 func (e *Engine) appendUserRecord(rec, scratch []byte, id string) ([]byte, []byte, error) {
-	rec = appendStr(rec, id)
+	rec = binfmt.AppendString(rec, id)
 	s, _ := e.shardFor(id)
 	for {
 		s.mu.RLock()
@@ -171,17 +171,17 @@ func (e *Engine) Restore(r io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("core: reading snapshot: %w", err)
 	}
-	header, rest, err := wal.SplitFrame(data)
+	header, rest, err := binfmt.SplitFrame(data)
 	if err != nil {
 		return fmt.Errorf("core: reading %s snapshot header: %w", snapshotFormat, err)
 	}
-	hr := &recReader{b: header}
-	format := hr.str("snapshot format")
-	version := hr.uvarint("snapshot version")
-	users := hr.uvarint("snapshot user count")
+	hr := binfmt.NewReader(header)
+	format := hr.Str()
+	version := hr.Uvarint()
+	users := hr.Uvarint()
 	switch {
-	case hr.err != nil:
-		return fmt.Errorf("core: snapshot header: %w", hr.err)
+	case hr.Err() != nil:
+		return fmt.Errorf("core: snapshot header: %w: %v", ErrCorruptRecord, hr.Err())
 	case format != snapshotFormat:
 		return fmt.Errorf("core: snapshot format %q, want %q", format, snapshotFormat)
 	case version != snapshotVersion:
@@ -201,14 +201,15 @@ func (e *Engine) Restore(r io.Reader) error {
 	var canon []byte
 	for len(rest) > 0 {
 		var payload []byte
-		if payload, rest, err = wal.SplitFrame(rest); err != nil {
+		if payload, rest, err = binfmt.SplitFrame(rest); err != nil {
 			return fmt.Errorf("core: snapshot user %d: %w", len(staged), err)
 		}
-		ur := &recReader{b: payload}
-		id := ur.str("snapshot user id")
-		if ur.err != nil {
-			return fmt.Errorf("core: snapshot user %d: %w", len(staged), ur.err)
+		ur := binfmt.NewReader(payload)
+		id := ur.Str()
+		if ur.Err() != nil {
+			return fmt.Errorf("core: snapshot user %d: %w: %v", len(staged), ErrCorruptRecord, ur.Err())
 		}
+		frame := ur.Rest()
 		if id == "" {
 			return fmt.Errorf("core: snapshot user %d has empty id", len(staged))
 		}
@@ -220,14 +221,14 @@ func (e *Engine) Restore(r io.Reader) error {
 				return fmt.Errorf("core: snapshot user %q follows %q, out of order", id, prev)
 			}
 		}
-		u, err := e.decodeUserFrame(ur.b)
+		u, err := e.decodeUserFrame(frame)
 		if err != nil {
 			return fmt.Errorf("core: restoring %q: %w", id, err)
 		}
 		if canon, err = encodeUserFrame(canon[:0], u); err != nil {
 			return fmt.Errorf("core: restoring %q: %w", id, err)
 		}
-		if !bytes.Equal(canon, ur.b) {
+		if !bytes.Equal(canon, frame) {
 			return fmt.Errorf("core: restoring %q: %w: non-canonical user frame", id, ErrCorruptRecord)
 		}
 		// Aggregate counts are tallied locally and only applied at

@@ -2,14 +2,13 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/binfmt"
 	"repro/internal/geo"
-	"repro/internal/wal"
 )
 
 // TestSnapshotRestoreRoundTrip is the critical privacy property: after a
@@ -181,14 +180,14 @@ func TestSnapshotRestorePendingWindow(t *testing.T) {
 
 // snapshotHeaderFrame frames a snapshot header with the given fields.
 func snapshotHeaderFrame(format string, version, users uint64) []byte {
-	b := appendStr(nil, format)
-	b = binary.AppendUvarint(b, version)
-	return wal.AppendFrame(nil, binary.AppendUvarint(b, users))
+	b := binfmt.AppendString(nil, format)
+	b = binfmt.AppendUvarint(b, version)
+	return binfmt.AppendFrame(nil, binfmt.AppendUvarint(b, users))
 }
 
 // userRecord frames one snapshot user record: the ID, then a user frame.
 func userRecord(id string, frame []byte) []byte {
-	return wal.AppendFrame(nil, append(appendStr(nil, id), frame...))
+	return binfmt.AppendFrame(nil, append(binfmt.AppendString(nil, id), frame...))
 }
 
 // snapshotRecords splits a snapshot stream into its frames, header first.
@@ -196,7 +195,7 @@ func snapshotRecords(t *testing.T, data []byte) [][]byte {
 	t.Helper()
 	var recs [][]byte
 	for len(data) > 0 {
-		_, rest, err := wal.SplitFrame(data)
+		_, rest, err := binfmt.SplitFrame(data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,11 +215,11 @@ func TestRestoreErrors(t *testing.T) {
 	valid := snapshotBytes(t, src)
 	recs := snapshotRecords(t, valid)
 	alice := recs[1]
-	payload, _, err := wal.SplitFrame(alice)
+	payload, _, err := binfmt.SplitFrame(alice)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aliceFrame := payload[len(appendStr(nil, "alice")):]
+	aliceFrame := payload[len(binfmt.AppendString(nil, "alice")):]
 	header := func(users uint64) []byte { return snapshotHeaderFrame(snapshotFormat, snapshotVersion, users) }
 	flippedCRC := bytes.Clone(valid)
 	flippedCRC[len(recs[0])+4] ^= 0xFF

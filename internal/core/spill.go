@@ -1,14 +1,11 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"path/filepath"
 	"time"
 
-	"repro/internal/geo"
-	"repro/internal/profile"
+	"repro/internal/binfmt"
 	"repro/internal/randx"
 	"repro/internal/trace"
 	"repro/internal/wal"
@@ -22,9 +19,9 @@ import (
 // recently-touched users resident: state beyond Config.MaxResidentUsers,
 // picked by a per-shard CLOCK sweep (an O(1) approximation of least
 // recently touched), is serialized into a compact binary user frame —
-// table (already packed, see table.go), top set, pending window, window
-// start, and the exact PCG PRNG position via randx.Rand.MarshalState —
-// and appended to a per-shard spill file. The next Report/Request/merge
+// table (in the packed layout, see packed.go), top set, pending window,
+// window start, and the exact PCG PRNG position via
+// randx.Rand.MarshalState — and appended to a per-shard spill file. The next Report/Request/merge
 // touch faults the user back in. The same frame is a user's record in a
 // snapshot (persist.go), so a checkpoint copies spilled users as stored.
 //
@@ -51,21 +48,16 @@ func encodeUserFrame(b []byte, u *userState) ([]byte, error) {
 		return nil, fmt.Errorf("capturing PRNG state: %w", err)
 	}
 	b = append(b, userFrameVersion)
-	b = binary.AppendUvarint(b, uint64(len(st)))
-	b = append(b, st...)
-	if u.hasProfile {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	b = appendTime(b, u.windowStart)
-	b = binary.AppendUvarint(b, uint64(len(u.pending)))
+	b = binfmt.AppendString(b, st)
+	b = binfmt.AppendBool(b, u.hasProfile)
+	b = binfmt.AppendTime(b, u.windowStart)
+	b = binfmt.AppendUvarint(b, uint64(len(u.pending)))
 	for _, c := range u.pending {
-		b = appendPoint(b, c.Pos)
-		b = appendTime(b, c.Time)
+		b = binfmt.AppendPoint(b, c.Pos)
+		b = binfmt.AppendTime(b, c.Time)
 	}
 	b = appendTops(b, u.tops)
-	return u.table.appendSpill(b), nil
+	return u.table.appendPacked(b), nil
 }
 
 // decodeUserFrame rebuilds a userState from encodeUserFrame output.
@@ -76,41 +68,31 @@ func (e *Engine) decodeUserFrame(payload []byte) (*userState, error) {
 	if payload[0] != userFrameVersion {
 		return nil, fmt.Errorf("%w: user frame version %d", ErrCorruptRecord, payload[0])
 	}
-	r := &recReader{b: payload[1:]}
-	st := r.bytes("user rnd state")
-	hasProfile := r.bytes1("user has-profile") == 1
-	windowStart := r.time("user window start")
-	np := r.count("user pending", 17) // 16B point + ≥1B time
-	pending := make([]trace.CheckIn, 0, np)
-	for i := 0; i < np; i++ {
-		pos := r.point("user pending pos")
-		at := r.time("user pending time")
-		pending = append(pending, trace.CheckIn{Pos: pos, Time: at})
-	}
-	nt := r.count("user tops", 17) // 16B point + ≥1B freq
-	var tops profile.Profile
-	if nt > 0 {
-		tops = make(profile.Profile, 0, nt)
-		for i := 0; i < nt; i++ {
-			loc := r.point("user top loc")
-			freq := r.varint("user top freq")
-			tops = append(tops, profile.LocationFreq{Loc: loc, Freq: int(freq)})
+	r := binfmt.NewReader(payload[1:])
+	st := r.Bytes()
+	hasProfile := r.Bool()
+	windowStart := r.Time()
+	var pending []trace.CheckIn
+	if np := r.Count(17); np > 0 { // 16B point + ≥1B time
+		pending = make([]trace.CheckIn, 0, np)
+		for i := 0; i < np; i++ {
+			pos := r.Point()
+			at := r.Time()
+			pending = append(pending, trace.CheckIn{Pos: pos, Time: at})
 		}
 	}
+	tops := readTops(&r)
 	table, err := NewObfuscationTable(e.cfg.ConnectivityThreshold)
 	if err != nil {
 		return nil, fmt.Errorf("core: user frame table: %w", err)
 	}
-	table.loadSpill(r)
-	if err := r.done("user frame"); err != nil {
+	table.loadPacked(&r)
+	if err := finish(&r); err != nil {
 		return nil, err
 	}
 	rnd, err := randx.NewFromState(st)
 	if err != nil {
 		return nil, fmt.Errorf("core: user frame PRNG state: %w", err)
-	}
-	if np == 0 {
-		pending = nil
 	}
 	return &userState{
 		rnd:         rnd,
@@ -120,102 +102,6 @@ func (e *Engine) decodeUserFrame(payload []byte) (*userState, error) {
 		hasProfile:  hasProfile,
 		table:       table,
 	}, nil
-}
-
-// bytes reads a uvarint-length-prefixed byte string.
-func (r *recReader) bytes(what string) []byte {
-	n := r.uvarint(what)
-	if r.err != nil {
-		return nil
-	}
-	if uint64(len(r.b)) < n {
-		r.fail(what)
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, r.b[:n])
-	r.b = r.b[n:]
-	return out
-}
-
-// bytes1 reads a single byte.
-func (r *recReader) bytes1(what string) byte {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 1 {
-		r.fail(what)
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-// i64le reads a fixed 8-byte little-endian int64.
-func (r *recReader) i64le(what string) int64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 8 {
-		r.fail(what)
-		return 0
-	}
-	v := int64(binary.LittleEndian.Uint64(r.b))
-	r.b = r.b[8:]
-	return v
-}
-
-// appendSpill serializes the packed table: an entry-header section
-// (top, created-nanos, candidate count), then the candidate arena
-// verbatim. The layout is a direct dump of the flat representation —
-// fault-in is array reconstruction, not per-entry re-insertion.
-func (t *ObfuscationTable) appendSpill(b []byte) []byte {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	b = binary.AppendUvarint(b, uint64(len(t.tops)))
-	for i := range t.tops {
-		b = appendPoint(b, t.tops[i])
-		b = binary.LittleEndian.AppendUint64(b, uint64(t.createdNs[i]))
-		b = binary.AppendUvarint(b, uint64(len(t.candsLocked(i))))
-	}
-	for _, p := range t.arena {
-		b = appendPoint(b, p)
-	}
-	return b
-}
-
-// loadSpill fills an empty table from appendSpill output. The spatial
-// index stays unbuilt: a faulted-in table is cold by definition and
-// rebuilds its index on demand (see Lookup).
-func (t *ObfuscationTable) loadSpill(r *recReader) {
-	n := r.count("spill table entries", 25) // 16B top + 8B nanos + ≥1B count
-	if n == 0 {
-		return
-	}
-	t.tops = make([]geo.Point, 0, n)
-	t.createdNs = make([]int64, 0, n)
-	t.offs = make([]uint32, 0, n)
-	var total uint64
-	for i := 0; i < n; i++ {
-		t.tops = append(t.tops, r.point("spill table top"))
-		t.createdNs = append(t.createdNs, r.i64le("spill table created"))
-		cn := r.uvarint("spill table cand count")
-		if total+cn > uint64(math.MaxUint32) {
-			r.fail("spill table arena size")
-			return
-		}
-		t.offs = append(t.offs, uint32(total))
-		total += cn
-	}
-	if r.err != nil || total > uint64(len(r.b))/16 {
-		r.fail("spill table arena")
-		return
-	}
-	t.arena = make([]geo.Point, 0, total)
-	for j := uint64(0); j < total; j++ {
-		t.arena = append(t.arena, r.point("spill table candidate"))
-	}
 }
 
 // ensureSpillLocked opens the shard's spill file on first use. The

@@ -2,15 +2,21 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/binfmt"
 	"repro/internal/geo"
 	"repro/internal/randx"
 	"repro/internal/wal"
 )
+
+// raceEnabled is set under the race detector (race_test.go).
+var raceEnabled bool
 
 // tieredConfig returns testConfig with the cold tier enabled at the
 // given resident cap (0 = unbounded, eviction only via EvictIdle).
@@ -555,6 +561,104 @@ func TestRecoverWithSpilledUsers(t *testing.T) {
 		if gotFPs[id] != fp {
 			t.Errorf("user %s: fingerprint %016x, want %016x", id, gotFPs[id], fp)
 		}
+	}
+}
+
+// TestUserFrameAboveReadBound holds one user whose frame passes the 16
+// MiB bound a streamed WAL record may claim: 760,000 pending check-ins
+// of about 23 encoded bytes each, all inside one profile window, which
+// nothing caps. The checkpoint holding that frame must restore, and the
+// spilled frame must fault back in. The test keeps its heap near what
+// is live (a low GC percent, digests instead of snapshots, one engine at
+// a time), since each copy of the user is tens of megabytes; the race
+// detector's shadow memory would still triple it, for one goroutine.
+func TestUserFrameAboveReadBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("single-goroutine test whose heap the race detector triples")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(20))
+	dir := t.TempDir()
+	digest := func(e *Engine) [sha256.Size]byte {
+		h := sha256.New()
+		if err := e.Snapshot(h); err != nil {
+			t.Fatalf("Snapshot: %v", err)
+		}
+		return [sha256.Size]byte(h.Sum(nil))
+	}
+	want, lsn := func() ([sha256.Size]byte, uint64) {
+		e, err := NewEngine(tieredConfig(t, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		st, err := wal.Open(dir, wal.Options{Policy: wal.SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Recover(st); err != nil {
+			t.Fatal(err)
+		}
+		const n, batch = 760_000, 50_000
+		base := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
+		items := make([]BatchReport, 0, batch)
+		for i := 0; i < n; i++ {
+			at := base.Add(time.Duration(i) * 10 * time.Second)
+			items = append(items, BatchReport{UserID: "big", Pos: geo.Point{X: float64(i % 1000), Y: float64(i / 1000)}, At: at})
+			if len(items) == batch || i == n-1 {
+				if errs := e.ReportBatch(items); len(errs) != 0 {
+					t.Fatalf("ReportBatch: %v", errs[0].Err)
+				}
+				items = items[:0]
+			}
+		}
+		lsn, data, err := e.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The snapshot is a small header frame and the user's record, so
+		// a snapshot past the bound holds a user frame past it.
+		if len(data) <= binfmt.MaxPayload+binfmt.HeaderSize+64 {
+			t.Fatalf("checkpoint of %d bytes holds no user frame past %d bytes", len(data), binfmt.MaxPayload)
+		}
+		if err := st.WriteCheckpoint(lsn, data); err != nil {
+			t.Fatal(err)
+		}
+		data = nil
+		if _, err := e.EvictIdle(0); err != nil {
+			t.Fatal(err)
+		}
+		before := e.TierStats()
+		if before.Spilled != 1 {
+			t.Fatalf("after EvictIdle: %+v, want the user spilled", before)
+		}
+		if err := e.Report("big", geo.Point{X: 1, Y: 1}, base.Add(n*10*time.Second)); err != nil {
+			t.Fatalf("fault-in: %v", err)
+		}
+		if after := e.TierStats(); after.FaultIns != before.FaultIns+1 {
+			t.Fatalf("report on the spilled user: %+v, then %+v; want one fault-in", before, after)
+		}
+		return digest(e), lsn
+	}()
+
+	st, err := wal.Open(dir, wal.Options{Policy: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	e, err := NewEngine(tieredConfig(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	stats, err := e.Recover(st)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if stats.CheckpointLSN != lsn || stats.Replayed != 1 {
+		t.Errorf("stats = %+v, want checkpoint %d + 1 replayed", stats, lsn)
+	}
+	if digest(e) != want {
+		t.Error("recovered snapshot diverged from pre-crash state")
 	}
 }
 

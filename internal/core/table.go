@@ -41,10 +41,10 @@ type TableEntry struct {
 // parallel flat slices. At a million resident users this is the
 // difference between three slice headers plus a map-backed spatial index
 // per user and a handful of cache-friendly arrays — and it makes the
-// evict/fault-in codec a straight array copy. Creation instants are held
-// as int64 unix-nanos and materialized as UTC time.Time values on read;
-// the zero time is kept distinct with a sentinel so "no timestamp"
-// round-trips exactly.
+// evict/fault-in codec a straight array copy (packed.go). Creation
+// instants are held as int64 unix-nanos and materialized as UTC
+// time.Time values on read; the zero time is kept distinct with a
+// sentinel so "no timestamp" round-trips exactly.
 //
 // The spatial index over tops is built lazily, only once a table has
 // enough entries that linear nearest-neighbour scans stop being cheaper
@@ -255,23 +255,25 @@ func (t *ObfuscationTable) appendLocked(top geo.Point, createdNs int64, candidat
 func (t *ObfuscationTable) State() (int, uint64) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.tops), t.extendFingerprintLocked(FingerprintSeed, 0)
+	fp := FingerprintSeed
+	for i := range t.tops {
+		fp = t.foldEntryLocked(fp, i)
+	}
+	return len(t.tops), fp
 }
 
-// extendFingerprintLocked folds entries[from:] onto fp straight from the
-// packed layout, bit-equal to ExtendFingerprint over the materialized
-// entries. The caller holds t.mu (either side).
-func (t *ObfuscationTable) extendFingerprintLocked(fp uint64, from int) uint64 {
-	for i := from; i < len(t.tops); i++ {
-		fp = fnvWord(fp, math.Float64bits(t.tops[i].X))
-		fp = fnvWord(fp, math.Float64bits(t.tops[i].Y))
-		fp = fnvWord(fp, uint64(fingerprintNanos(t.createdNs[i])))
-		cands := t.candsLocked(i)
-		fp = fnvWord(fp, uint64(len(cands)))
-		for _, c := range cands {
-			fp = fnvWord(fp, math.Float64bits(c.X))
-			fp = fnvWord(fp, math.Float64bits(c.Y))
-		}
+// foldEntryLocked folds entry i onto fp straight from the packed
+// layout, bit-equal to ExtendFingerprint over the materialized entry.
+// The caller holds t.mu (either side).
+func (t *ObfuscationTable) foldEntryLocked(fp uint64, i int) uint64 {
+	fp = fnvWord(fp, math.Float64bits(t.tops[i].X))
+	fp = fnvWord(fp, math.Float64bits(t.tops[i].Y))
+	fp = fnvWord(fp, uint64(fingerprintNanos(t.createdNs[i])))
+	cands := t.candsLocked(i)
+	fp = fnvWord(fp, uint64(len(cands)))
+	for _, c := range cands {
+		fp = fnvWord(fp, math.Float64bits(c.X))
+		fp = fnvWord(fp, math.Float64bits(c.Y))
 	}
 	return fp
 }

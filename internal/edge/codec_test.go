@@ -6,9 +6,12 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/binfmt"
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/telemetry"
@@ -283,6 +286,43 @@ func TestWireMetricsCount(t *testing.T) {
 	}
 	if got := decErrs(CodecJSON); got != 0 {
 		t.Fatalf("json decode errors = %d, want 0", got)
+	}
+}
+
+// raceEnabled is set under the race detector, whose instrumentation
+// allocates; allocation bounds are not checked there.
+var raceEnabled bool
+
+// TestHostileBatchCountAllocation: a binary batch body just under
+// MaxBatchBody whose report count claims one report per remaining byte
+// answers 400 as a binary decode error, and serving it allocates at
+// most 5× the body. With only a one-byte-per-report bound on the count,
+// the decoder sized a 56-byte ReportRequest per claimed report first.
+func TestHostileBatchCountAllocation(t *testing.T) {
+	f := newMetricsFixture(t)
+	typeByte := wire.Encode(&ReportBatchRequest{})[binfmt.HeaderSize+1]
+	claim := MaxBatchBody - binfmt.HeaderSize - 2 - 4 - 1 // version, type, a 4-byte count
+	payload := binfmt.AppendUvarint([]byte{wire.Version, typeByte}, uint64(claim)+1)
+	payload = append(payload, make([]byte, claim)...)
+	body := binfmt.AppendFrame(nil, payload)
+	if len(body) >= MaxBatchBody {
+		t.Fatalf("body of %d bytes, want just under %d", len(body), MaxBatchBody)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/report/batch", bytes.NewReader(body))
+	req.Header.Set("Content-Type", wire.ContentType)
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f.srv.Handler().ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400", rec.Code)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; !raceEnabled && n > 5*uint64(len(body)) {
+		t.Errorf("serving a %d-byte body allocated %d bytes (%.1fx)", len(body), n, float64(n)/float64(len(body)))
+	}
+	if got := f.srv.Registry().Counter("wire_decode_errors_total", "", telemetry.L("codec", "binary")).Value(); got != 1 {
+		t.Errorf("wire_decode_errors_total{codec=binary} = %d, want 1", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package edgecluster
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -382,6 +383,11 @@ func TestRestartNodeSkipsLocallyHeldRounds(t *testing.T) {
 // prefix of the obfuscator's (foreign entries, e.g. a corrupt or
 // misattached store) fails the content proof and falls back to the full
 // snapshot instead of shipping a suffix that would silently misapply.
+// The snapshot cannot remove the foreign entry, so the replica does not
+// land on the table the delta names: the apply fails with ErrDiverged,
+// the round counts a replica error and is degraded, and the node keeps
+// its lag entry — Reconcile cannot clear it, and the node cannot
+// obfuscate a round while it stays behind.
 func TestSnapshotFallbackOnDivergence(t *testing.T) {
 	c, err := New(testClusterConfig(t, overlappingEdges()))
 	if err != nil {
@@ -401,14 +407,42 @@ func TestSnapshotFallbackOnDivergence(t *testing.T) {
 		Candidates: []geo.Point{{X: 40_001, Y: 40_002}},
 		CreatedAt:  at,
 	}}
-	if err := c.Nodes()[1].Engine.ImportTable("u", foreign); err != nil {
+	if err := c.Nodes()[1].Engine.ImportTable("u", core.PackTable(foreign).AppendSuffix(nil, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.MergeProfiles("u", at); err != nil {
+	_, stats, err := c.MergeProfilesStats("u", at)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := c.ReplStats().Fallbacks; got == 0 {
 		t.Error("diverged replica did not trigger a snapshot fallback")
+	}
+	if stats.ReplicaErrors != 1 || !stats.Degraded {
+		t.Errorf("merge stats ReplicaErrors=%d Degraded=%v, want 1 and true", stats.ReplicaErrors, stats.Degraded)
+	}
+	if got := c.NodeLag(1); got != 1 {
+		t.Errorf("diverged replica lag = %d, want 1", got)
+	}
+	fp0 := fingerprint(t, c.Nodes()[0], "u")
+	if fp := fingerprint(t, c.Nodes()[2], "u"); fp != fp0 {
+		t.Errorf("healthy replica fingerprint %016x != obfuscator %016x", fp, fp0)
+	}
+	if fp := fingerprint(t, c.Nodes()[1], "u"); fp == fp0 {
+		t.Error("diverged replica matches the obfuscator despite its foreign entry")
+	}
+	if err := c.Reconcile(); !errors.Is(err, ErrDiverged) {
+		t.Errorf("Reconcile = %v, want ErrDiverged", err)
+	}
+	if got := c.NodeLag(1); got != 1 {
+		t.Errorf("diverged replica lag after Reconcile = %d, want 1", got)
+	}
+	// With edge 0 down the diverged edge would obfuscate the next round;
+	// its catch-up fails first, so the merge fails.
+	if err := c.MarkDown(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.MergeProfiles("u", at.Add(time.Hour)); !errors.Is(err, ErrDiverged) {
+		t.Errorf("merge obfuscated by the diverged edge = %v, want ErrDiverged", err)
 	}
 }
 
@@ -573,7 +607,9 @@ func TestChaosDuringConcurrentMerges(t *testing.T) {
 // schedules and pins the delta ≡ snapshot semantics end to end: a
 // replica that converged through content-addressed deltas (including
 // downtime catch-ups) must be byte-identical to a fresh engine handed
-// the obfuscator's full table in one snapshot import.
+// the obfuscator's full table in one snapshot import. A phase may
+// revisit the previous phase's spot, so a round can add no entry and
+// ship an empty suffix, and a table can end with one entry.
 func FuzzDeltaCatchUpEquivalence(f *testing.F) {
 	for seed := uint64(0); seed < 4; seed++ {
 		f.Add(seed)
@@ -588,11 +624,14 @@ func FuzzDeltaCatchUpEquivalence(f *testing.F) {
 		rnd := randx.New(seed, 0xE07)
 		at := time.Date(2021, 5, 1, 0, 0, 0, 0, time.UTC)
 		const user = "fz"
+		var base geo.Point
 		for phase := 0; phase < 3; phase++ {
 			if rnd.IntN(2) == 0 {
 				_ = c.MarkDown(1 + rnd.IntN(2))
 			}
-			base := geo.Point{X: float64(rnd.IntN(10_000)) - 5_000, Y: float64(rnd.IntN(10_000)) - 5_000}
+			if phase == 0 || rnd.IntN(3) > 0 {
+				base = geo.Point{X: float64(rnd.IntN(10_000)) - 5_000, Y: float64(rnd.IntN(10_000)) - 5_000}
+			}
 			for i := 0; i < 12+rnd.IntN(10); i++ {
 				at = at.Add(time.Hour)
 				if _, err := c.Report(user, base.Add(rnd.GaussianPolar(10)), at); err != nil {
@@ -629,7 +668,7 @@ func FuzzDeltaCatchUpEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := fresh.ImportTable(user, entries); err != nil {
+		if err := fresh.ImportTable(user, core.PackTable(entries).AppendSuffix(nil, 0)); err != nil {
 			t.Fatal(err)
 		}
 		snapFP, err := fresh.TableFingerprint(user)

@@ -25,14 +25,16 @@
 //     and never aborts the round because one replica is unreachable.
 //   - Replication is a versioned, idempotent journal shipping
 //     content-addressed deltas: obfuscation tables are append-only, so a
-//     round records the obfuscator's table plus its fingerprint chain
-//     (core.FingerprintTable), and each replica receives only the suffix
-//     beyond the prefix it proves it holds — O(changed entries) bytes,
-//     not O(table). A replica whose content proof fails (arbitrary
-//     divergence, e.g. a corrupt store) falls back to the full snapshot,
-//     which the idempotent import still converges. A node that was down
-//     (or crashed mid-replication) catches up to a byte-identical table
-//     on recovery; a restarted node recovers its position from its own
+//     round packs the obfuscator's table once (core.PackedTable) next to
+//     its fingerprint chain, and each replica receives only the packed
+//     suffix beyond the prefix it proves it holds — O(changed entries)
+//     bytes, not O(table). The replica decodes the frame it was sent and
+//     imports those bytes. A replica whose content proof fails falls
+//     back to the full snapshot; after any import the replica must hold
+//     exactly the table the delta names, or the apply fails with
+//     ErrDiverged and the node stays behind. A node that was down (or
+//     crashed mid-replication) catches up to a byte-identical table on
+//     recovery; a restarted node recovers its position from its own
 //     durable state and replays only genuinely missed rounds.
 package edgecluster
 
@@ -63,6 +65,11 @@ var (
 	// ErrNoLiveEdge reports that every edge covering the location (or, for
 	// merges, every edge in the cluster) is marked down.
 	ErrNoLiveEdge = errors.New("edgecluster: no live edge available")
+	// ErrDiverged reports a replica whose table, after importing a delta,
+	// is not the table the delta names: it holds entries the obfuscator
+	// never produced. Imports never remove entries, so the node stays
+	// behind until an operator repairs its store.
+	ErrDiverged = errors.New("edgecluster: replica table diverged from the journal")
 )
 
 // Node is one edge device: its coverage centre, its engine, and its
@@ -140,13 +147,13 @@ type Cluster struct {
 	nodes []*Node
 
 	// mu guards the journal, every node's lag map, merge rounds, and the
-	// encode scratch buffer.
+	// scratch buffers.
 	mu      sync.Mutex
 	journal map[string]*mergeRound
 	version uint64
-	// encBuf is the pooled wire-encode buffer replication frames are
-	// sized with; reused across applies under mu.
-	encBuf []byte
+	// encBuf holds the wire frame of the delta being shipped and sufBuf
+	// the suffix cut for it; both are reused across applies under mu.
+	encBuf, sufBuf []byte
 	// repl accumulates replication traffic accounting across rounds.
 	repl ReplStats
 
@@ -154,22 +161,18 @@ type Cluster struct {
 }
 
 // mergeRound is one journal record: the latest merged state for a user.
-// A round records the obfuscator's FULL authoritative table next to its
-// fingerprint chain, but *ships* only deltas: the table is append-only,
-// so any replica's table is a prefix of entries, and prefix[k] — the
-// core.FingerprintTable digest of entries[:k] — lets a replica prove
-// which prefix it holds and receive entries[k:] alone. Applying the
-// latest round still brings any replica — fresh, stale, or partially
-// replicated — to the byte-identical current state; intermediate rounds
-// need never be replayed.
+// A round records the obfuscator's FULL authoritative table, packed,
+// but *ships* only deltas: the table is append-only, so any replica's
+// table is a prefix of it, and table.Fingerprint(k) — the
+// core.FingerprintTable digest of the first k entries — lets a replica
+// prove which prefix it holds and receive the suffix from k alone.
+// Applying the latest round still brings any replica — fresh, stale, or
+// partially replicated — to the byte-identical current state;
+// intermediate rounds need never be replayed.
 type mergeRound struct {
 	version uint64
 	tops    profile.Profile
-	entries []core.TableEntry
-	// prefix has len(entries)+1 values: prefix[k] is the fingerprint
-	// chain of entries[:k], so prefix[0] == core.FingerprintSeed and
-	// prefix[len(entries)] is the round's full-table digest.
-	prefix []uint64
+	table   *core.PackedTable
 	// snapshotBytes is the wire frame size a full-snapshot scheme would
 	// ship per replica for this round, computed once at journal time;
 	// replication metrics report it next to the actual delta bytes.
@@ -217,10 +220,8 @@ func (c *Cluster) Stats() core.EngineStats {
 	}
 	st := core.EngineStats{Users: len(users)}
 	for _, round := range c.journal {
-		st.ProtectedTops += len(round.entries)
-		for _, e := range round.entries {
-			st.Candidates += len(e.Candidates)
-		}
+		st.ProtectedTops += round.table.Len()
+		st.Candidates += round.table.Candidates()
 	}
 	return st
 }
@@ -459,7 +460,7 @@ func (c *Cluster) auditLocked(n *Node) error {
 	var firstErr error
 	for userID, round := range c.journal {
 		ln, fp, err := n.Engine.TableState(userID)
-		if err == nil && ln == len(round.entries) && fp == round.prefix[ln] && c.topsCurrent(n, userID, round) {
+		if err == nil && ln == round.table.Len() && fp == round.table.Fingerprint(ln) && c.topsCurrent(n, userID, round) {
 			delete(n.lag, userID)
 			continue
 		}
@@ -501,7 +502,7 @@ func (c *Cluster) resolveBaseLocked(n *Node, userID string, round *mergeRound) (
 	if err != nil {
 		return 0, false
 	}
-	if ln <= len(round.entries) && round.prefix[ln] == fp {
+	if ln <= round.table.Len() && round.table.Fingerprint(ln) == fp {
 		return ln, true
 	}
 	return 0, false
@@ -509,17 +510,19 @@ func (c *Cluster) resolveBaseLocked(n *Node, userID string, round *mergeRound) (
 
 // applyRoundLocked installs one journal round on a replica as a
 // content-addressed delta: resolve the prefix the replica proves it
-// holds, ship only the suffix beyond it (a failed proof falls back to
-// the full snapshot, which the idempotent import — existing entries win
-// — still converges), then install the merged top set so TopLocations
-// answers identically on every edge. The shipped frame is sized with
-// the real wire encoding so the replication metrics report bytes a
-// networked deployment would put on the wire. merged reports whether
-// the replica's pending check-ins were part of this round (live
-// replication consumes the collection window; a catch-up replay
-// preserves pending check-ins that never merged, so they contribute to
-// the next round). On failure the node keeps a lag entry for the round,
-// staying cleanly retryable. The caller holds c.mu.
+// holds, ship only the packed suffix beyond it (a failed proof falls
+// back to the full snapshot), then install the merged top set so
+// TopLocations answers identically on every edge. The delta goes
+// through the real wire encoding, so the replication metrics report
+// the bytes a networked deployment would put on the wire, and the
+// replica applies what it decodes from them: it imports the suffix
+// bytes and must then hold exactly the table the delta names, or the
+// apply fails with ErrDiverged. merged reports whether the replica's
+// pending check-ins were part of this round (live replication consumes
+// the collection window; a catch-up replay preserves pending check-ins
+// that never merged, so they contribute to the next round). On failure
+// the node keeps a lag entry for the round, staying cleanly retryable.
+// The caller holds c.mu.
 func (c *Cluster) applyRoundLocked(n *Node, userID string, round *mergeRound, merged bool) (err error) {
 	defer func() {
 		if err != nil {
@@ -543,36 +546,58 @@ func (c *Cluster) applyRoundLocked(n *Node, userID string, round *mergeRound, me
 			m.snapshotFallbacks.Inc()
 		}
 	}
-	delta := wire.ReplDelta{
-		UserID:  userID,
-		Version: round.version,
-		BaseLen: base,
-		BaseFP:  round.prefix[base],
-		FullFP:  round.prefix[len(round.entries)],
-		Entries: round.entries[base:],
-		Tops:    round.tops,
-		At:      round.at,
-	}
-	c.encBuf = wire.Append(c.encBuf[:0], &delta)
+	c.encodeDeltaLocked(userID, round, base)
+	shipped := round.table.Len() - base
 	c.repl.DeltaBytes += len(c.encBuf)
 	c.repl.SnapshotBytes += round.snapshotBytes
-	c.repl.Entries += len(delta.Entries)
+	c.repl.Entries += shipped
 	if m := c.met.Load(); m != nil {
 		m.replicationBytes.Add(uint64(len(c.encBuf)))
 		m.replicationSnapshotBytes.Add(uint64(round.snapshotBytes))
-		m.replicationEntries.Add(uint64(len(delta.Entries)))
+		m.replicationEntries.Add(uint64(shipped))
 	}
-	if err := n.Engine.ImportTable(userID, delta.Entries); err != nil {
+
+	// The replica's side: decode the frame and apply what it carries.
+	var delta wire.ReplDelta
+	if err := wire.Decode(c.encBuf, &delta); err != nil {
+		return fmt.Errorf("edgecluster: decoding delta at %s: %w", n.ID, err)
+	}
+	if err := n.Engine.ImportTable(userID, delta.Suffix); err != nil {
 		return fmt.Errorf("edgecluster: replicating table to %s: %w", n.ID, err)
+	}
+	ln, fp, err := n.Engine.TableState(userID)
+	if err != nil {
+		return fmt.Errorf("edgecluster: reading table state at %s: %w", n.ID, err)
+	}
+	if want := delta.BaseLen + shipped; ln != want || fp != delta.FullFP {
+		return fmt.Errorf("%w: %s holds %d entries hashing to %016x after round %d, want %d hashing to %016x",
+			ErrDiverged, n.ID, ln, fp, round.version, want, delta.FullFP)
 	}
 	install := n.Engine.SyncTops
 	if merged {
 		install = n.Engine.InstallTops
 	}
-	if err := install(userID, round.tops, round.at); err != nil {
+	if err := install(userID, delta.Tops, delta.At); err != nil {
 		return fmt.Errorf("edgecluster: installing tops at %s: %w", n.ID, err)
 	}
 	return nil
+}
+
+// encodeDeltaLocked encodes into c.encBuf the wire frame of round's
+// delta for a replica holding its first base entries; base 0 is the
+// full snapshot. The caller holds c.mu.
+func (c *Cluster) encodeDeltaLocked(userID string, round *mergeRound, base int) {
+	c.sufBuf = round.table.AppendSuffix(c.sufBuf[:0], base)
+	c.encBuf = wire.Append(c.encBuf[:0], &wire.ReplDelta{
+		UserID:  userID,
+		Version: round.version,
+		BaseLen: base,
+		BaseFP:  round.table.Fingerprint(base),
+		FullFP:  round.table.Fingerprint(round.table.Len()),
+		Suffix:  c.sufBuf,
+		Tops:    round.tops,
+		At:      round.at,
+	})
 }
 
 // route returns the covering LIVE edge nearest to pos, failing over past
@@ -870,7 +895,7 @@ func (c *Cluster) MergeProfilesStats(userID string, now time.Time) (profile.Prof
 	if err := obfuscator.Engine.InstallTops(userID, tops, now); err != nil {
 		return nil, stats, fmt.Errorf("edgecluster: installing tops at %s: %w", obfuscator.ID, err)
 	}
-	entries, err := obfuscator.Engine.Table(userID)
+	table, err := obfuscator.Engine.PackedTable(userID)
 	if err != nil {
 		return nil, stats, fmt.Errorf("edgecluster: reading table at %s: %w", obfuscator.ID, err)
 	}
@@ -878,24 +903,11 @@ func (c *Cluster) MergeProfilesStats(userID string, now time.Time) (profile.Prof
 	// Journal the round BEFORE touching replicas: from here on the merged
 	// state has one authoritative record, and any replica — including one
 	// that fails right now — converges to it by replaying the journal.
-	// The fingerprint chain computed here is the round's content address:
-	// every replica proves its prefix against it, and the byte-identity
-	// gate compares its final value.
-	round := &mergeRound{version: version, tops: tops, entries: entries, at: now}
-	round.prefix = make([]uint64, len(entries)+1)
-	round.prefix[0] = core.FingerprintSeed
-	for i := range entries {
-		round.prefix[i+1] = core.ExtendFingerprint(round.prefix[i], entries[i:i+1])
-	}
-	c.encBuf = wire.Append(c.encBuf[:0], &wire.ReplDelta{
-		UserID:  userID,
-		Version: version,
-		BaseFP:  core.FingerprintSeed,
-		FullFP:  round.prefix[len(entries)],
-		Entries: entries,
-		Tops:    tops,
-		At:      now,
-	})
+	// The table is packed once here; its fingerprint chain is the round's
+	// content address: every replica proves its prefix against it, and
+	// the byte-identity gate compares its final value.
+	round := &mergeRound{version: version, tops: tops, table: table, at: now}
+	c.encodeDeltaLocked(userID, round, 0)
 	round.snapshotBytes = len(c.encBuf)
 	c.journal[userID] = round
 	stats.Version = round.version

@@ -1,12 +1,12 @@
 package wal
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"sort"
 	"sync"
+
+	"repro/internal/binfmt"
 )
 
 // SpillFile is the cold tier of the engine's memory-tiered user state: a
@@ -21,9 +21,8 @@ import (
 // process-lifetime overflow of the resident tier, not a durability
 // mechanism — crash recovery rebuilds every user from the WAL and its
 // checkpoints, so Open truncates any prior file rather than recovering
-// it. Frames use the repo's standard [4B len][4B CRC32][payload] framing
-// (the WAL record and wire codec layout), making a bit flip on disk a
-// loud checksum error at fault-in time.
+// it. Frames are binfmt frames, the WAL record and wire codec layout,
+// making a bit flip on disk a loud checksum error at fault-in time.
 //
 // SpillFile is safe for concurrent use.
 type SpillFile struct {
@@ -59,44 +58,10 @@ func OpenSpill(path string) (*SpillFile, error) {
 	return &SpillFile{f: f, path: path, index: make(map[string]spillRef)}, nil
 }
 
-// FrameOverhead is the per-frame prefix: 4B payload length + 4B CRC32.
-const FrameOverhead = 8
-
-// AppendFrame frames payload with a checksummed length prefix, the wire
-// codec's raw frame layout (wire.RawFramePayload). Core frames its spill
-// records and its snapshot stream with it; the wire package imports
-// core, so the framing lives here.
-func AppendFrame(dst, payload []byte) []byte {
-	var hdr [FrameOverhead]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
-}
-
-// SplitFrame verifies the frame at the front of b and returns its
-// payload (aliasing b) and the bytes after it. A length running past the
-// end of b is rejected before the checksum is computed.
-func SplitFrame(b []byte) (payload, rest []byte, err error) {
-	if len(b) < FrameOverhead {
-		return nil, nil, fmt.Errorf("truncated frame: %d bytes", len(b))
-	}
-	n := uint64(binary.LittleEndian.Uint32(b))
-	if n > uint64(len(b)-FrameOverhead) {
-		return nil, nil, fmt.Errorf("header says %d payload bytes, %d follow", n, len(b)-FrameOverhead)
-	}
-	end := FrameOverhead + int(n)
-	payload = b[FrameOverhead:end]
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(b[4:]); got != want {
-		return nil, nil, fmt.Errorf("checksum mismatch: %08x, header says %08x", got, want)
-	}
-	return payload, b[end:], nil
-}
-
 // Put records payload as the current state for key, superseding any
 // previous frame for it.
 func (s *SpillFile) Put(key string, payload []byte) error {
-	frame := AppendFrame(nil, payload)
+	frame := binfmt.AppendFrame(nil, payload)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
@@ -136,7 +101,7 @@ func (s *SpillFile) Get(key string, dst []byte) (payload []byte, ok bool, err er
 	if _, err := s.f.ReadAt(frame, ref.off); err != nil {
 		return nil, false, fmt.Errorf("wal: reading spill frame for %q: %w", key, err)
 	}
-	payload, rest, err := SplitFrame(frame)
+	payload, rest, err := binfmt.SplitFrame(frame)
 	if err == nil && len(rest) != 0 {
 		err = fmt.Errorf("%d bytes after the frame's payload", len(rest))
 	}

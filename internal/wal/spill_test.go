@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"repro/internal/binfmt"
 )
 
 func openTestSpill(t *testing.T) *SpillFile {
@@ -69,6 +71,21 @@ func TestSpillPutGetDelete(t *testing.T) {
 
 // TestSpillGetAppendsToDst pins the buffer-reuse contract: the payload
 // is appended to dst and aliases it.
+// TestSpillFrameAboveReadBound stores a payload larger than the bound
+// a streamed frame may claim: a spill frame is read back whole and split
+// in memory, so its size is not bounded.
+func TestSpillFrameAboveReadBound(t *testing.T) {
+	s := openTestSpill(t)
+	want := bytes.Repeat([]byte{0xC3}, binfmt.MaxPayload+1)
+	if err := s.Put("big", want); err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := s.Get("big", nil)
+	if err != nil || !ok || !bytes.Equal(got, want) {
+		t.Fatalf("Get(big): %d bytes, ok=%v, err=%v; want the %d bytes put", len(got), ok, err, len(want))
+	}
+}
+
 func TestSpillGetAppendsToDst(t *testing.T) {
 	s := openTestSpill(t)
 	if err := s.Put("k", []byte("payload")); err != nil {
@@ -104,7 +121,7 @@ func TestSpillCorruptionDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip one payload byte (first byte after the 8-byte frame header).
-	if _, err := f.WriteAt([]byte{'X'}, FrameOverhead); err != nil {
+	if _, err := f.WriteAt([]byte{'X'}, binfmt.HeaderSize); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -126,7 +143,7 @@ func TestSpillCompaction(t *testing.T) {
 			t.Fatalf("Put %d: %v", i, err)
 		}
 	}
-	if got, max := s.Size(), int64(2*(300<<10+FrameOverhead)); got > max {
+	if got, max := s.Size(), int64(2*(300<<10+binfmt.HeaderSize)); got > max {
 		t.Errorf("Size after compaction = %d, want <= %d", got, max)
 	}
 	got, ok, err := s.Get("churner", nil)

@@ -3,7 +3,7 @@
 // segment rotation, group-commit fsync policies, torn-tail truncation
 // on open, and checkpoint-based compaction.
 //
-// The log stores opaque payloads; framing is
+// The log stores opaque payloads, one binfmt frame each
 //
 //	[4B little-endian payload length][4B little-endian CRC32(payload)][payload]
 //
@@ -24,10 +24,8 @@ package wal
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -37,6 +35,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/binfmt"
 )
 
 // SyncPolicy decides when appended records are fsynced to stable
@@ -100,12 +100,12 @@ const (
 	// DefaultSyncInterval is the SyncInterval period when
 	// Options.Interval is zero.
 	DefaultSyncInterval = 100 * time.Millisecond
-	// MaxRecordBytes bounds a single record; larger appends are
-	// rejected so a corrupt length prefix can never trigger a huge
-	// allocation during recovery.
-	MaxRecordBytes = 16 << 20
+	// MaxRecordBytes bounds a single record: the frame's payload bound.
+	// Larger appends are rejected, so a corrupt length prefix can never
+	// trigger a huge allocation during recovery.
+	MaxRecordBytes = binfmt.MaxPayload
 
-	headerSize = 8
+	headerSize = binfmt.HeaderSize
 
 	segPrefix  = "wal-"
 	segSuffix  = ".seg"
@@ -318,29 +318,15 @@ func scanSegment(path string) (count uint64, validLen int64, err error) {
 	}
 	defer f.Close()
 	br := bufio.NewReaderSize(f, 1<<16)
-	var hdr [headerSize]byte
 	var buf []byte
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return count, validLen, nil
-		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		crc := binary.LittleEndian.Uint32(hdr[4:8])
-		if n == 0 || n > MaxRecordBytes {
-			return count, validLen, nil
-		}
-		if cap(buf) < int(n) {
-			buf = make([]byte, n)
-		}
-		buf = buf[:n]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return count, validLen, nil
-		}
-		if crc32.ChecksumIEEE(buf) != crc {
+		// A record is never empty, so an empty frame is a zero-filled
+		// tail, not a record.
+		if buf, err = binfmt.ReadFrame(br, buf); err != nil || len(buf) == 0 {
 			return count, validLen, nil
 		}
 		count++
-		validLen += headerSize + int64(n)
+		validLen += headerSize + int64(len(buf))
 	}
 }
 
@@ -402,8 +388,7 @@ func (s *Store) Append(payload []byte) (uint64, error) {
 	}
 	recLen := int64(headerSize + len(payload))
 	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
+	binfmt.AppendHeader(hdr[:0], payload)
 
 	s.mu.Lock()
 	for s.err == nil && !s.closed && s.segSize > 0 && s.segSize+recLen > s.opts.SegmentBytes {
@@ -426,7 +411,9 @@ func (s *Store) Append(payload []byte) (uint64, error) {
 		s.mu.Unlock()
 		return 0, err
 	}
-	if _, err := s.w.Write(hdr[:]); err != nil {
+	// The payload is written apart from the header, so one larger than
+	// the writer's buffer goes to the file uncopied.
+	if _, err := s.w.Write(append(s.w.AvailableBuffer(), hdr[:]...)); err != nil {
 		s.err = fmt.Errorf("wal: writing record header: %w", err)
 	} else if _, err := s.w.Write(payload); err != nil {
 		s.err = fmt.Errorf("wal: writing record payload: %w", err)
@@ -568,7 +555,6 @@ func (s *Store) Replay(from uint64, fn func(lsn uint64, rec []byte) error) error
 	if from >= next {
 		return nil
 	}
-	var hdr [headerSize]byte
 	var buf []byte
 	first := true
 	for i, base := range segs {
@@ -589,27 +575,12 @@ func (s *Store) Replay(from uint64, fn func(lsn uint64, rec []byte) error) error
 		}
 		br := bufio.NewReaderSize(f, 1<<16)
 		for lsn := base; lsn < end; lsn++ {
-			if _, err := io.ReadFull(br, hdr[:]); err != nil {
-				f.Close()
-				return fmt.Errorf("wal: segment %s: short header at record %d: %w", segmentName(base), lsn, err)
+			if buf, err = binfmt.ReadFrame(br, buf); err == nil && len(buf) == 0 {
+				err = errors.New("empty record")
 			}
-			n := binary.LittleEndian.Uint32(hdr[0:4])
-			crc := binary.LittleEndian.Uint32(hdr[4:8])
-			if n == 0 || n > MaxRecordBytes {
+			if err != nil {
 				f.Close()
-				return fmt.Errorf("wal: segment %s: bad length %d at record %d", segmentName(base), n, lsn)
-			}
-			if cap(buf) < int(n) {
-				buf = make([]byte, n)
-			}
-			buf = buf[:n]
-			if _, err := io.ReadFull(br, buf); err != nil {
-				f.Close()
-				return fmt.Errorf("wal: segment %s: short payload at record %d: %w", segmentName(base), lsn, err)
-			}
-			if crc32.ChecksumIEEE(buf) != crc {
-				f.Close()
-				return fmt.Errorf("wal: segment %s: CRC mismatch at record %d", segmentName(base), lsn)
+				return fmt.Errorf("wal: segment %s: record %d: %w", segmentName(base), lsn, err)
 			}
 			if lsn < from {
 				continue

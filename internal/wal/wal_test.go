@@ -210,6 +210,36 @@ func TestTornTailSweep(t *testing.T) {
 	}
 }
 
+// TestZeroFilledTail: a zero-filled tail, such as space a file system
+// allocated but a crash never wrote, parses as frames with an empty
+// payload and a valid CRC. Records are never empty, so Open truncates
+// the zeros as a torn tail instead of counting them as records.
+func TestZeroFilledTail(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{Policy: SyncNever})
+	if _, err := s.Append([]byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	seg := filepath.Join(dir, segmentName(0))
+	f, err := os.OpenFile(seg, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(make([]byte, 3*headerSize)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	cs := mustOpen(t, dir, Options{Policy: SyncNever})
+	defer cs.Close()
+	if cs.NextLSN() != 1 || cs.TornBytes() != 3*headerSize {
+		t.Fatalf("NextLSN = %d, TornBytes = %d; want 1 and %d", cs.NextLSN(), cs.TornBytes(), 3*headerSize)
+	}
+	if _, got := collect(t, cs, 0); len(got) != 1 || string(got[0]) != "kept" {
+		t.Fatalf("replayed %q, want the one record", got)
+	}
+}
+
 // TestMidLogCorruption: a CRC flip in a sealed segment is data loss,
 // not a torn tail — replay must refuse rather than silently skip.
 func TestMidLogCorruption(t *testing.T) {

@@ -167,12 +167,12 @@ func benchReplDelta(n int) *ReplDelta {
 		BaseLen: 7,
 		BaseFP:  0x1234_5678_9abc_def0,
 		FullFP:  0x0fed_cba9_8765_4321,
-		Entries: make([]core.TableEntry, n),
 		Tops:    make(profile.Profile, n),
 		At:      time.Date(2021, 6, 1, 12, 0, 0, 0, time.UTC),
 	}
-	for i := range d.Entries {
-		e := &d.Entries[i]
+	entries := make([]core.TableEntry, n)
+	for i := range entries {
+		e := &entries[i]
 		e.Top = geo.Point{X: float64(i) * 500, Y: 250}
 		e.Candidates = make([]geo.Point, 8)
 		for j := range e.Candidates {
@@ -181,6 +181,7 @@ func benchReplDelta(n int) *ReplDelta {
 		e.CreatedAt = d.At.Add(time.Duration(i) * time.Minute)
 		d.Tops[i] = profile.LocationFreq{Loc: e.Top, Freq: 50 - i}
 	}
+	d.Suffix = core.PackTable(entries).AppendSuffix(nil, 0)
 	return d
 }
 

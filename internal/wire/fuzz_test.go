@@ -5,15 +5,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/adnet"
+	"repro/internal/binfmt"
 	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/geoind"
 	"repro/internal/profile"
 	"repro/internal/randx"
 )
@@ -248,13 +250,11 @@ func (g gen) replDelta() ReplDelta {
 		FullFP:  rnd.Uint64(),
 		At:      g.time(),
 	}
-	switch rnd.IntN(3) {
-	case 0:
-		d.Entries = nil
-	case 1:
-		d.Entries = []core.TableEntry{}
-	default:
-		d.Entries = g.tableEntries(1 + rnd.IntN(6))
+	// A packed suffix is never empty, so the generator draws nil or one
+	// cut from a random table.
+	if rnd.IntN(3) > 0 {
+		full := g.tableEntries(1 + rnd.IntN(6))
+		d.Suffix = core.PackTable(full).AppendSuffix(nil, rnd.IntN(len(full)+1))
 	}
 	switch rnd.IntN(3) {
 	case 0:
@@ -270,46 +270,93 @@ func (g gen) replDelta() ReplDelta {
 	return d
 }
 
+// replicaEngine returns an engine to import table suffixes into.
+func replicaEngine(t *testing.T) *core.Engine {
+	t.Helper()
+	mech, err := geoind.NewNFoldGaussian(geoind.Params{Radius: 500, Epsilon: 1, Delta: 0.01, N: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nomadic, err := geoind.NewPlanarLaplace(math.Log(4), 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := core.NewEngine(core.Config{Mechanism: mech, NomadicMechanism: nomadic, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 // FuzzReplDelta is the delta codec fuzzer verify.sh smokes: beyond
-// round-trip identity, it pins the content-address contract — for a
-// random table and a fuzzer-chosen split point, the delta built from the
-// suffix names its base and full states by fingerprint chain, and
-// applying the decoded suffix onto the base prefix reproduces the full
-// table's fingerprint exactly (delta ≡ snapshot).
+// round-trip identity, it pins the content-address contract on the
+// packed suffix. For a table of 1+size%12 entries cut at split, the
+// suffix cut from the packed table equals the suffix entries packed on
+// their own, and a replica holding the base prefix that imports the
+// decoded suffix lands on the delta's FullFP, the whole table's
+// fingerprint (delta ≡ snapshot). Bit 0 of shape gives the last entry
+// the zero CreatedAt, bit 1 leaves it without candidates.
 func FuzzReplDelta(f *testing.F) {
 	for seed := uint64(0); seed < 8; seed++ {
-		f.Add(seed, uint(seed))
+		f.Add(seed, uint8(seed), uint8(seed), uint8(seed%4))
 	}
-	f.Fuzz(func(t *testing.T, seed uint64, splitRaw uint) {
+	f.Fuzz(func(t *testing.T, seed uint64, size, splitRaw, shape uint8) {
 		rnd := randx.New(seed, 0x0DE1)
 		g := gen{rnd: rnd}
 		d := g.replDelta()
 		checkRoundTrip(t, "repl_delta", &d, func() Message { return &ReplDelta{} })
 
-		full := g.tableEntries(1 + rnd.IntN(12))
-		split := int(splitRaw % uint(len(full)+1))
+		full := g.tableEntries(1 + int(size)%12)
+		for i := range full {
+			// Tops 1 km apart: the replica's first-writer-wins import would
+			// drop an entry within the match radius of an earlier one.
+			full[i].Top.X = float64(i) * 1000
+		}
+		last := &full[len(full)-1]
+		if shape&1 != 0 {
+			last.CreatedAt = time.Time{}
+		}
+		if shape&2 != 0 {
+			last.Candidates = nil
+		}
+		split := int(splitRaw) % (len(full) + 1)
+		table := core.PackTable(full)
+		suffix := table.AppendSuffix(nil, split)
+		if alone := core.PackTable(full[split:]).AppendSuffix(nil, 0); !bytes.Equal(suffix, alone) {
+			t.Fatalf("split %d: suffix cut from the packed table differs from its entries packed alone", split)
+		}
 		delta := ReplDelta{
-			UserID:  g.str(),
+			UserID:  "u",
 			Version: rnd.Uint64(),
 			BaseLen: split,
-			BaseFP:  core.FingerprintTable(full[:split]),
-			FullFP:  core.FingerprintTable(full),
-			Entries: full[split:],
+			BaseFP:  table.Fingerprint(split),
+			FullFP:  table.Fingerprint(table.Len()),
+			Suffix:  suffix,
 			At:      g.time(),
 		}
 		var got ReplDelta
 		if err := Decode(Encode(&delta), &got); err != nil {
 			t.Fatalf("delta decode: %v", err)
 		}
-		if fp := core.ExtendFingerprint(got.BaseFP, got.Entries); fp != got.FullFP {
-			t.Fatalf("split %d: applying decoded suffix onto base fp %x gives %x, want %x",
-				split, got.BaseFP, fp, got.FullFP)
-		}
-		if snap := core.FingerprintTable(full); snap != got.FullFP {
-			t.Fatalf("split %d: delta landed on %x, snapshot says %x", split, got.FullFP, snap)
+		if want := core.FingerprintTable(full); got.FullFP != want {
+			t.Fatalf("split %d: delta names %x, the table's fingerprint is %x", split, got.FullFP, want)
 		}
 		if split == 0 && got.BaseFP != core.FingerprintSeed {
 			t.Fatalf("snapshot delta base fp = %x, want seed", got.BaseFP)
+		}
+
+		replica := replicaEngine(t)
+		if err := replica.ImportTable("u", core.PackTable(full[:split]).AppendSuffix(nil, 0)); err != nil {
+			t.Fatal(err)
+		}
+		if n, fp, err := replica.TableState("u"); err != nil || n != got.BaseLen || fp != got.BaseFP {
+			t.Fatalf("split %d: base replica holds (%d, %x, %v), delta names (%d, %x)", split, n, fp, err, got.BaseLen, got.BaseFP)
+		}
+		if err := replica.ImportTable("u", got.Suffix); err != nil {
+			t.Fatalf("split %d: importing the decoded suffix: %v", split, err)
+		}
+		if n, fp, err := replica.TableState("u"); err != nil || n != len(full) || fp != got.FullFP {
+			t.Fatalf("split %d: replica landed on (%d, %x, %v), want (%d, %x)", split, n, fp, err, len(full), got.FullFP)
 		}
 	})
 }
@@ -587,7 +634,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 			t.Fatalf("truncation at %d/%d accepted", cut, len(frame))
 		}
 	}
-	for i := headerSize; i < len(frame); i++ {
+	for i := binfmt.HeaderSize; i < len(frame); i++ {
 		bad := bytes.Clone(frame)
 		bad[i] ^= 0x40
 		err := Decode(bad, &ReportRequest{})
@@ -602,42 +649,86 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		t.Fatalf("wrong message type: got %v, want ErrType", err)
 	}
 
-	// A frame with a bad version but a valid checksum.
-	payload := bytes.Clone(frame[headerSize:])
-	payload[0] = Version + 1
-	bad := make([]byte, headerSize, headerSize+len(payload))
-	bad = append(bad, payload...)
-	writeHeader(bad)
-	if err := Decode(bad, &ReportRequest{}); !errors.Is(err, ErrVersion) {
-		t.Fatalf("future version: got %v, want ErrVersion", err)
+	// Frames with a bad version but a valid checksum: a future one, and a
+	// version 1 frame, whose uvarint nanoseconds this version would
+	// misread.
+	for _, version := range []byte{Version + 1, 1} {
+		payload := bytes.Clone(frame[binfmt.HeaderSize:])
+		payload[0] = version
+		if err := Decode(binfmt.AppendFrame(nil, payload), &ReportRequest{}); !errors.Is(err, ErrVersion) {
+			t.Fatalf("version %d: got %v, want ErrVersion", version, err)
+		}
 	}
 	// Trailing garbage inside a checksummed payload.
-	payload = append(bytes.Clone(frame[headerSize:]), 0xAB)
-	bad = append(make([]byte, headerSize, headerSize+len(payload)), payload...)
-	writeHeader(bad)
-	if err := Decode(bad, &ReportRequest{}); !errors.Is(err, ErrBody) {
+	payload := append(bytes.Clone(frame[binfmt.HeaderSize:]), 0xAB)
+	if err := Decode(binfmt.AppendFrame(nil, payload), &ReportRequest{}); !errors.Is(err, ErrBody) {
 		t.Fatalf("trailing bytes: got %v, want ErrBody", err)
 	}
 	// An oversized length prefix must be rejected before any allocation.
-	huge := make([]byte, headerSize)
+	huge := make([]byte, binfmt.HeaderSize)
 	huge[0], huge[1], huge[2], huge[3] = 0xFF, 0xFF, 0xFF, 0x7F
 	if err := Decode(huge, &ReportRequest{}); !errors.Is(err, ErrFrame) {
 		t.Fatalf("oversized prefix: got %v, want ErrFrame", err)
 	}
 }
 
-// writeHeader stamps the length and CRC header of a hand-built frame.
-func writeHeader(frame []byte) {
-	payload := frame[headerSize:]
-	frame[0] = byte(len(payload))
-	frame[1] = byte(len(payload) >> 8)
-	frame[2] = byte(len(payload) >> 16)
-	frame[3] = byte(len(payload) >> 24)
-	sum := crc32.ChecksumIEEE(payload)
-	frame[4] = byte(sum)
-	frame[5] = byte(sum >> 8)
-	frame[6] = byte(sum >> 16)
-	frame[7] = byte(sum >> 24)
+// allocated returns the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDecodeAllocationBoundedByFrame: a slice count is checked against
+// the smallest encoding of one element before the slice is allocated.
+// A frame whose count claims one element per remaining byte — what a
+// one-byte-per-element bound let through, at 56 bytes of memory per
+// ReportRequest — is rejected; a frame packed with real minimal
+// elements decodes in at most 4× its own size.
+func TestDecodeAllocationBoundedByFrame(t *testing.T) {
+	const filler = 256 << 10
+	cases := []struct {
+		name   string
+		msg    func() Message
+		prefix []byte // body bytes before the slice count
+		dense  Message
+	}{
+		{"report_batch", func() Message { return &ReportBatchRequest{} }, nil,
+			&ReportBatchRequest{Reports: make([]ReportRequest, filler/minReportBytes)}},
+		{"report_batch_response", func() Message { return &ReportBatchResponse{} }, binfmt.AppendInt(nil, 0), nil},
+		{"ads_response", func() Message { return &AdsResponse{} }, nil, nil},
+		{"repl_delta", func() Message { return &ReplDelta{} },
+			(&ReplDelta{}).appendBody(nil)[:1+1+1+16+1], // the zero fields before Tops
+			&ReplDelta{Suffix: bytes.Repeat([]byte{7}, filler/2), Tops: make(profile.Profile, filler/2/17)}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tc.msg()
+			body := append([]byte{Version, m.wireType()}, tc.prefix...)
+			body = binfmt.AppendUvarint(body, filler+1) // one element per byte that follows
+			body = append(body, make([]byte, filler)...)
+			frame := binfmt.AppendFrame(nil, body)
+			var err error
+			if n := allocated(func() { err = Decode(frame, m) }); n > 4*uint64(len(frame)) {
+				t.Errorf("hostile count: decoding a %d-byte frame allocated %d bytes", len(frame), n)
+			}
+			if !errors.Is(err, ErrBody) {
+				t.Errorf("hostile count: got %v, want ErrBody", err)
+			}
+			if tc.dense == nil {
+				return
+			}
+			frame = Encode(tc.dense)
+			if n := allocated(func() { err = Decode(frame, tc.msg()) }); n > 4*uint64(len(frame)) {
+				t.Errorf("dense frame: decoding %d bytes allocated %d", len(frame), n)
+			}
+			if err != nil {
+				t.Errorf("dense frame: %v", err)
+			}
+		})
+	}
 }
 
 // TestTimeNormalization documents the one intentional lossy edge: a

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/adnet"
+	"repro/internal/binfmt"
 	"repro/internal/geo"
 )
 
@@ -25,16 +26,20 @@ type ReportRequest struct {
 
 func (*ReportRequest) wireType() byte { return typeReport }
 
+// minReportBytes is the smallest encoded ReportRequest: a one-byte user
+// ID length, the position and the time's flag byte.
+const minReportBytes = 1 + 16 + 1
+
 func (m *ReportRequest) appendBody(dst []byte) []byte {
-	dst = appendString(dst, m.UserID)
-	dst = appendPoint(dst, m.Pos)
-	return appendTime(dst, m.Time)
+	dst = binfmt.AppendString(dst, m.UserID)
+	dst = binfmt.AppendPoint(dst, m.Pos)
+	return binfmt.AppendTime(dst, m.Time)
 }
 
-func (m *ReportRequest) readBody(r *reader) {
-	m.UserID = r.str()
-	m.Pos = r.point()
-	m.Time = r.time()
+func (m *ReportRequest) readBody(r *binfmt.Reader) {
+	m.UserID = r.Str()
+	m.Pos = r.Point()
+	m.Time = r.Time()
 }
 
 func (m *ReportRequest) appendJSON(e *jsonEncoder) {
@@ -80,15 +85,15 @@ type ReportBatchRequest struct {
 func (*ReportBatchRequest) wireType() byte { return typeReportBatch }
 
 func (m *ReportBatchRequest) appendBody(dst []byte) []byte {
-	dst = appendLen(dst, m.Reports)
+	dst = binfmt.AppendSliceLen(dst, m.Reports)
 	for i := range m.Reports {
 		dst = m.Reports[i].appendBody(dst)
 	}
 	return dst
 }
 
-func (m *ReportBatchRequest) readBody(r *reader) {
-	n, ok := r.sliceLen()
+func (m *ReportBatchRequest) readBody(r *binfmt.Reader) {
+	n, ok := r.SliceLen(minReportBytes)
 	if !ok {
 		m.Reports = nil
 		return
@@ -154,26 +159,26 @@ type ReportBatchResponse struct {
 func (*ReportBatchResponse) wireType() byte { return typeReportBatchResponse }
 
 func (m *ReportBatchResponse) appendBody(dst []byte) []byte {
-	dst = appendInt(dst, m.Accepted)
-	dst = appendLen(dst, m.Errors)
+	dst = binfmt.AppendInt(dst, m.Accepted)
+	dst = binfmt.AppendSliceLen(dst, m.Errors)
 	for i := range m.Errors {
-		dst = appendInt(dst, m.Errors[i].Index)
-		dst = appendString(dst, m.Errors[i].Error)
+		dst = binfmt.AppendInt(dst, m.Errors[i].Index)
+		dst = binfmt.AppendString(dst, m.Errors[i].Error)
 	}
 	return dst
 }
 
-func (m *ReportBatchResponse) readBody(r *reader) {
-	m.Accepted = r.int_()
-	n, ok := r.sliceLen()
+func (m *ReportBatchResponse) readBody(r *binfmt.Reader) {
+	m.Accepted = r.Int()
+	n, ok := r.SliceLen(2) // varint index, string length
 	if !ok {
 		m.Errors = nil
 		return
 	}
 	m.Errors = make([]BatchItemError, n)
 	for i := range m.Errors {
-		m.Errors[i].Index = r.int_()
-		m.Errors[i].Error = r.str()
+		m.Errors[i].Index = r.Int()
+		m.Errors[i].Error = r.Str()
 	}
 }
 
@@ -241,15 +246,15 @@ type AdsRequest struct {
 func (*AdsRequest) wireType() byte { return typeAdsRequest }
 
 func (m *AdsRequest) appendBody(dst []byte) []byte {
-	dst = appendString(dst, m.UserID)
-	dst = appendPoint(dst, m.Pos)
-	return appendInt(dst, m.Limit)
+	dst = binfmt.AppendString(dst, m.UserID)
+	dst = binfmt.AppendPoint(dst, m.Pos)
+	return binfmt.AppendInt(dst, m.Limit)
 }
 
-func (m *AdsRequest) readBody(r *reader) {
-	m.UserID = r.str()
-	m.Pos = r.point()
-	m.Limit = r.int_()
+func (m *AdsRequest) readBody(r *binfmt.Reader) {
+	m.UserID = r.Str()
+	m.Pos = r.Point()
+	m.Limit = r.Int()
 }
 
 func (m *AdsRequest) appendJSON(e *jsonEncoder) {
@@ -309,34 +314,34 @@ type AdsResponse struct {
 func (*AdsResponse) wireType() byte { return typeAdsResponse }
 
 func (m *AdsResponse) appendBody(dst []byte) []byte {
-	dst = appendLen(dst, m.Ads)
+	dst = binfmt.AppendSliceLen(dst, m.Ads)
 	for i := range m.Ads {
-		dst = appendString(dst, m.Ads[i].ID)
-		dst = appendString(dst, m.Ads[i].Title)
-		dst = appendPoint(dst, m.Ads[i].Location)
+		dst = binfmt.AppendString(dst, m.Ads[i].ID)
+		dst = binfmt.AppendString(dst, m.Ads[i].Title)
+		dst = binfmt.AppendPoint(dst, m.Ads[i].Location)
 	}
-	dst = appendPoint(dst, m.Reported)
-	dst = appendBool(dst, m.FromTable)
-	dst = appendInt(dst, m.Fetched)
-	return appendBool(dst, m.Degraded)
+	dst = binfmt.AppendPoint(dst, m.Reported)
+	dst = binfmt.AppendBool(dst, m.FromTable)
+	dst = binfmt.AppendInt(dst, m.Fetched)
+	return binfmt.AppendBool(dst, m.Degraded)
 }
 
-func (m *AdsResponse) readBody(r *reader) {
-	n, ok := r.sliceLen()
+func (m *AdsResponse) readBody(r *binfmt.Reader) {
+	n, ok := r.SliceLen(2 + 16) // two string lengths, the location
 	if !ok {
 		m.Ads = nil
 	} else {
 		m.Ads = make([]adnet.Ad, n)
 		for i := range m.Ads {
-			m.Ads[i].ID = r.str()
-			m.Ads[i].Title = r.str()
-			m.Ads[i].Location = r.point()
+			m.Ads[i].ID = r.Str()
+			m.Ads[i].Title = r.Str()
+			m.Ads[i].Location = r.Point()
 		}
 	}
-	m.Reported = r.point()
-	m.FromTable = r.bool_()
-	m.Fetched = r.int_()
-	m.Degraded = r.bool_()
+	m.Reported = r.Point()
+	m.FromTable = r.Bool()
+	m.Fetched = r.Int()
+	m.Degraded = r.Bool()
 }
 
 func (m *AdsResponse) appendJSON(e *jsonEncoder) {
@@ -425,15 +430,15 @@ type StatsResponse struct {
 func (*StatsResponse) wireType() byte { return typeStats }
 
 func (m *StatsResponse) appendBody(dst []byte) []byte {
-	dst = appendInt(dst, m.Users)
-	dst = appendInt(dst, m.ProtectedTops)
-	return appendInt(dst, m.TotalCandidate)
+	dst = binfmt.AppendInt(dst, m.Users)
+	dst = binfmt.AppendInt(dst, m.ProtectedTops)
+	return binfmt.AppendInt(dst, m.TotalCandidate)
 }
 
-func (m *StatsResponse) readBody(r *reader) {
-	m.Users = r.int_()
-	m.ProtectedTops = r.int_()
-	m.TotalCandidate = r.int_()
+func (m *StatsResponse) readBody(r *binfmt.Reader) {
+	m.Users = r.Int()
+	m.ProtectedTops = r.Int()
+	m.TotalCandidate = r.Int()
 }
 
 func (m *StatsResponse) appendJSON(e *jsonEncoder) {
@@ -472,9 +477,9 @@ type ErrorResponse struct {
 
 func (*ErrorResponse) wireType() byte { return typeError }
 
-func (m *ErrorResponse) appendBody(dst []byte) []byte { return appendString(dst, m.Error) }
+func (m *ErrorResponse) appendBody(dst []byte) []byte { return binfmt.AppendString(dst, m.Error) }
 
-func (m *ErrorResponse) readBody(r *reader) { m.Error = r.str() }
+func (m *ErrorResponse) readBody(r *binfmt.Reader) { m.Error = r.Str() }
 
 func (m *ErrorResponse) appendJSON(e *jsonEncoder) {
 	e.raw(`{"error":`)

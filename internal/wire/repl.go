@@ -3,8 +3,7 @@ package wire
 import (
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/geo"
+	"repro/internal/binfmt"
 	"repro/internal/profile"
 )
 
@@ -12,16 +11,20 @@ import (
 // for one user, shipped obfuscator → replica. Obfuscation tables are
 // append-only (first writer wins), so any replica's table is a prefix of
 // the obfuscator's; a delta therefore carries only the suffix the
-// replica is missing, content-addressed by the fingerprint chain of
-// internal/core:
+// replica is missing, content-addressed by internal/core's fingerprint
+// chain:
 //
 //   - BaseLen/BaseFP name the prefix the delta extends: the replica
-//     must hold exactly BaseLen entries hashing to BaseFP (the
-//     core.FingerprintTable chain value) for Entries to apply.
-//   - FullFP is the chain value after appending Entries — the
-//     byte-identity the replica must land on.
-//   - BaseLen == 0 (BaseFP == core.FingerprintSeed) is a full snapshot:
-//     the fallback when a replica's content proof fails.
+//     must hold exactly BaseLen entries hashing to BaseFP for Suffix to
+//     apply.
+//   - FullFP is the chain value after appending Suffix — the byte
+//     identity the replica must land on.
+//   - BaseLen == 0 (BaseFP the empty table's fingerprint) is a full
+//     snapshot: the fallback when a replica's content proof fails.
+//
+// Suffix is opaque here: it is internal/core's packed table layout, the
+// bytes a user frame holds for a whole table, cut at BaseLen. The
+// replica imports it as received, and its WAL stores it verbatim.
 //
 // Unlike the serving messages, deltas never travel as JSON in
 // production — the struct still carries tags so the codec-equivalence
@@ -33,9 +36,10 @@ type ReplDelta struct {
 	BaseLen int    `json:"base_len"`
 	BaseFP  uint64 `json:"base_fp"`
 	FullFP  uint64 `json:"full_fp"`
-	// Entries are the obfuscator's table rows [BaseLen, BaseLen+len) —
-	// the suffix the replica is missing.
-	Entries []core.TableEntry `json:"entries"`
+	// Suffix is the packed table suffix of the obfuscator's entries
+	// [BaseLen, BaseLen+count). A packed suffix is never empty (it
+	// starts with its count), so an empty Suffix decodes as nil.
+	Suffix []byte `json:"suffix"`
 	// Tops is the merged η-frequent top set installed with the round.
 	Tops profile.Profile `json:"tops"`
 	// At is the merge round's timestamp.
@@ -45,64 +49,36 @@ type ReplDelta struct {
 func (*ReplDelta) wireType() byte { return typeReplDelta }
 
 func (m *ReplDelta) appendBody(dst []byte) []byte {
-	dst = appendString(dst, m.UserID)
-	dst = appendUvarint(dst, m.Version)
-	dst = appendInt(dst, m.BaseLen)
-	dst = appendUint64(dst, m.BaseFP)
-	dst = appendUint64(dst, m.FullFP)
-	dst = appendLen(dst, m.Entries)
-	for i := range m.Entries {
-		e := &m.Entries[i]
-		dst = appendPoint(dst, e.Top)
-		dst = appendLen(dst, e.Candidates)
-		for _, cand := range e.Candidates {
-			dst = appendPoint(dst, cand)
-		}
-		dst = appendTime(dst, e.CreatedAt)
-	}
-	dst = appendLen(dst, m.Tops)
+	dst = binfmt.AppendString(dst, m.UserID)
+	dst = binfmt.AppendUvarint(dst, m.Version)
+	dst = binfmt.AppendInt(dst, m.BaseLen)
+	dst = binfmt.AppendUint64(dst, m.BaseFP)
+	dst = binfmt.AppendUint64(dst, m.FullFP)
+	dst = binfmt.AppendString(dst, m.Suffix)
+	dst = binfmt.AppendSliceLen(dst, m.Tops)
 	for i := range m.Tops {
-		dst = appendPoint(dst, m.Tops[i].Loc)
-		dst = appendInt(dst, m.Tops[i].Freq)
+		dst = binfmt.AppendPoint(dst, m.Tops[i].Loc)
+		dst = binfmt.AppendInt(dst, m.Tops[i].Freq)
 	}
-	return appendTime(dst, m.At)
+	return binfmt.AppendTime(dst, m.At)
 }
 
-func (m *ReplDelta) readBody(r *reader) {
-	m.UserID = r.str()
-	m.Version = r.uvarint()
-	m.BaseLen = r.int_()
-	m.BaseFP = r.uint64()
-	m.FullFP = r.uint64()
-	n, ok := r.sliceLen()
-	if !ok {
-		m.Entries = nil
-	} else {
-		m.Entries = make([]core.TableEntry, n)
-		for i := range m.Entries {
-			e := &m.Entries[i]
-			e.Top = r.point()
-			cn, cok := r.sliceLen()
-			if !cok {
-				e.Candidates = nil
-			} else {
-				e.Candidates = make([]geo.Point, cn)
-				for j := range e.Candidates {
-					e.Candidates[j] = r.point()
-				}
-			}
-			e.CreatedAt = r.time()
-		}
-	}
-	n, ok = r.sliceLen()
+func (m *ReplDelta) readBody(r *binfmt.Reader) {
+	m.UserID = r.Str()
+	m.Version = r.Uvarint()
+	m.BaseLen = r.Int()
+	m.BaseFP = r.Uint64()
+	m.FullFP = r.Uint64()
+	m.Suffix = r.Bytes()
+	n, ok := r.SliceLen(16 + 1) // the location, a varint frequency
 	if !ok {
 		m.Tops = nil
 	} else {
 		m.Tops = make(profile.Profile, n)
 		for i := range m.Tops {
-			m.Tops[i].Loc = r.point()
-			m.Tops[i].Freq = r.int_()
+			m.Tops[i].Loc = r.Point()
+			m.Tops[i].Freq = r.Int()
 		}
 	}
-	m.At = r.time()
+	m.At = r.Time()
 }

@@ -32,12 +32,28 @@ go test -race -count=2 -timeout 30m ./internal/edgecluster ./internal/client ./i
 # log stay consistent under Register and RequestAds from 8 goroutines.
 go test -race -count=10 -run 'TestRequestAdsConcurrentPooledScratch$|TestNetworkConcurrency$' ./internal/adnet
 
+# The wire codec must not depend on the engine: core, wal and wire share
+# internal/binfmt's primitives and frame, and a wire -> core import is
+# what once forced core to keep copies of them.
+if go list -deps ./internal/wire | grep -qx 'repro/internal/core'; then
+    echo "internal/wire depends on internal/core" >&2
+    exit 1
+fi
+
+# Frame fuzz smoke: on arbitrary bytes the slice reader (SplitFrame) and
+# the stream reader (ReadFrame) return the same payload or both fail, an
+# accepted payload re-frames to the same bytes, and no header makes a
+# read allocate past the 16 MiB bound.
+go test ./internal/binfmt -run '^$' -fuzz 'FuzzFrame$' -fuzztime 10s
+
 # Short fuzz smoke over the delta replication codec: round-trip identity
-# and the content-addressing invariant (extending the base fingerprint by
-# the shipped entries must land on the full-table fingerprint, i.e. a
-# delta is provably equivalent to the snapshot it replaces), then the
-# cluster-level equivalence fuzzer (delta-converged replicas must be
-# byte-identical to a one-shot snapshot import).
+# and the content-addressing invariant on the packed suffix (a suffix
+# cut from a packed table equals its entries packed alone, and a replica
+# holding the base prefix that imports the decoded suffix lands on the
+# full-table fingerprint, i.e. a delta is provably equivalent to the
+# snapshot it replaces), then the cluster-level equivalence fuzzer
+# (delta-converged replicas must be byte-identical to a one-shot
+# snapshot import).
 go test ./internal/wire -run '^$' -fuzz 'FuzzReplDelta$' -fuzztime 10s
 
 # Serving-codec fuzz smoke: arbitrary bytes into every binary and JSON
