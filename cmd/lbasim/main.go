@@ -89,10 +89,6 @@ func run(args []string) error {
 		return fmt.Errorf("generating users: %w", err)
 	}
 
-	if *edges > 1 {
-		return runCluster(cfg, ds, *edges, *chaos, *seed, *batch, codec, logger)
-	}
-
 	// Untrusted side: either a direct-matching ad network or an RTB
 	// exchange with budgeted campaign bidders. attacker is the
 	// provider-side bid log the longitudinal attack mines, so it keeps
@@ -105,17 +101,29 @@ func run(args []string) error {
 		fmt.Printf("serving ads via RTB second-price auctions (%d bidders, 100 ms deadline)\n", exchange.Bidders())
 	}
 
-	// Trusted side: edge engine + HTTP service.
+	// Trusted side: one edge engine, or a cluster of them, behind the
+	// HTTP service.
 	engineCfg, err := deploy.Engine(deploy.Params(), *seed)
 	if err != nil {
 		return err
 	}
-	engine, err := core.NewEngine(engineCfg)
-	if err != nil {
-		return fmt.Errorf("building engine: %w", err)
+	var (
+		backend edge.Backend
+		cluster *edgecluster.Cluster
+	)
+	if *edges > 1 {
+		if cluster, err = deploy.NewCluster(engineCfg, cfg.Region.BBox, cfg.Region.BBox, *edges, *seed); err != nil {
+			return err
+		}
+		backend = cluster
+	} else {
+		engine, err := core.NewEngine(engineCfg)
+		if err != nil {
+			return fmt.Errorf("building engine: %w", err)
+		}
+		backend = engine
 	}
-
-	server, err := edge.NewServer(engine, provider, nil, logger)
+	server, err := edge.NewServer(backend, provider, nil, logger)
 	if err != nil {
 		return fmt.Errorf("building server: %w", err)
 	}
@@ -126,6 +134,9 @@ func run(args []string) error {
 	cl, err := client.New(ts.URL, nil, client.WithCodec(codec))
 	if err != nil {
 		return fmt.Errorf("building client: %w", err)
+	}
+	if cluster != nil {
+		return runCluster(cfg, ds, cluster, server, cl, *chaos, *seed, *batch, codec, logger)
 	}
 	fmt.Printf("serving-path wire codec: %s\n", codec)
 	ctx := context.Background()
@@ -164,8 +175,7 @@ func run(args []string) error {
 		len(ds.Users), requests, elapsed.Round(time.Millisecond), float64(requests)/elapsed.Seconds())
 	printTelemetrySummary(server, *useRTB)
 	printStageBreakdown(server.Registry(), server.Tracer().ActiveSpans())
-	fmt.Printf("ads fetched from provider: %d; delivered after AOI filtering: %d (%.1f%% bandwidth saved)\n",
-		adsFetched, adsDelivered, 100*(1-float64(adsDelivered)/math.Max(1, float64(adsFetched))))
+	printAdsDelivered(adsFetched, adsDelivered)
 
 	// The attacker's view: mine the bid log.
 	rAlpha, err := engineCfg.Mechanism.ConfidenceRadius(0.05)
@@ -226,49 +236,20 @@ func replayReports(ctx context.Context, cl *client.Client, userID string, checkI
 }
 
 // runCluster replays the workload through a fault-tolerant multi-edge
-// deployment (paper Section V-B) using the cluster API directly: check-ins
-// route to the nearest covering live edge, per-user profiles merge through
-// secure aggregation, and the merged obfuscation table replicates to every
-// edge through the versioned journal. With chaos enabled, a deterministic
-// schedule kills one edge around each user's merge and revives it after
-// the user's ad requests, exercising failover routing, degraded merges,
-// and journal catch-up. The run ends with a convergence pass plus a
-// byte-identity audit of every edge's table, and the longitudinal attack
-// on the obfuscated request stream the ad providers would observe.
-func runCluster(cfg trace.Config, ds *trace.Dataset, edges int, chaos bool, seed uint64, batch int, codec edge.Codec, logger *slog.Logger) error {
-	engineCfg, err := deploy.Engine(deploy.Params(), seed)
-	if err != nil {
-		return err
-	}
-	cluster, err := deploy.NewCluster(engineCfg, cfg.Region.BBox, cfg.Region.BBox, edges, seed)
-	if err != nil {
-		return err
-	}
-	reg := telemetry.NewRegistry()
-	cluster.Instrument(reg)
-	// The cluster path has no HTTP middleware to open root spans, so the
-	// replay loop acts as the caller: one root trace per cluster call, and
-	// the engine/failover spans beneath it land in this registry's
-	// tracing_span_seconds histograms.
-	tracer := tracing.New(seed, tracing.WithSlowThreshold(250*time.Millisecond), tracing.WithLogger(logger))
-	tracer.Instrument(reg)
+// deployment (paper Section V-B) served by the same HTTP service as a
+// single edge: check-ins and ad requests route to the nearest covering
+// live edge, per-user profiles merge through secure aggregation, and the
+// merged obfuscation table replicates to every edge through the
+// versioned journal. With chaos enabled, a deterministic schedule kills
+// one edge around each user's merge and revives it after the user's ad
+// requests, exercising failover routing, degraded merges, and journal
+// catch-up. The run ends with a convergence pass plus a byte-identity
+// audit of every edge's table, and the longitudinal attack on the
+// obfuscated request stream the ad providers would observe.
+func runCluster(cfg trace.Config, ds *trace.Dataset, cluster *edgecluster.Cluster, server *edge.Server, cl *client.Client, chaos bool, seed uint64, batch int, codec edge.Codec, logger *slog.Logger) error {
+	edges := len(cluster.Nodes())
+	reg := server.Registry()
 	ctx := context.Background()
-
-	// Check-ins replay through the cluster gateway over real HTTP in the
-	// chosen wire codec; the gateway opens the root span per request, so
-	// failover and engine spans land in the same registry as before.
-	gw, err := edgecluster.NewGateway(cluster, nil, edgecluster.WithGatewayTracer(tracer))
-	if err != nil {
-		return fmt.Errorf("building gateway: %w", err)
-	}
-	gw.Instrument(reg)
-	gts := httptest.NewServer(gw.Handler())
-	defer gts.Close()
-	gcl, err := client.New(gts.URL, nil, client.WithCodec(codec))
-	if err != nil {
-		return fmt.Errorf("building gateway client: %w", err)
-	}
-
 	fmt.Printf("cluster mode: %d edges, chaos=%v, wire=%s\n", edges, chaos, codec)
 
 	// Replay. Chaos kills a deterministic victim edge (its endpoint stops
@@ -295,10 +276,10 @@ func runCluster(cfg trace.Config, ds *trace.Dataset, edges int, chaos bool, seed
 	chaosRnd := randx.New(seed, 0xC4A05)
 	observed := make(map[string][]geo.Point, len(ds.Users))
 	start := time.Now()
-	var requests, kills int
+	var requests, kills, adsDelivered, adsFetched int
 	var degraded, dropped int
 	for ui, u := range ds.Users {
-		if err := replayReports(ctx, gcl, u.ID, u.CheckIns, batch); err != nil {
+		if err := replayReports(ctx, cl, u.ID, u.CheckIns, batch); err != nil {
 			return err
 		}
 		victim := -1
@@ -332,13 +313,13 @@ func runCluster(cfg trace.Config, ds *trace.Dataset, edges int, chaos bool, seed
 			}
 		}
 		for _, c := range u.CheckIns {
-			tctx, root := tracer.StartTrace(ctx, "cluster.request")
-			out, _, err := cluster.RequestCtx(tctx, u.ID, c.Pos)
-			root.End()
+			resp, err := cl.RequestAds(ctx, u.ID, c.Pos, 10)
 			if err != nil {
-				return fmt.Errorf("requesting for %s: %w", u.ID, err)
+				return fmt.Errorf("requesting ads for %s: %w", u.ID, err)
 			}
-			observed[u.ID] = append(observed[u.ID], out)
+			observed[u.ID] = append(observed[u.ID], resp.Reported)
+			adsDelivered += len(resp.Ads)
+			adsFetched += resp.Fetched
 			requests++
 		}
 		if victim >= 0 {
@@ -437,11 +418,12 @@ func runCluster(cfg trace.Config, ds *trace.Dataset, edges int, chaos bool, seed
 			return fmt.Errorf("chaos ran without detector-driven transitions: auto_downs=%d auto_revives=%d", d, r)
 		}
 	}
-	printStageBreakdown(reg, tracer.ActiveSpans())
+	printStageBreakdown(reg, server.Tracer().ActiveSpans())
+	printAdsDelivered(adsFetched, adsDelivered)
 
 	// The attacker's view: the obfuscated request stream is all any ad
 	// provider behind these edges observes.
-	rAlpha, err := engineCfg.Mechanism.ConfidenceRadius(0.05)
+	rAlpha, err := cluster.Config().Mechanism.ConfidenceRadius(0.05)
 	if err != nil {
 		return fmt.Errorf("confidence radius: %w", err)
 	}
@@ -463,6 +445,13 @@ func runCluster(cfg trace.Config, ds *trace.Dataset, edges int, chaos bool, seed
 	fmt.Printf("longitudinal attack on the cluster's request stream: top-1 recovered within 200 m for %d/%d users, within 500 m for %d/%d\n",
 		hits200, len(ds.Users), hits500, len(ds.Users))
 	return nil
+}
+
+// printAdsDelivered reports how much of what the provider returned the
+// AOI filter kept.
+func printAdsDelivered(fetched, delivered int) {
+	fmt.Printf("ads fetched from provider: %d; delivered after AOI filtering: %d (%.1f%% bandwidth saved)\n",
+		fetched, delivered, 100*(1-float64(delivered)/math.Max(1, float64(fetched))))
 }
 
 // startStatsEmitter prints a telemetry summary every interval until the

@@ -48,22 +48,22 @@ func ParseCodec(s string) (Codec, error) {
 	return CodecJSON, fmt.Errorf("edge: unknown codec %q (want json or binary)", s)
 }
 
-// RequestCodec reports how the request body is encoded, from the
+// requestCodec reports how the request body is encoded, from the
 // Content-Type header.
-func RequestCodec(r *http.Request) Codec {
+func requestCodec(r *http.Request) Codec {
 	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, wire.ContentType) {
 		return CodecBinary
 	}
 	return CodecJSON
 }
 
-// ResponseCodec reports how the response should be encoded: binary when
+// responseCodec reports how the response should be encoded: binary when
 // Accept names the wire media type, JSON when Accept names anything
 // else, and the request's own codec when Accept is absent.
-func ResponseCodec(r *http.Request) Codec {
+func responseCodec(r *http.Request) Codec {
 	accept := r.Header.Get("Accept")
 	if accept == "" {
-		return RequestCodec(r)
+		return requestCodec(r)
 	}
 	if strings.Contains(accept, wire.ContentType) {
 		return CodecBinary
@@ -80,8 +80,7 @@ var msgBufPool = sync.Pool{New: func() any {
 }}
 
 // WriteMessage writes m with the given status in the chosen codec,
-// setting Content-Type and Content-Length. It is shared by the edge
-// server and the edgecluster gateway. A JSON body is the bytes
+// setting Content-Type and Content-Length. A JSON body is the bytes
 // json.Encoder.Encode writes, the trailing newline included; a message
 // JSON cannot carry (a NaN coordinate) is answered with a 500.
 func WriteMessage(w http.ResponseWriter, codec Codec, status int, m wire.Message) {
@@ -108,9 +107,9 @@ func WriteMessage(w http.ResponseWriter, codec Codec, status int, m wire.Message
 	}
 }
 
-// WriteCodecError writes the error envelope in the chosen codec. JSON
+// writeCodecError writes the error envelope in the chosen codec. JSON
 // clients keep receiving the {"error": ...} object byte-for-byte.
-func WriteCodecError(w http.ResponseWriter, codec Codec, status int, err error) {
+func writeCodecError(w http.ResponseWriter, codec Codec, status int, err error) {
 	WriteMessage(w, codec, status, &wire.ErrorResponse{Error: err.Error()})
 }
 
@@ -124,7 +123,7 @@ func WriteCodecError(w http.ResponseWriter, codec Codec, status int, err error) 
 func ReadMessage(w http.ResponseWriter, r *http.Request, reqCodec, respCodec Codec, m wire.Message, limit int64) error {
 	buf, release, err := readBodyBuf(w, r, limit)
 	if err != nil {
-		WriteCodecError(w, respCodec, http.StatusBadRequest, err)
+		writeCodecError(w, respCodec, http.StatusBadRequest, err)
 		return err
 	}
 	defer release()
@@ -135,7 +134,7 @@ func ReadMessage(w http.ResponseWriter, r *http.Request, reqCodec, respCodec Cod
 	}
 	if err != nil {
 		err = fmt.Errorf("decoding request: %w", err)
-		WriteCodecError(w, respCodec, http.StatusBadRequest, err)
+		writeCodecError(w, respCodec, http.StatusBadRequest, err)
 		return err
 	}
 	return nil
@@ -147,8 +146,8 @@ func ReadMessage(w http.ResponseWriter, r *http.Request, reqCodec, respCodec Cod
 // it under wire_requests_total{codec} (keyed by the response codec the
 // client ends up seeing).
 func (s *Server) negotiate(r *http.Request) (reqCodec, respCodec Codec) {
-	reqCodec, respCodec = RequestCodec(r), ResponseCodec(r)
-	s.wireReqs[respCodec].Inc()
+	reqCodec, respCodec = requestCodec(r), responseCodec(r)
+	s.met.Load().wireReqs[respCodec].Inc()
 	return reqCodec, respCodec
 }
 
@@ -156,7 +155,7 @@ func (s *Server) negotiate(r *http.Request) (reqCodec, respCodec Codec) {
 // codec of the body that failed to parse.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request, reqCodec, respCodec Codec, m wire.Message, limit int64) bool {
 	if err := ReadMessage(w, r, reqCodec, respCodec, m, limit); err != nil {
-		s.wireDecodeErrs[reqCodec].Inc()
+		s.met.Load().wireDecodeErrs[reqCodec].Inc()
 		return false
 	}
 	return true

@@ -195,12 +195,19 @@ func normalizeMetrics(s string) string {
 
 // TestMetricsGolden locks the full /metrics exposition — family set,
 // series labels, and every timing-independent value — to a golden file.
-// Regenerate with: go test ./internal/edge/ -run TestMetricsGolden -update-golden
+// Regenerate with: go test ./internal/edge/ -run MetricsGolden -update-golden
 func TestMetricsGolden(t *testing.T) {
 	f := newMetricsFixture(t)
 	driveGoldenTraffic(t, f)
+	checkMetricsGolden(t, f.ts.URL, "metrics.golden")
+}
 
-	resp, err := http.Get(f.ts.URL + "/metrics")
+// checkMetricsGolden scrapes url's /metrics, normalises its timing lines
+// and compares the exposition with testdata/name, which -update-golden
+// rewrites.
+func checkMetricsGolden(t *testing.T, url, name string) {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +224,7 @@ func TestMetricsGolden(t *testing.T) {
 	}
 	got := normalizeMetrics(body.String())
 
-	golden := filepath.Join("testdata", "metrics.golden")
+	golden := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)

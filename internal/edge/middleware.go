@@ -85,27 +85,28 @@ func (r *statusRecorder) WriteHeader(code int) {
 
 var statusRecorderPool = sync.Pool{New: func() any { return new(statusRecorder) }}
 
-// instrument wraps next with the telemetry middleware for one route,
-// and — when the server traces — opens the request's root span, adopting
-// the client's traceparent header so edge spans join the caller's trace.
-func (s *Server) instrument(route string, next http.Handler) http.Handler {
-	rm := newRouteMetrics(s.reg, route)
+// instrument wraps route i's handler with the telemetry middleware and —
+// when the server traces — opens the request's root span, adopting the
+// client's traceparent header so edge spans join the caller's trace.
+func (s *Server) instrument(i int, next func(*Server, http.ResponseWriter, *http.Request)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.inFlight.Inc()
+		m := s.met.Load()
+		rm := m.routes[i]
+		m.inFlight.Inc()
 		start := time.Now()
 		var root *tracing.Span
 		if s.tracer != nil {
 			var ctx context.Context
 			if id, parent, ok := tracing.ParseTraceparent(r.Header.Get(tracing.TraceparentHeader)); ok {
-				ctx, root = s.tracer.StartTraceRemote(r.Context(), route, id, parent)
+				ctx, root = s.tracer.StartTraceRemote(r.Context(), rm.route, id, parent)
 			} else {
-				ctx, root = s.tracer.StartTrace(r.Context(), route)
+				ctx, root = s.tracer.StartTrace(r.Context(), rm.route)
 			}
 			r = r.WithContext(ctx)
 		}
 		rec := statusRecorderPool.Get().(*statusRecorder)
 		rec.ResponseWriter, rec.status = w, http.StatusOK
-		next.ServeHTTP(rec, r)
+		next(s, rec, r)
 		root.End()
 		rm.latency.ObserveDuration(time.Since(start))
 		class := rec.status / 100
@@ -122,6 +123,6 @@ func (s *Server) instrument(route string, next http.Handler) http.Handler {
 			c = rm.classCounter(class)
 		}
 		c.Inc()
-		s.inFlight.Dec()
+		m.inFlight.Dec()
 	})
 }

@@ -1,6 +1,7 @@
 // Package edge implements the edge-device service of Edge-PrivLocAd
-// (Section V-A): an HTTP front that trusted edge devices expose to nearby
-// mobile users. The edge collects location reports, maintains the
+// (Section V-A): the one HTTP front that trusted edge devices expose to
+// nearby mobile users, whether one edge serves them or a cluster of edges
+// does (Section V-B). The front collects location reports, drives the
 // privacy engine (profiles, permanent obfuscation table, output
 // selection), forwards ad requests to the untrusted LBA provider using
 // only obfuscated locations, and filters the returned ads down to the
@@ -19,11 +20,14 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/adnet"
 	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/geoind"
+	"repro/internal/profile"
 	"repro/internal/telemetry"
 	"repro/internal/tracing"
 	"repro/internal/wire"
@@ -49,34 +53,87 @@ var _ AdProvider = (*adnet.Network)(nil)
 // Clock abstracts time for deterministic tests.
 type Clock func() time.Time
 
-// Server is the edge HTTP service. Every route is wrapped in a
-// telemetry middleware (per-route request counters by status class, a
-// latency histogram, an in-flight gauge), and the server's registry —
-// shared with the engine via Registry — is exposed at GET /metrics in
-// Prometheus text format.
+// Backend is what a Server serves: one edge's engine (*core.Engine) or a
+// cluster of edges behind its routing (*edgecluster.Cluster). It holds
+// exactly the calls the handlers make, and every route is served for
+// any backend. Its errors map to one status on every route:
+// core.ErrUnknownUser 404, core.ErrNoProfile 409, core.ErrBudgetExhausted
+// 403, ErrUnavailable 503, anything else 500.
+type Backend interface {
+	ReportCtx(ctx context.Context, userID string, pos geo.Point, at time.Time) error
+	ReportBatchCtx(ctx context.Context, items []core.BatchReport) []core.BatchError
+	RequestCtx(ctx context.Context, userID string, pos geo.Point) (geo.Point, bool, error)
+	FilterAdsAppend(dst []int, truePos geo.Point, adLocations []geo.Point) []int
+	RebuildProfileCtx(ctx context.Context, userID string, now time.Time) error
+	TopLocations(userID string) (profile.Profile, error)
+	Stats() core.EngineStats
+	TableFingerprint(userID string) (uint64, error)
+	NomadicLoss(userID string) (geoind.Loss, error)
+	// Instrument records the backend's own metric families into reg.
+	Instrument(reg *telemetry.Registry)
+	// Config's Seed seeds the default request tracer.
+	Config() core.Config
+}
+
+var _ Backend = (*core.Engine)(nil)
+
+// ErrUnavailable is what a backend's error wraps when no edge can take
+// the request: no edge covers the position, or every edge that does is
+// down. The server answers it with 503.
+var ErrUnavailable = errors.New("edge: no edge available")
+
+// Server is the HTTP service. Every route is wrapped in a telemetry
+// middleware (per-route request counters by status class, a latency
+// histogram, an in-flight gauge), and the server's registry — shared
+// with the backend and the tracer, see Instrument — is exposed at GET
+// /metrics in Prometheus text format.
 type Server struct {
-	engine   *core.Engine
+	backend  Backend
 	provider AdProvider
 	clock    Clock
 	logger   *slog.Logger
 	tracer   *tracing.Tracer
 	mux      *http.ServeMux
-	reg      *telemetry.Registry
-	inFlight *telemetry.Gauge
+	met      atomic.Pointer[serverMetrics]
 
 	// providerTimeout bounds each AdProvider call; 0 disables the bound.
-	providerTimeout  time.Duration
-	providerTimeouts *telemetry.Counter
+	providerTimeout time.Duration
 
 	// tracerSet marks an explicit WithTracer (including nil, which
 	// disables tracing); without it NewServer builds a default tracer
-	// seeded from the engine.
+	// seeded from the backend.
 	tracerSet bool
+}
 
+// serverMetrics is the server's own telemetry resolved against one
+// registry; Instrument swaps it whole.
+type serverMetrics struct {
+	reg              *telemetry.Registry
+	inFlight         *telemetry.Gauge
+	providerTimeouts *telemetry.Counter
 	// wireReqs / wireDecodeErrs count serving-path requests and body
 	// decode failures per codec, indexed by Codec.
 	wireReqs       [2]*telemetry.Counter
 	wireDecodeErrs [2]*telemetry.Counter
+	// routes holds each instrumented route's metrics, indexed like the
+	// routes table.
+	routes []*routeMetrics
+}
+
+// routes is the table of instrumented routes.
+var routes = []struct {
+	method, path string
+	handle       func(*Server, http.ResponseWriter, *http.Request)
+}{
+	{"GET", "/healthz", (*Server).handleHealth},
+	{"POST", "/v1/report", (*Server).handleReport},
+	{"POST", "/v1/report/batch", (*Server).handleReportBatch},
+	{"POST", "/v1/ads", (*Server).handleAds},
+	{"POST", "/v1/rebuild", (*Server).handleRebuild},
+	{"GET", "/v1/profile", (*Server).handleProfile},
+	{"GET", "/v1/privacy", (*Server).handlePrivacy},
+	{"GET", "/v1/stats", (*Server).handleStats},
+	{"GET", "/v1/fingerprint", (*Server).handleFingerprint},
 }
 
 // ServerOption customises a Server.
@@ -100,16 +157,18 @@ func WithTracer(t *tracing.Tracer) ServerOption {
 	return func(s *Server) { s.tracer, s.tracerSet = t, true }
 }
 
-// NewServer wires an engine and an ad provider into an HTTP service.
+// NewServer wires a backend and an ad provider into an HTTP service.
 // clock may be nil (wall clock); logger may be nil (logging disabled).
-// The server owns a fresh telemetry registry and instruments the engine
-// against it; callers that add their own metrics (e.g. the RTB exchange)
-// register them on Registry. Every instrumented route runs under a
-// request trace (adopting the client's traceparent header when present),
-// and the slowest recent traces are served at GET /debug/traces.
-func NewServer(engine *core.Engine, provider AdProvider, clock Clock, logger *slog.Logger, opts ...ServerOption) (*Server, error) {
-	if engine == nil {
-		return nil, fmt.Errorf("edge: server requires an engine")
+// The server instruments itself, its tracer and the backend against a
+// fresh telemetry registry; callers that add their own metrics (e.g. the
+// RTB exchange) register them on Registry, or move everything onto a
+// registry of their own with Instrument. Every instrumented route runs
+// under a request trace (adopting the client's traceparent header when
+// present), and the slowest recent traces are served at GET
+// /debug/traces.
+func NewServer(backend Backend, provider AdProvider, clock Clock, logger *slog.Logger, opts ...ServerOption) (*Server, error) {
+	if backend == nil {
+		return nil, fmt.Errorf("edge: server requires a backend")
 	}
 	if provider == nil {
 		return nil, fmt.Errorf("edge: server requires an ad provider")
@@ -117,60 +176,64 @@ func NewServer(engine *core.Engine, provider AdProvider, clock Clock, logger *sl
 	if clock == nil {
 		clock = time.Now
 	}
-	reg := telemetry.NewRegistry()
 	s := &Server{
-		engine: engine, provider: provider, clock: clock, logger: logger, reg: reg,
+		backend: backend, provider: provider, clock: clock, logger: logger,
 		providerTimeout: DefaultProviderTimeout,
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
 	if !s.tracerSet {
-		// The default tracer shares the engine's seed so trace IDs are as
+		// The default tracer shares the backend's seed so trace IDs are as
 		// reproducible as the rest of the serving state.
-		s.tracer = tracing.New(engine.Config().Seed)
+		s.tracer = tracing.New(backend.Config().Seed)
 	}
-	if s.tracer != nil {
-		s.tracer.Instrument(reg)
-	}
-	s.inFlight = reg.Gauge(metricHTTPInFlight, "HTTP requests currently being served.")
-	s.providerTimeouts = reg.Counter("edge_provider_timeouts_total", "AdProvider calls abandoned at the timeout and served as degraded empty-ads responses.")
-	// Both codec series are pre-created so the exposition always carries
-	// them, even before the first binary (or JSON) client connects.
-	for _, c := range []Codec{CodecJSON, CodecBinary} {
-		s.wireReqs[c] = reg.Counter("wire_requests_total", "Serving-path requests by negotiated response codec.", telemetry.L("codec", c.String()))
-		s.wireDecodeErrs[c] = reg.Counter("wire_decode_errors_total", "Serving-path request bodies that failed to decode, by request codec.", telemetry.L("codec", c.String()))
-	}
-	engine.Instrument(reg)
-	telemetry.RegisterRuntimeMem(reg)
+	s.Instrument(telemetry.NewRegistry())
 	mux := http.NewServeMux()
-	routes := []struct {
-		pattern string
-		route   string
-		h       http.HandlerFunc
-	}{
-		{"GET /healthz", "/healthz", s.handleHealth},
-		{"POST /v1/report", "/v1/report", s.handleReport},
-		{"POST /v1/report/batch", "/v1/report/batch", s.handleReportBatch},
-		{"POST /v1/ads", "/v1/ads", s.handleAds},
-		{"POST /v1/rebuild", "/v1/rebuild", s.handleRebuild},
-		{"GET /v1/profile", "/v1/profile", s.handleProfile},
-		{"GET /v1/privacy", "/v1/privacy", s.handlePrivacy},
-		{"GET /v1/stats", "/v1/stats", s.handleStats},
-		{"GET /v1/fingerprint", "/v1/fingerprint", s.handleFingerprint},
-	}
-	for _, r := range routes {
-		mux.Handle(r.pattern, s.instrument(r.route, r.h))
+	for i, r := range routes {
+		mux.Handle(r.method+" "+r.path, s.instrument(i, r.handle))
 	}
 	// The scrape endpoint itself is left uninstrumented so monitoring
 	// traffic does not pollute the serving-path metrics; likewise the
 	// trace-ring debug endpoint, which must not trace itself.
-	mux.Handle("GET /metrics", reg.Handler())
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		s.Registry().Handler().ServeHTTP(w, r)
+	})
 	if s.tracer != nil {
 		mux.Handle("GET /debug/traces", s.tracer.TracesHandler())
 	}
 	s.mux = mux
 	return s, nil
+}
+
+// Instrument points the server's telemetry at reg, and GET /metrics then
+// serves reg. It moves every family the server exposes: its own
+// (edge_http_*, edge_request_latency_seconds, edge_provider_timeouts_total,
+// wire_*), the tracer's and the backend's, which record into the
+// registry they were instrumented with last, and the runtime memory
+// gauges.
+func (s *Server) Instrument(reg *telemetry.Registry) {
+	m := &serverMetrics{
+		reg:              reg,
+		inFlight:         reg.Gauge(metricHTTPInFlight, "HTTP requests currently being served."),
+		providerTimeouts: reg.Counter("edge_provider_timeouts_total", "AdProvider calls abandoned at the timeout and served as degraded empty-ads responses."),
+		routes:           make([]*routeMetrics, len(routes)),
+	}
+	// Both codec series are pre-created so the exposition always carries
+	// them, even before the first binary (or JSON) client connects.
+	for _, c := range []Codec{CodecJSON, CodecBinary} {
+		m.wireReqs[c] = reg.Counter("wire_requests_total", "Serving-path requests by negotiated response codec.", telemetry.L("codec", c.String()))
+		m.wireDecodeErrs[c] = reg.Counter("wire_decode_errors_total", "Serving-path request bodies that failed to decode, by request codec.", telemetry.L("codec", c.String()))
+	}
+	for i, r := range routes {
+		m.routes[i] = newRouteMetrics(reg, r.path)
+	}
+	if s.tracer != nil {
+		s.tracer.Instrument(reg)
+	}
+	s.backend.Instrument(reg)
+	telemetry.RegisterRuntimeMem(reg)
+	s.met.Store(m)
 }
 
 // Tracer returns the server's request tracer (nil when tracing was
@@ -182,11 +245,11 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Registry returns the server's telemetry registry, for wiring further
 // subsystems (RTB exchange, command-level gauges) into GET /metrics.
-func (s *Server) Registry() *telemetry.Registry { return s.reg }
+func (s *Server) Registry() *telemetry.Registry { return s.met.Load().reg }
 
-// NewHTTPServer builds the http.Server every HTTP front of the service
-// runs on: ReadHeaderTimeout caps how long a connection may dribble its
-// request headers (the classic slowloris hold) and IdleTimeout reclaims
+// NewHTTPServer builds the http.Server the service runs on:
+// ReadHeaderTimeout caps how long a connection may dribble its request
+// headers (the classic slowloris hold) and IdleTimeout reclaims
 // keep-alive connections that stop sending requests. Body sizes are
 // bounded per route (MaxRequestBody / MaxBatchBody), not here, because
 // the batch route legitimately accepts bigger payloads.
@@ -272,8 +335,10 @@ type ProfileEntry struct {
 }
 
 // PrivacyResponse is the body of GET /v1/privacy: the user's cumulative
-// nomadic privacy loss under the engine's best composition bound. Both
-// fields are zero when the engine runs without a nomadic budget.
+// nomadic privacy loss under the engine's best composition bound. A
+// cluster answers the sum of its edges' losses, which is basic
+// composition across edges and so an upper bound. Both fields are zero
+// when the engines run without a nomadic budget.
 type PrivacyResponse struct {
 	UserID  string  `json:"user_id"`
 	Epsilon float64 `json:"epsilon"`
@@ -323,16 +388,42 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // writeError answers a control-plane route's error in the serving
 // path's JSON error envelope.
 func writeError(w http.ResponseWriter, status int, err error) {
-	WriteCodecError(w, CodecJSON, status, err)
+	writeCodecError(w, CodecJSON, status, err)
+}
+
+// errorStatus maps a backend error to the status every route answers it
+// with, for either backend.
+func errorStatus(err error) int {
+	switch {
+	case errors.Is(err, core.ErrUnknownUser):
+		return http.StatusNotFound
+	case errors.Is(err, core.ErrNoProfile):
+		return http.StatusConflict
+	case errors.Is(err, core.ErrBudgetExhausted):
+		// The refusal is the privacy policy working, and the lifetime
+		// budget never refills: 403, not 429's "retry later".
+		return http.StatusForbidden
+	case errors.Is(err, ErrUnavailable):
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusInternalServerError
+}
+
+// fail answers a backend error in codec with its errorStatus. Only a 500
+// is logged at Error level: the other statuses are the policy working or
+// a position no live edge covers, which a client can cause at will.
+func (s *Server) fail(w http.ResponseWriter, r *http.Request, codec Codec, msg, userID string, err error) {
+	status := errorStatus(err)
+	if status == http.StatusInternalServerError {
+		s.log(r.Context(), slog.LevelError, msg, "user", userID, "err", err)
+	}
+	writeCodecError(w, codec, status, err)
 }
 
 // bodyBufPool recycles request-body read buffers for decodeBody.
 var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// MaxRequestBody bounds single-message request bodies. Exported so
-// every HTTP front of the service (the edge server here and the
-// cluster gateway in internal/edgecluster) enforces the same limit
-// instead of drifting apart on hardcoded copies.
+// MaxRequestBody bounds single-message request bodies.
 const MaxRequestBody = 1 << 20
 
 // readBodyBuf reads the request body (bounded at limit bytes) into a
@@ -390,12 +481,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// CheckReport validates what every report and ad request carries: a
+// checkReport validates what every report and ad request carries: a
 // user ID and a position with finite coordinates. JSON cannot carry NaN
-// or ±Inf, but the binary codec decodes any float64. Both HTTP fronts,
-// the edge and the cluster gateway, answer its error as a 400 (a
-// per-item error in batches).
-func CheckReport(userID string, pos geo.Point) error {
+// or ±Inf, but the binary codec decodes any float64. Its error is a 400
+// (a per-item error in batches).
+func checkReport(userID string, pos geo.Point) error {
 	if userID == "" {
 		return errUserIDRequired
 	}
@@ -416,17 +506,16 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	if !s.readBody(w, r, reqCodec, respCodec, &req, MaxRequestBody) {
 		return
 	}
-	if err := CheckReport(req.UserID, req.Pos); err != nil {
-		WriteCodecError(w, respCodec, http.StatusBadRequest, err)
+	if err := checkReport(req.UserID, req.Pos); err != nil {
+		writeCodecError(w, respCodec, http.StatusBadRequest, err)
 		return
 	}
 	at := req.Time
 	if at.IsZero() {
 		at = s.clock()
 	}
-	if err := s.engine.ReportCtx(r.Context(), req.UserID, req.Pos, at); err != nil {
-		s.log(r.Context(), slog.LevelError, "report failed", "user", req.UserID, "err", err)
-		WriteCodecError(w, respCodec, http.StatusInternalServerError, err)
+	if err := s.backend.ReportCtx(r.Context(), req.UserID, req.Pos, at); err != nil {
+		s.fail(w, r, respCodec, "report failed", req.UserID, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -443,16 +532,16 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Reports) == 0 {
-		WriteCodecError(w, respCodec, http.StatusBadRequest, errors.New("reports must be non-empty"))
+		writeCodecError(w, respCodec, http.StatusBadRequest, errors.New("reports must be non-empty"))
 		return
 	}
 
 	now := s.clock()
 	items := make([]core.BatchReport, 0, len(req.Reports))
-	origIndex := make([]int, 0, len(req.Reports)) // engine item -> request index
+	origIndex := make([]int, 0, len(req.Reports)) // backend item -> request index
 	var itemErrs []BatchItemError
 	for i, rr := range req.Reports {
-		if err := CheckReport(rr.UserID, rr.Pos); err != nil {
+		if err := checkReport(rr.UserID, rr.Pos); err != nil {
 			itemErrs = append(itemErrs, BatchItemError{Index: i, Error: err.Error()})
 			continue
 		}
@@ -463,8 +552,13 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 		items = append(items, core.BatchReport{UserID: rr.UserID, Pos: rr.Pos, At: at})
 		origIndex = append(origIndex, i)
 	}
-	for _, be := range s.engine.ReportBatchCtx(r.Context(), items) {
-		s.log(r.Context(), slog.LevelError, "batch item failed", "user", items[be.Index].UserID, "err", be.Err)
+	// A cluster fans the batch out per routed edge and remaps error
+	// indexes to its input order; origIndex restores the client's order
+	// past the entries rejected above.
+	for _, be := range s.backend.ReportBatchCtx(r.Context(), items) {
+		if errorStatus(be.Err) == http.StatusInternalServerError {
+			s.log(r.Context(), slog.LevelError, "batch item failed", "user", items[be.Index].UserID, "err", be.Err)
+		}
 		itemErrs = append(itemErrs, BatchItemError{Index: origIndex[be.Index], Error: be.Err.Error()})
 	}
 	sort.Slice(itemErrs, func(a, b int) bool { return itemErrs[a].Index < itemErrs[b].Index })
@@ -480,24 +574,22 @@ func (s *Server) handleAds(w http.ResponseWriter, r *http.Request) {
 	if !s.readBody(w, r, reqCodec, respCodec, &req, MaxRequestBody) {
 		return
 	}
-	if err := CheckReport(req.UserID, req.Pos); err != nil {
-		WriteCodecError(w, respCodec, http.StatusBadRequest, err)
+	if err := checkReport(req.UserID, req.Pos); err != nil {
+		writeCodecError(w, respCodec, http.StatusBadRequest, err)
 		return
 	}
 
 	// Implicit location management: an ad request reveals the user's
 	// position to the trusted edge, which records it as a check-in.
 	at := s.clock()
-	if err := s.engine.ReportCtx(r.Context(), req.UserID, req.Pos, at); err != nil {
-		s.log(r.Context(), slog.LevelError, "ads implicit report failed", "user", req.UserID, "err", err)
-		WriteCodecError(w, respCodec, http.StatusInternalServerError, err)
+	if err := s.backend.ReportCtx(r.Context(), req.UserID, req.Pos, at); err != nil {
+		s.fail(w, r, respCodec, "ads implicit report failed", req.UserID, err)
 		return
 	}
 
-	obfuscated, fromTable, err := s.engine.RequestCtx(r.Context(), req.UserID, req.Pos)
+	obfuscated, fromTable, err := s.backend.RequestCtx(r.Context(), req.UserID, req.Pos)
 	if err != nil {
-		s.log(r.Context(), slog.LevelError, "ads output selection failed", "user", req.UserID, "err", err)
-		WriteCodecError(w, respCodec, http.StatusInternalServerError, err)
+		s.fail(w, r, respCodec, "ads output selection failed", req.UserID, err)
 		return
 	}
 
@@ -525,7 +617,7 @@ func (s *Server) handleAds(w http.ResponseWriter, r *http.Request) {
 	for _, ad := range ads {
 		sc.locs = append(sc.locs, ad.Location)
 	}
-	sc.keep = s.engine.FilterAdsAppend(sc.keep, req.Pos, sc.locs)
+	sc.keep = s.backend.FilterAdsAppend(sc.keep, req.Pos, sc.locs)
 	for _, i := range sc.keep {
 		sc.filtered = append(sc.filtered, ads[i])
 	}
@@ -581,7 +673,7 @@ func (s *Server) fetchAds(ctx context.Context, userID string, loc geo.Point, at 
 	case ads = <-ch:
 		return ads, false
 	case <-ctx.Done():
-		s.providerTimeouts.Inc()
+		s.met.Load().providerTimeouts.Inc()
 		return nil, true
 	}
 }
@@ -599,12 +691,8 @@ func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 	if now.IsZero() {
 		now = s.clock()
 	}
-	if err := s.engine.RebuildProfileCtx(r.Context(), req.UserID, now); err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, core.ErrUnknownUser) {
-			status = http.StatusNotFound
-		}
-		writeError(w, status, err)
+	if err := s.backend.RebuildProfileCtx(r.Context(), req.UserID, now); err != nil {
+		s.fail(w, r, CodecJSON, "rebuild failed", req.UserID, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -616,16 +704,9 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("user query parameter is required"))
 		return
 	}
-	tops, err := s.engine.TopLocations(userID)
+	tops, err := s.backend.TopLocations(userID)
 	if err != nil {
-		status := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, core.ErrUnknownUser):
-			status = http.StatusNotFound
-		case errors.Is(err, core.ErrNoProfile):
-			status = http.StatusConflict
-		}
-		writeError(w, status, err)
+		s.fail(w, r, CodecJSON, "profile failed", userID, err)
 		return
 	}
 	resp := ProfileResponse{UserID: userID, Tops: make([]ProfileEntry, len(tops))}
@@ -639,9 +720,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// A GET carries no body, so negotiation reduces to the Accept header
 	// (absent Accept means JSON — GETs have no request codec to mirror).
 	_, respCodec := s.negotiate(r)
-	// Served from the engine's always-on atomic aggregates: O(1), no
-	// engine locks, no walk over users and tables.
-	st := s.engine.Stats()
+	// An engine serves its always-on atomic aggregates: O(1), no engine
+	// locks, no walk over users and tables.
+	st := s.backend.Stats()
 	WriteMessage(w, respCodec, http.StatusOK, &StatsResponse{
 		Users:          st.Users,
 		ProtectedTops:  st.ProtectedTops,
@@ -668,9 +749,9 @@ func (s *Server) handleFingerprint(w http.ResponseWriter, r *http.Request) {
 	// fingerprint rather than 404: a freshly recovered node that never
 	// replayed the user must still agree with one that did but holds no
 	// table entries for them.
-	fp, err := s.engine.TableFingerprint(userID)
+	fp, err := s.backend.TableFingerprint(userID)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		s.fail(w, r, CodecJSON, "fingerprint failed", userID, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, FingerprintResponse{
@@ -685,9 +766,9 @@ func (s *Server) handlePrivacy(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("user query parameter is required"))
 		return
 	}
-	loss, err := s.engine.NomadicLoss(userID)
+	loss, err := s.backend.NomadicLoss(userID)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		s.fail(w, r, CodecJSON, "privacy failed", userID, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, PrivacyResponse{

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"testing"
 
 	"repro/internal/geo"
@@ -16,9 +17,11 @@ type tracesDoc struct {
 	Traces      []tracing.TraceRecord `json:"traces"`
 }
 
+// getTraces fetches the whole trace ring: the default answer holds only
+// the 32 slowest traces, and under load which ones those are varies.
 func getTraces(t *testing.T, url string) tracesDoc {
 	t.Helper()
-	resp, err := http.Get(url + "/debug/traces")
+	resp, err := http.Get(url + "/debug/traces?n=" + strconv.Itoa(tracing.DefaultRingSize))
 	if err != nil {
 		t.Fatal(err)
 	}

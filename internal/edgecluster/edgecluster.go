@@ -49,7 +49,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/edge"
 	"repro/internal/geo"
+	"repro/internal/geoind"
 	"repro/internal/profile"
 	"repro/internal/randx"
 	"repro/internal/secagg"
@@ -61,16 +63,23 @@ import (
 var (
 	// ErrNoCoverage reports a report or request outside every edge's
 	// coverage radius.
-	ErrNoCoverage = errors.New("edgecluster: no edge covers this location")
+	ErrNoCoverage error = unavailable("edgecluster: no edge covers this location")
 	// ErrNoLiveEdge reports that every edge covering the location (or, for
 	// merges, every edge in the cluster) is marked down.
-	ErrNoLiveEdge = errors.New("edgecluster: no live edge available")
+	ErrNoLiveEdge error = unavailable("edgecluster: no live edge available")
 	// ErrDiverged reports a replica whose table, after importing a delta,
 	// is not the table the delta names: it holds entries the obfuscator
 	// never produced. Imports never remove entries, so the node stays
 	// behind until an operator repairs its store.
 	ErrDiverged = errors.New("edgecluster: replica table diverged from the journal")
 )
+
+// unavailable is a cluster error that wraps edge.ErrUnavailable, so the
+// serving front answers it with 503, under the cluster's own text.
+type unavailable string
+
+func (e unavailable) Error() string { return string(e) }
+func (e unavailable) Unwrap() error { return edge.ErrUnavailable }
 
 // Node is one edge device: its coverage centre, its engine, and its
 // health/replication state.
@@ -141,7 +150,9 @@ type Config struct {
 // Cluster is a set of cooperating edge devices. Report and Request fan
 // out to per-node engines (which carry their own per-user locks) and are
 // safe for concurrent use; merge rounds, journal access, and health
-// transitions serialise on the cluster mutex.
+// transitions serialise on the cluster mutex. A Cluster is an
+// edge.Backend: edge.NewServer serves it over HTTP exactly as it serves
+// one edge's engine.
 type Cluster struct {
 	cfg   Config
 	nodes []*Node
@@ -332,11 +343,7 @@ func (c *Cluster) MarkDown(i int) error {
 	if i < 0 || i >= len(c.nodes) {
 		return fmt.Errorf("edgecluster: no edge %d", i)
 	}
-	if !c.nodes[i].down.Swap(true) {
-		if m := c.met.Load(); m != nil {
-			m.nodesDown.Inc()
-		}
-	}
+	c.nodes[i].down.Store(true)
 	return nil
 }
 
@@ -354,11 +361,7 @@ func (c *Cluster) MarkUp(i int) error {
 	// serve a stale table while the replay is still in flight.
 	err := c.catchUpLocked(n)
 	c.mu.Unlock()
-	if n.down.Swap(false) {
-		if m := c.met.Load(); m != nil {
-			m.nodesDown.Dec()
-		}
-	}
+	n.down.Store(false)
 	return err
 }
 
@@ -398,11 +401,7 @@ func (c *Cluster) RestartNode(i int, st core.DurableStore) error {
 	// fills genuinely missed rounds.
 	err = c.auditLocked(n)
 	c.mu.Unlock()
-	if n.down.Swap(false) {
-		if m := c.met.Load(); m != nil {
-			m.nodesDown.Dec()
-		}
-	}
+	n.down.Store(false)
 	return err
 }
 
@@ -639,14 +638,20 @@ func (c *Cluster) route(pos geo.Point) (n *Node, failedOver bool, err error) {
 // Report routes a check-in to the nearest covering live edge and returns
 // its ID.
 func (c *Cluster) Report(userID string, pos geo.Point, at time.Time) (string, error) {
-	return c.ReportCtx(context.Background(), userID, pos, at)
+	return c.report(context.Background(), userID, pos, at)
 }
 
-// ReportCtx is Report with trace context: a check-in that failed over
-// past a down edge runs inside a failover span, and the engine's apply
-// and WAL work record their own spans under it — the same trace ID all
-// the way from the client's traceparent to the fsync.
-func (c *Cluster) ReportCtx(ctx context.Context, userID string, pos geo.Point, at time.Time) (string, error) {
+// ReportCtx is Report with trace context, and without the edge's ID: a
+// check-in that failed over past a down edge runs inside a failover
+// span, and the engine's apply and WAL work record their own spans under
+// it — the same trace ID all the way from the client's traceparent to
+// the fsync.
+func (c *Cluster) ReportCtx(ctx context.Context, userID string, pos geo.Point, at time.Time) error {
+	_, err := c.report(ctx, userID, pos, at)
+	return err
+}
+
+func (c *Cluster) report(ctx context.Context, userID string, pos geo.Point, at time.Time) (string, error) {
 	node, failedOver, err := c.route(pos)
 	if err != nil {
 		return "", err
@@ -746,6 +751,79 @@ func (c *Cluster) RequestCtx(ctx context.Context, userID string, pos geo.Point) 
 	}
 	return out, fromTable, nil
 }
+
+// FilterAdsAppend is the AOI filter of edge 0's engine: every edge runs
+// the same engine configuration, so any edge's filter is the cluster's.
+func (c *Cluster) FilterAdsAppend(dst []int, truePos geo.Point, adLocations []geo.Point) []int {
+	return c.nodes[0].Engine.FilterAdsAppend(dst, truePos, adLocations)
+}
+
+// RebuildProfileCtx runs one merge round for the user at now: in a
+// cluster only merges build tables.
+func (c *Cluster) RebuildProfileCtx(_ context.Context, userID string, now time.Time) error {
+	_, err := c.MergeProfiles(userID, now)
+	return err
+}
+
+// TopLocations returns the tops of the user's latest merge round, which
+// every converged edge holds. Before the user's first round it returns
+// core.ErrNoProfile, and core.ErrUnknownUser when no edge knows the user.
+func (c *Cluster) TopLocations(userID string) (profile.Profile, error) {
+	c.mu.Lock()
+	round := c.journal[userID]
+	c.mu.Unlock()
+	if round != nil {
+		return append(profile.Profile(nil), round.tops...), nil
+	}
+	for _, n := range c.nodes {
+		switch _, err := n.Engine.TopLocations(userID); {
+		case err == nil || errors.Is(err, core.ErrNoProfile):
+			return nil, fmt.Errorf("edgecluster: %w for %q", core.ErrNoProfile, userID)
+		case !errors.Is(err, core.ErrUnknownUser):
+			return nil, fmt.Errorf("edgecluster: profile at %s: %w", n.ID, err)
+		}
+	}
+	return nil, fmt.Errorf("edgecluster: %w %q", core.ErrUnknownUser, userID)
+}
+
+// TableFingerprint returns the fingerprint of the table the user's
+// latest merge round journaled, which every converged replica must hold;
+// before the first round it is the empty table's, core.FingerprintSeed.
+func (c *Cluster) TableFingerprint(userID string) (uint64, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	round := c.journal[userID]
+	if round == nil {
+		return core.FingerprintSeed, nil
+	}
+	return round.table.Fingerprint(round.table.Len()), nil
+}
+
+// NomadicLoss returns the sum of the user's nomadic privacy losses over
+// every edge. Each edge keeps its own ledger, so the sum is basic
+// composition across edges: an upper bound on the user's loss.
+func (c *Cluster) NomadicLoss(userID string) (geoind.Loss, error) {
+	var sum geoind.Loss
+	for _, n := range c.nodes {
+		loss, err := n.Engine.NomadicLoss(userID)
+		if err != nil {
+			return geoind.Loss{}, fmt.Errorf("edgecluster: nomadic loss at %s: %w", n.ID, err)
+		}
+		sum.Epsilon += loss.Epsilon
+		sum.Delta += loss.Delta
+	}
+	return sum, nil
+}
+
+// Config returns the engine configuration the cluster was built with,
+// under the cluster's seed.
+func (c *Cluster) Config() core.Config {
+	cfg := c.cfg.Engine
+	cfg.Seed = c.cfg.Seed
+	return cfg
+}
+
+var _ edge.Backend = (*Cluster)(nil)
 
 // MergeStats describes how a merge round went: how much of the cluster
 // participated and what was left behind.

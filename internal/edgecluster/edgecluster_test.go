@@ -414,7 +414,7 @@ func TestFailoverTracePropagation(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		now = now.Add(time.Hour)
 		ctx, root := tracer.StartTrace(context.Background(), "cluster.report")
-		_, err := c.ReportCtx(ctx, "u", pos.Add(rnd.GaussianPolar(10)), now)
+		err := c.ReportCtx(ctx, "u", pos.Add(rnd.GaussianPolar(10)), now)
 		root.End()
 		if err != nil {
 			t.Fatal(err)

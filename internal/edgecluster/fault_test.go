@@ -3,6 +3,8 @@ package edgecluster
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -30,6 +32,51 @@ func fingerprint(t *testing.T, n *Node, userID string) uint64 {
 		t.Fatalf("fingerprint at %s: %v", n.ID, err)
 	}
 	return fp
+}
+
+// nodesDown reads cluster_nodes_down from reg's exposition: the gauge is
+// computed at scrape time, so the registry hands out no handle to it.
+func nodesDown(t *testing.T, reg *telemetry.Registry) int {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "cluster_nodes_down "); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Fatal("no cluster_nodes_down series")
+	return 0
+}
+
+// TestNodesDownExactWhenInstrumentedLate pins cluster_nodes_down to the
+// nodes' down flags: an edge marked down before Instrument counts, and
+// reviving it brings the gauge back to 0, not below.
+func TestNodesDownExactWhenInstrumentedLate(t *testing.T) {
+	c, err := New(testClusterConfig(t, overlappingEdges()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.MarkDown(2); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	c.Instrument(reg)
+	if got := nodesDown(t, reg); got != 1 {
+		t.Errorf("nodes_down after MarkDown then Instrument = %d, want 1", got)
+	}
+	if err := c.MarkUp(2); err != nil {
+		t.Fatal(err)
+	}
+	if got := nodesDown(t, reg); got != 0 {
+		t.Errorf("nodes_down after MarkUp = %d, want 0", got)
+	}
 }
 
 func TestFailoverRouting(t *testing.T) {
@@ -80,7 +127,7 @@ func TestFailoverRouting(t *testing.T) {
 	if node, err := c.Report("u", pos, now); err != nil || node != "edge-00" {
 		t.Errorf("post-revival routing = %s, %v", node, err)
 	}
-	if got := reg.Gauge("cluster_nodes_down", "").Value(); got != 2 {
+	if got := nodesDown(t, reg); got != 2 {
 		t.Errorf("nodes_down gauge = %d, want 2", got)
 	}
 	if err := c.MarkDown(0); err != nil { // double-down is a no-op
@@ -89,7 +136,7 @@ func TestFailoverRouting(t *testing.T) {
 	if err := c.MarkDown(0); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Gauge("cluster_nodes_down", "").Value(); got != 3 {
+	if got := nodesDown(t, reg); got != 3 {
 		t.Errorf("nodes_down gauge after double MarkDown = %d, want 3", got)
 	}
 }

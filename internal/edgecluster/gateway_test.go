@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/adnet"
 	"repro/internal/core"
 	"repro/internal/edge"
 	"repro/internal/geo"
@@ -21,21 +22,31 @@ import (
 	"repro/internal/wire"
 )
 
+// newClusterServer serves c with edge.NewServer, behind an ad network
+// without campaigns.
+func newClusterServer(t *testing.T, c *Cluster) *edge.Server {
+	t.Helper()
+	network, err := adnet.NewNetwork(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := edge.NewServer(c, network, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
 func newGatewayFixture(t *testing.T) (*Cluster, *httptest.Server, *telemetry.Registry) {
 	t.Helper()
 	c, err := New(testClusterConfig(t, threeEdges()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := NewGateway(c, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.NewRegistry()
-	g.Instrument(reg)
-	ts := httptest.NewServer(g.Handler())
+	srv := newClusterServer(t, c)
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return c, ts, reg
+	return c, ts, srv.Registry()
 }
 
 func gatewayPost(t *testing.T, url string, m wire.Message, contentType, accept string) *http.Response {
@@ -84,9 +95,10 @@ func decodeGatewayBatch(t *testing.T, resp *http.Response) edge.ReportBatchRespo
 
 // TestGatewayBatchCodecsAcrossFailover drives the same mixed batch — items
 // routing to different nodes, one routed past a down node, one with no
-// user id, one outside every coverage circle — through the gateway in both
-// codecs, and requires identical semantic results with the response framed
-// in the negotiated codec and error indexes in the client's original order.
+// user id, one outside every coverage circle — through a cluster-backed
+// server in both codecs, and requires identical semantic results with the
+// response framed in the negotiated codec and error indexes in the
+// client's original order.
 func TestGatewayBatchCodecsAcrossFailover(t *testing.T) {
 	cluster, ts, _ := newGatewayFixture(t)
 	if err := cluster.MarkDown(0); err != nil {
@@ -208,7 +220,7 @@ func TestGatewayStatsCountsEachUserOnce(t *testing.T) {
 	}
 }
 
-// TestGatewayNonFinitePos pins the gateway's position check: a binary
+// TestGatewayNonFinitePos pins the position check over a cluster: a binary
 // report at a NaN or infinite coordinate is the client's mistake, 400,
 // not 503 "no edge covers this location"; in a batch only that item
 // fails.
@@ -243,7 +255,7 @@ func TestGatewayNonFinitePos(t *testing.T) {
 	}
 }
 
-// TestGatewayJSONBodyRejections is the gateway's half of the edge's
+// TestGatewayJSONBodyRejections is the cluster's half of the edge's
 // TestJSONBodyRejections: trailing data after a JSON body, and a report
 // without a whole position, answer 400 and store nothing on any edge.
 func TestGatewayJSONBodyRejections(t *testing.T) {
@@ -280,8 +292,8 @@ func TestGatewayJSONBodyRejections(t *testing.T) {
 	}
 }
 
-// TestGatewayErrorsAndHealth pins the unavailable/decode error envelopes
-// and the health endpoint's live-edge count.
+// TestGatewayErrorsAndHealth pins the unavailable/decode error envelopes,
+// the health endpoint, and the down-edge count on /metrics.
 func TestGatewayErrorsAndHealth(t *testing.T) {
 	cluster, ts, reg := newGatewayFixture(t)
 
@@ -331,21 +343,32 @@ func TestGatewayErrorsAndHealth(t *testing.T) {
 	}
 	defer hresp.Body.Close()
 	var health struct {
-		Status    string `json:"status"`
-		LiveEdges int    `json:"live_edges"`
+		Status string `json:"status"`
 	}
 	if err := json.NewDecoder(hresp.Body).Decode(&health); err != nil {
 		t.Fatal(err)
 	}
-	if health.Status != "ok" || health.LiveEdges != 2 {
-		t.Fatalf("health = %+v, want ok with 2 live edges", health)
+	if health.Status != "ok" {
+		t.Fatalf("health = %+v, want ok", health)
+	}
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	exposition, err := io.ReadAll(mresp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(exposition), "\ncluster_nodes_down 1\n") {
+		t.Fatalf("/metrics lacks cluster_nodes_down 1:\n%s", exposition)
 	}
 }
 
-// TestGatewayBodyLimits is the regression for the gateway's hardcoded
-// body-limit copies: both fronts must enforce the SAME per-route limits
-// (edge.MaxRequestBody / edge.MaxBatchBody), rejecting oversized bodies
-// instead of buffering whatever a client streams.
+// TestGatewayBodyLimits is the regression for the old cluster front's
+// hardcoded body-limit copies: a cluster is served with the edge's
+// per-route limits (edge.MaxRequestBody / edge.MaxBatchBody), rejecting
+// oversized bodies instead of buffering whatever a client streams.
 func TestGatewayBodyLimits(t *testing.T) {
 	_, ts, _ := newGatewayFixture(t)
 
@@ -382,18 +405,16 @@ func TestGatewayBodyLimits(t *testing.T) {
 	}
 }
 
-// TestGatewayServeHardened boots Gateway.Serve on a real listener and
-// checks it serves traffic and shuts down on context cancel; the
-// slowloris bounds themselves are pinned by edge.TestNewHTTPServer.
+// TestGatewayServeHardened boots Server.Serve over a cluster on a real
+// listener and checks it serves traffic and shuts down on context
+// cancel; the slowloris bounds themselves are pinned by
+// edge.TestNewHTTPServer.
 func TestGatewayServeHardened(t *testing.T) {
 	c, err := New(testClusterConfig(t, threeEdges()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := NewGateway(c, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := newClusterServer(t, c)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

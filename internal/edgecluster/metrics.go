@@ -11,7 +11,6 @@ type clusterMetrics struct {
 	mergeDropped   *telemetry.Counter
 	replicaErrors  *telemetry.Counter
 	journalReplays *telemetry.Counter
-	nodesDown      *telemetry.Gauge
 
 	// Delta replication accounting.
 	replicationBytes         *telemetry.Counter
@@ -52,7 +51,6 @@ func (c *Cluster) Instrument(reg *telemetry.Registry) {
 		mergeDropped:   reg.Counter("cluster_merge_dropped_total", "Merged check-ins dropped for falling outside the aggregation region."),
 		replicaErrors:  reg.Counter("cluster_replica_errors_total", "Replication applies that failed mid-round, leaving the replica to catch up later."),
 		journalReplays: reg.Counter("cluster_journal_replays_total", "Journal rounds applied while catching a node up after downtime or a failed apply."),
-		nodesDown:      reg.Gauge("cluster_nodes_down", "Edges currently marked down."),
 
 		replicationBytes:         reg.Counter("cluster_replication_bytes_total", "Wire bytes shipped to replicas as content-addressed delta frames."),
 		replicationSnapshotBytes: reg.Counter("cluster_replication_snapshot_bytes_total", "Wire bytes full-snapshot replication would have shipped for the same applies."),
@@ -65,5 +63,16 @@ func (c *Cluster) Instrument(reg *telemetry.Registry) {
 		autoRevives:   reg.Counter("cluster_auto_revives_total", "Edges the failure detector revived after probes resumed answering."),
 		nodesSuspect:  reg.Gauge("cluster_nodes_suspect", "Edges currently suspected by the failure detector but not yet confirmed down."),
 	}
+	// Counted from the nodes' down flags at scrape time, so the gauge is
+	// exact however late Instrument runs.
+	reg.GaugeFunc("cluster_nodes_down", "Edges currently marked down.", func() float64 {
+		down := 0
+		for _, n := range c.nodes {
+			if n.Down() {
+				down++
+			}
+		}
+		return float64(down)
+	})
 	c.met.Store(m)
 }

@@ -92,13 +92,17 @@ go test ./internal/core -run '^$' -fuzz 'FuzzRestore$' -fuzztime 10s
 # itself never calls MarkDown/MarkUp, and it exits non-zero unless the
 # byte-identity audit passes and delta bytes undercut snapshot bytes.
 # The greps pin the detector-driven transitions and the replication
-# accounting lines the run must report.
+# accounting lines the run must report, that the cluster served ads
+# through the edge server's /v1/ads, and the span-leak gate: every
+# request trace the run opened was also closed.
 CHAOS_OUT="$(mktemp)"
 go run ./cmd/lbasim -edges 3 -chaos -users 10 -max-checkins 200 | tee "$CHAOS_OUT"
 grep -q 'replication audit: .* byte-identical' "$CHAOS_OUT"
 grep -Eq 'auto_downs=[1-9]' "$CHAOS_OUT"
 grep -Eq 'auto_revives=[1-9]' "$CHAOS_OUT"
 grep -Eq 'replication: delta_bytes=[1-9][0-9]* snapshot_bytes=[1-9][0-9]* ratio=0\.' "$CHAOS_OUT"
+grep -Eq 'ads fetched from provider: [1-9]' "$CHAOS_OUT"
+grep -q '^tracing: active_spans=0$' "$CHAOS_OUT"
 rm -f "$CHAOS_OUT"
 
 # Every Benchmark* function (the paper's cost tables in bench_test.go,
