@@ -482,7 +482,7 @@ func (e *Engine) ReportCtx(ctx context.Context, userID string, pos geo.Point, at
 	if at.Sub(u.windowStart) >= e.cfg.ProfileWindow {
 		// A window-rollover rebuild needs no record of its own:
 		// replaying the report reproduces it deterministically.
-		if err := e.rebuildLocked(u, at); err != nil {
+		if err := e.rebuildLocked(u, at, true); err != nil {
 			opErr = fmt.Errorf("core: rebuilding profile for %q: %w", userID, err)
 		}
 	}
@@ -589,9 +589,8 @@ func (e *Engine) reportUserRun(ctx context.Context, h *durHolder, userID string,
 	defer u.mu.Unlock()
 	// Grow pending once for the whole run, with amortized doubling —
 	// growing to the exact need would re-copy the full history on every
-	// batch. rebuildLocked may still reset the slice mid-run on a window
-	// rollover, which just means later appends start from an empty
-	// (already-sized) slice.
+	// batch. rebuildLocked may still empty the slice mid-run on a window
+	// rollover, and keeps its array for the appends that follow.
 	if need := len(u.pending) + n; cap(u.pending) < need {
 		newCap := max(need, 2*cap(u.pending))
 		grown := make([]trace.CheckIn, len(u.pending), newCap)
@@ -609,7 +608,7 @@ func (e *Engine) reportUserRun(ctx context.Context, h *durHolder, userID string,
 		}
 		u.pending = append(u.pending, trace.CheckIn{Pos: it.Pos, Time: it.At})
 		if it.At.Sub(u.windowStart) >= e.cfg.ProfileWindow {
-			if err := e.rebuildLocked(u, it.At); err != nil {
+			if err := e.rebuildLocked(u, it.At, true); err != nil {
 				errs = append(errs, BatchError{Index: j, Err: fmt.Errorf("core: rebuilding profile for %q: %w", userID, err)})
 			}
 		}
@@ -651,7 +650,7 @@ func (e *Engine) RebuildProfileCtx(ctx context.Context, userID string, now time.
 	}
 	defer u.mu.Unlock()
 	var opErr error
-	if err := e.rebuildLocked(u, now); err != nil {
+	if err := e.rebuildLocked(u, now, false); err != nil {
 		opErr = fmt.Errorf("core: rebuilding profile for %q: %w", userID, err)
 	}
 	sp.End()
@@ -715,7 +714,7 @@ func (e *Engine) RebuildPart(now time.Time, parallelism, part, parts int) error 
 		}
 		defer u.mu.Unlock()
 		var opErr error
-		if err := e.rebuildLocked(u, now); err != nil {
+		if err := e.rebuildLocked(u, now, false); err != nil {
 			opErr = fmt.Errorf("core: rebuilding profile for %q: %w", ids[i], err)
 		}
 		if h != nil {
@@ -774,10 +773,13 @@ var ptsPool = sync.Pool{
 }
 
 // rebuildLocked recomputes the η-frequent top set from pending check-ins
-// and obfuscates any new top location into the permanent table. The
-// caller holds u.mu.
-func (e *Engine) rebuildLocked(u *userState, now time.Time) error {
+// and obfuscates any new top location into the permanent table. keep
+// says whether the emptied window keeps its array (see emptyWindow):
+// a report's rollover keeps it, a rebuild pass does not. The caller
+// holds u.mu.
+func (e *Engine) rebuildLocked(u *userState, now time.Time, keep bool) error {
 	if len(u.pending) == 0 {
+		u.emptyWindow(keep)
 		return nil
 	}
 	m := e.met.Load()
@@ -799,23 +801,53 @@ func (e *Engine) rebuildLocked(u *userState, now time.Time) error {
 		return fmt.Errorf("building profile: %w", err)
 	}
 	tops := prof.EtaFractionSet(e.cfg.EtaFraction)
-
-	for _, lf := range tops {
-		if _, ok := u.table.Lookup(lf.Loc); ok {
-			continue // already permanently obfuscated
-		}
-		candidates, err := e.cfg.Mechanism.Obfuscate(u.rnd, lf.Loc)
-		if err != nil {
-			return fmt.Errorf("obfuscating top location: %w", err)
-		}
-		e.noteInsert(u.table.Insert(lf.Loc, candidates, now))
+	if err := e.obfuscateLocked(u, tops, now); err != nil {
+		return fmt.Errorf("obfuscating top location: %w", err)
 	}
 
 	u.tops = tops
 	u.hasProfile = true
-	u.pending = u.pending[:0]
+	u.emptyWindow(keep)
 	u.windowStart = now
 	return nil
+}
+
+// emptyWindow empties the user's collection window. keep holds on to
+// its array, for a report's rollover: the rest of the report refills
+// it at once. A rebuild pass or a merge releases it instead, since
+// otherwise every user would hold their largest window's array for
+// good. Capacity is never encoded, so either way the state is the
+// same.
+func (u *userState) emptyWindow(keep bool) {
+	if keep {
+		u.pending = u.pending[:0]
+	} else {
+		u.pending = nil
+	}
+}
+
+// obfuscateLocked records a permanent entry for each of tops that the
+// user's table lacks (Algorithm 3's check-then-record). Candidates are
+// drawn in the order of tops, for exactly the tops that Insert, called
+// on each in turn, would record, and the table then grows once for all
+// of them. After a failed draw the entries drawn before it are still
+// recorded, as replay reproduces. The caller holds u.mu.
+func (e *Engine) obfuscateLocked(u *userState, tops profile.Profile, now time.Time) error {
+	var buf [8]TableEntry // a profile's top set rarely holds more
+	fresh := buf[:0]
+	for _, lf := range tops {
+		fresh = append(fresh, TableEntry{Top: lf.Loc, CreatedAt: now})
+	}
+	fresh = u.table.lacking(fresh)
+	var err error
+	for i := range fresh {
+		if fresh[i].Candidates, err = e.cfg.Mechanism.Obfuscate(u.rnd, fresh[i].Top); err != nil {
+			fresh = fresh[:i]
+			break
+		}
+	}
+	e.noteInserts(len(fresh), u.table.appendNew(fresh))
+	return err
 }
 
 // Request answers an LBA trigger: given the user's current true location
@@ -1007,23 +1039,14 @@ func (e *Engine) installTops(userID string, tops profile.Profile, now time.Time,
 	}
 	defer u.mu.Unlock()
 	var opErr error
-	for _, lf := range tops {
-		if _, ok := u.table.Lookup(lf.Loc); ok {
-			continue
-		}
-		candidates, err := e.cfg.Mechanism.Obfuscate(u.rnd, lf.Loc)
-		if err != nil {
-			opErr = fmt.Errorf("core: obfuscating installed top for %q: %w", userID, err)
-			break
-		}
-		e.noteInsert(u.table.Insert(lf.Loc, candidates, now))
-	}
-	if opErr == nil {
+	if err := e.obfuscateLocked(u, tops, now); err != nil {
+		opErr = fmt.Errorf("core: obfuscating installed top for %q: %w", userID, err)
+	} else {
 		u.tops = make(profile.Profile, len(tops))
 		copy(u.tops, tops)
 		u.hasProfile = true
 		if consumeWindow {
-			u.pending = u.pending[:0]
+			u.emptyWindow(false)
 			u.windowStart = now
 		}
 	}
@@ -1064,9 +1087,8 @@ func (e *Engine) ImportTable(userID string, suffix []byte) error {
 		return err
 	}
 	defer u.mu.Unlock()
-	for i := range in.tops {
-		e.noteInsert(u.table.Insert(in.tops[i], in.candsLocked(i), nanosToTime(in.createdNs[i])))
-	}
+	fresh := u.table.lacking(in.Entries())
+	e.noteInserts(len(fresh), u.table.appendNew(fresh))
 	if h != nil {
 		return h.emit(context.Background(), func(b []byte) []byte { return encodeImport(b, userID, suffix) })
 	}

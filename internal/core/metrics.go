@@ -108,13 +108,13 @@ func (e *Engine) Stats() EngineStats {
 	}
 }
 
-// noteInsert records a table insertion in the engine-wide stats.
-func (e *Engine) noteInsert(entry TableEntry, created bool) {
-	if !created {
+// noteInserts records table insertions in the engine-wide stats.
+func (e *Engine) noteInserts(tops, cands int) {
+	if tops == 0 {
 		return
 	}
-	e.nTops.Add(1)
-	e.nCandidates.Add(int64(len(entry.Candidates)))
+	e.nTops.Add(int64(tops))
+	e.nCandidates.Add(int64(cands))
 }
 
 // observeSince records elapsed time into h when the engine is

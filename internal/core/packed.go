@@ -111,19 +111,8 @@ type packedAt struct {
 // PackTable packs entries in their order, as Engine.Table returns a
 // table's rows, into the bytes a user frame holds for that table.
 func PackTable(entries []TableEntry) *PackedTable {
-	var cands int
-	for _, e := range entries {
-		cands += len(e.Candidates)
-	}
-	t := ObfuscationTable{
-		tops:      make([]geo.Point, 0, len(entries)),
-		createdNs: make([]int64, 0, len(entries)),
-		offs:      make([]uint32, 0, len(entries)),
-		arena:     make([]geo.Point, 0, cands),
-	}
-	for _, e := range entries {
-		t.appendLocked(e.Top, timeToNanos(e.CreatedAt), e.Candidates)
-	}
+	var t ObfuscationTable
+	t.appendNew(entries)
 	return t.packLocked()
 }
 

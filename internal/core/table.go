@@ -10,6 +10,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -232,6 +233,62 @@ func (t *ObfuscationTable) Insert(top geo.Point, candidates []geo.Point, at time
 	}
 	id := t.appendLocked(top, timeToNanos(at), candidates)
 	return t.entryLocked(id), true
+}
+
+// lacking filters entries in place down to the ones Insert, called on
+// each in turn, would record: those whose top no recorded entry and no
+// earlier kept entry matches within the match radius. It only reads the
+// table; the caller keeps other writers out until appendNew has
+// recorded the result.
+func (t *ObfuscationTable) lacking(entries []TableEntry) []TableEntry {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	r2 := t.matchRadius * t.matchRadius
+	kept := entries[:0]
+	for _, en := range entries {
+		if _, ok := t.lookupLocked(en.Top); ok {
+			continue
+		}
+		if slices.ContainsFunc(kept, func(k TableEntry) bool { return k.Top.Dist2(en.Top) <= r2 }) {
+			continue
+		}
+		kept = append(kept, en)
+	}
+	return kept
+}
+
+// appendNew records entries that lacking kept, in order, and returns
+// the number of candidates they hold. Each of the four slabs grows at
+// most once, to exactly the size the call needs, which is the size
+// loadPacked gives a restored table: growing by amortized doubling per
+// entry would leave slots that no later insert fills.
+func (t *ObfuscationTable) appendNew(entries []TableEntry) int {
+	if len(entries) == 0 {
+		return 0
+	}
+	var cands int
+	for _, en := range entries {
+		cands += len(en.Candidates)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.tops = growExact(t.tops, len(entries))
+	t.createdNs = growExact(t.createdNs, len(entries))
+	t.offs = growExact(t.offs, len(entries))
+	t.arena = growExact(t.arena, cands)
+	for _, en := range entries {
+		t.appendLocked(en.Top, timeToNanos(en.CreatedAt), en.Candidates)
+	}
+	return cands
+}
+
+// growExact returns s with room for n more elements, reallocated to
+// exactly that capacity when it lacks the room.
+func growExact[S ~[]E, E any](s S, n int) S {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make(S, 0, len(s)+n), s...)
 }
 
 // appendLocked appends one entry to the packed layout (no duplicate

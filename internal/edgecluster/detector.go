@@ -3,6 +3,7 @@ package edgecluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -102,13 +103,45 @@ func (c *Cluster) NewDetector(cfg DetectorConfig) *Detector {
 	if cfg.Seed == 0 {
 		cfg.Seed = c.cfg.Seed
 	}
-	return &Detector{
+	d := &Detector{
 		c:     c,
 		cfg:   cfg,
 		rnd:   randx.New(cfg.Seed, 0xD67EC7),
 		state: make([]NodeHealth, len(c.nodes)),
 		fails: make([]int, len(c.nodes)),
 	}
+	c.mu.Lock()
+	var ds []*Detector
+	if p := c.detectors.Load(); p != nil {
+		ds = *p
+	}
+	ds = append(slices.Clip(ds), d)
+	c.detectors.Store(&ds)
+	c.mu.Unlock()
+	return d
+}
+
+// suspects counts the edges that any detector built over the cluster
+// holds in HealthSuspect. It takes each detector's lock and no other:
+// Tick holds that lock while MarkUp and MarkDown take the cluster's.
+func (c *Cluster) suspects() int {
+	p := c.detectors.Load()
+	if p == nil {
+		return 0
+	}
+	suspect := make([]bool, len(c.nodes))
+	n := 0
+	for _, d := range *p {
+		d.mu.Lock()
+		for i, h := range d.state {
+			if h == HealthSuspect && !suspect[i] {
+				suspect[i] = true
+				n++
+			}
+		}
+		d.mu.Unlock()
+	}
+	return n
 }
 
 // Cfg returns the detector's resolved configuration, with defaults
@@ -197,9 +230,6 @@ func (d *Detector) Tick() ([]Transition, error) {
 			case HealthSuspect:
 				d.state[i] = HealthAlive
 				transitions = append(transitions, Transition{Edge: i, Node: n.ID, From: HealthSuspect, To: HealthAlive})
-				if met != nil {
-					met.nodesSuspect.Dec()
-				}
 			case HealthDown:
 				// The endpoint answers again: revive. MarkUp replays the
 				// journal for lagging users before the node takes traffic.
@@ -223,9 +253,6 @@ func (d *Detector) Tick() ([]Transition, error) {
 			if d.fails[i] >= d.cfg.SuspectAfter {
 				d.state[i] = HealthSuspect
 				transitions = append(transitions, Transition{Edge: i, Node: n.ID, From: HealthAlive, To: HealthSuspect})
-				if met != nil {
-					met.nodesSuspect.Inc()
-				}
 			}
 		case HealthSuspect:
 			if d.fails[i] >= d.cfg.SuspectAfter+d.cfg.ConfirmAfter {
@@ -233,7 +260,6 @@ func (d *Detector) Tick() ([]Transition, error) {
 				_ = d.c.MarkDown(i)
 				transitions = append(transitions, Transition{Edge: i, Node: n.ID, From: HealthSuspect, To: HealthDown})
 				if met != nil {
-					met.nodesSuspect.Dec()
 					met.autoDowns.Inc()
 				}
 			}

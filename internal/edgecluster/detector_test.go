@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/randx"
+	"repro/internal/telemetry"
 )
 
 // tickN runs n detector ticks and returns all transitions, failing the
@@ -230,5 +231,107 @@ func TestDetectorTransientBlip(t *testing.T) {
 	}
 	if got := d.Health(1); got != HealthAlive {
 		t.Fatalf("Health(1) = %v, want alive", got)
+	}
+}
+
+// TestSuspectGaugeExact pins cluster_nodes_suspect to the detector's
+// states through the two sequences a transition-counted gauge got
+// wrong: an edge marked down by hand while suspected, which the next
+// tick adopts as down, and a registry instrumented while an edge is
+// already suspected.
+func TestSuspectGaugeExact(t *testing.T) {
+	// run suspects edge 1, instrumenting a registry before or after, then
+	// lets downEdge1 take it down and the next answered probe revive it,
+	// checking the gauge at each step.
+	run := func(t *testing.T, instrumentLate bool, downEdge1 func(*Cluster, *Detector)) {
+		c, err := New(testClusterConfig(t, overlappingEdges()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := c.NewDetector(DetectorConfig{Probes: 3, SuspectAfter: 2, ConfirmAfter: 2, Seed: 21})
+		reg := telemetry.NewRegistry()
+		if !instrumentLate {
+			c.Instrument(reg)
+		}
+		if err := c.SetReachable(1, false); err != nil {
+			t.Fatal(err)
+		}
+		tickN(t, d, 2)
+		if instrumentLate {
+			c.Instrument(reg)
+		}
+		want := []NodeHealth{HealthSuspect, HealthDown, HealthAlive}
+		for step, wantSuspect := range []int{1, 0, 0} {
+			switch step {
+			case 1:
+				downEdge1(c, d)
+			case 2:
+				if err := c.SetReachable(1, true); err != nil {
+					t.Fatal(err)
+				}
+				tickN(t, d, 1)
+			}
+			if got := d.Health(1); got != want[step] {
+				t.Fatalf("step %d: Health(1) = %v, want %v", step, got, want[step])
+			}
+			if got := gaugeValue(t, reg, "cluster_nodes_suspect"); got != wantSuspect {
+				t.Fatalf("step %d: cluster_nodes_suspect = %d with edge 1 %v, want %d", step, got, want[step], wantSuspect)
+			}
+		}
+	}
+	t.Run("markdown_while_suspect", func(t *testing.T) {
+		run(t, false, func(c *Cluster, d *Detector) {
+			if err := c.MarkDown(1); err != nil {
+				t.Fatal(err)
+			}
+			tickN(t, d, 1) // adopts the MarkDown
+		})
+	})
+	t.Run("instrumented_while_suspect", func(t *testing.T) {
+		run(t, true, func(c *Cluster, d *Detector) {
+			tickN(t, d, 2) // confirms the suspicion
+		})
+	})
+}
+
+// TestSuspectGaugeConcurrentScrape scrapes cluster_nodes_suspect while
+// a detector ticks through outages and another detector is built: the
+// gauge takes only each detector's lock, so neither the race detector
+// nor a lock-order deadlock (Tick holds a detector's lock while MarkDown
+// and MarkUp take the cluster's) may fire.
+func TestSuspectGaugeConcurrentScrape(t *testing.T) {
+	c, err := New(testClusterConfig(t, overlappingEdges()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	c.Instrument(reg)
+	d := c.NewDetector(DetectorConfig{Probes: 3, SuspectAfter: 1, ConfirmAfter: 1, Seed: 23})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			if err := c.SetReachable(1, i%6 >= 3); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := d.Tick(); err != nil {
+				t.Error(err)
+				return
+			}
+			if i%50 == 0 {
+				c.NewDetector(DetectorConfig{Seed: uint64(i + 1)})
+			}
+		}
+	}()
+	for scraping := true; scraping; {
+		select {
+		case <-done:
+			scraping = false
+		default:
+		}
+		if got := gaugeValue(t, reg, "cluster_nodes_suspect"); got < 0 || got > 1 {
+			t.Fatalf("cluster_nodes_suspect = %d with one edge failing", got)
+		}
 	}
 }

@@ -168,6 +168,10 @@ type Cluster struct {
 	// repl accumulates replication traffic accounting across rounds.
 	repl ReplStats
 
+	// detectors lists the failure detectors built over the cluster, for
+	// the cluster_nodes_suspect gauge: replaced under mu, read without it.
+	detectors atomic.Pointer[[]*Detector]
+
 	met atomic.Pointer[clusterMetrics]
 }
 

@@ -34,16 +34,23 @@ func fingerprint(t *testing.T, n *Node, userID string) uint64 {
 	return fp
 }
 
-// nodesDown reads cluster_nodes_down from reg's exposition: the gauge is
-// computed at scrape time, so the registry hands out no handle to it.
+// nodesDown reads cluster_nodes_down from reg's exposition.
 func nodesDown(t *testing.T, reg *telemetry.Registry) int {
+	t.Helper()
+	return gaugeValue(t, reg, "cluster_nodes_down")
+}
+
+// gaugeValue reads the unlabelled gauge name from reg's exposition: the
+// cluster's gauges are computed at scrape time, so the registry hands
+// out no handle to them.
+func gaugeValue(t *testing.T, reg *telemetry.Registry, name string) int {
 	t.Helper()
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	for _, line := range strings.Split(b.String(), "\n") {
-		if v, ok := strings.CutPrefix(line, "cluster_nodes_down "); ok {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
 			n, err := strconv.Atoi(v)
 			if err != nil {
 				t.Fatal(err)
@@ -51,7 +58,7 @@ func nodesDown(t *testing.T, reg *telemetry.Registry) int {
 			return n
 		}
 	}
-	t.Fatal("no cluster_nodes_down series")
+	t.Fatalf("no %s series", name)
 	return 0
 }
 

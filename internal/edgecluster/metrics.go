@@ -23,7 +23,6 @@ type clusterMetrics struct {
 	probeFailures *telemetry.Counter
 	autoDowns     *telemetry.Counter
 	autoRevives   *telemetry.Counter
-	nodesSuspect  *telemetry.Gauge
 }
 
 // Instrument registers the cluster's fault-tolerance metrics with reg
@@ -61,10 +60,10 @@ func (c *Cluster) Instrument(reg *telemetry.Registry) {
 		probeFailures: reg.Counter("cluster_probe_failures_total", "Failure-detector pings that went unanswered."),
 		autoDowns:     reg.Counter("cluster_auto_downs_total", "Edges the failure detector confirmed down without an operator."),
 		autoRevives:   reg.Counter("cluster_auto_revives_total", "Edges the failure detector revived after probes resumed answering."),
-		nodesSuspect:  reg.Gauge("cluster_nodes_suspect", "Edges currently suspected by the failure detector but not yet confirmed down."),
 	}
-	// Counted from the nodes' down flags at scrape time, so the gauge is
-	// exact however late Instrument runs.
+	// Both gauges are counted at scrape time, from the nodes' down flags
+	// and the detectors' states, so they are exact however late
+	// Instrument runs.
 	reg.GaugeFunc("cluster_nodes_down", "Edges currently marked down.", func() float64 {
 		down := 0
 		for _, n := range c.nodes {
@@ -73,6 +72,9 @@ func (c *Cluster) Instrument(reg *telemetry.Registry) {
 			}
 		}
 		return float64(down)
+	})
+	reg.GaugeFunc("cluster_nodes_suspect", "Edges currently suspected by the failure detector but not yet confirmed down.", func() float64 {
+		return float64(c.suspects())
 	})
 	c.met.Store(m)
 }

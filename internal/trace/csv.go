@@ -4,10 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"os"
-	"sort"
 	"strconv"
-	"time"
 
 	"repro/internal/geo"
 )
@@ -48,101 +45,4 @@ func WriteCSV(w io.Writer, ds *Dataset) error {
 		return fmt.Errorf("trace: flushing csv: %w", err)
 	}
 	return nil
-}
-
-// ReadCSV imports a CSV written by WriteCSV (or any log in the same
-// layout) as a dataset in the plane of the given origin. Users carry no
-// ground-truth top locations — logs do not have them. Check-ins are
-// time-sorted per user and users are ordered by ID.
-func ReadCSV(r io.Reader, origin geo.LatLon) (*Dataset, error) {
-	proj, err := geo.NewProjection(origin)
-	if err != nil {
-		return nil, fmt.Errorf("trace: csv projection: %w", err)
-	}
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(csvHeader)
-
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading csv header: %w", err)
-	}
-	for i, want := range csvHeader {
-		if header[i] != want {
-			return nil, fmt.Errorf("trace: csv column %d is %q, want %q", i, header[i], want)
-		}
-	}
-
-	byUser := make(map[string]*User)
-	line := 1
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		line++
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading csv line %d: %w", line, err)
-		}
-		lat, err := strconv.ParseFloat(rec[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: csv line %d lat: %w", line, err)
-		}
-		lon, err := strconv.ParseFloat(rec[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: csv line %d lon: %w", line, err)
-		}
-		ll := geo.LatLon{Lat: lat, Lon: lon}
-		if err := ll.Validate(); err != nil {
-			return nil, fmt.Errorf("trace: csv line %d: %w", line, err)
-		}
-		ms, err := strconv.ParseInt(rec[3], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: csv line %d timestamp: %w", line, err)
-		}
-		id := rec[0]
-		if id == "" {
-			return nil, fmt.Errorf("trace: csv line %d: empty user_id", line)
-		}
-		u, ok := byUser[id]
-		if !ok {
-			u = &User{ID: id}
-			byUser[id] = u
-		}
-		u.CheckIns = append(u.CheckIns, CheckIn{
-			Pos:  proj.ToPlane(ll),
-			Time: time.UnixMilli(ms).UTC(),
-		})
-	}
-
-	ds := &Dataset{Origin: origin, Users: make([]*User, 0, len(byUser))}
-	for _, u := range byUser {
-		sortCheckIns(u.CheckIns)
-		ds.Users = append(ds.Users, u)
-	}
-	sort.Slice(ds.Users, func(a, b int) bool { return ds.Users[a].ID < ds.Users[b].ID })
-	return ds, nil
-}
-
-// WriteCSVFile writes the CSV export to path.
-func WriteCSVFile(path string, ds *Dataset) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("trace: creating %q: %w", path, err)
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("trace: closing %q: %w", path, cerr)
-		}
-	}()
-	return WriteCSV(f, ds)
-}
-
-// ReadCSVFile reads a CSV export from path.
-func ReadCSVFile(path string, origin geo.LatLon) (*Dataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("trace: opening %q: %w", path, err)
-	}
-	defer f.Close()
-	return ReadCSV(f, origin)
 }

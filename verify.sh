@@ -3,7 +3,7 @@
 # suite with the race detector. This is the bar every PR must clear.
 set -eux
 
-UNFORMATTED="$(gofmt -l cmd internal examples)"
+UNFORMATTED="$(gofmt -l *.go bench cmd examples internal)"
 if [ -n "$UNFORMATTED" ]; then
     echo "gofmt needed on:" "$UNFORMATTED" >&2
     exit 1
