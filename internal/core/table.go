@@ -12,6 +12,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/geo"
@@ -53,6 +54,11 @@ type TableEntry struct {
 // entries (and every freshly faulted-in table) never pays for a resident
 // spatial.Grid at all.
 //
+// The table's fingerprint is kept once State has computed it: the table
+// is append-only, so each append extends the kept value instead of the
+// next State refolding every entry. A restored or faulted-in table
+// starts without it, so loading a table hashes nothing.
+//
 // The table is safe for concurrent use.
 type ObfuscationTable struct {
 	mu          sync.RWMutex
@@ -62,6 +68,11 @@ type ObfuscationTable struct {
 	offs        []uint32 // entry i's candidates are arena[offs[i]:offs[i+1]] (end = len(arena) for the last entry)
 	arena       []geo.Point
 	index       *spatial.Grid // nil until the table outgrows linear scans
+	// fp is the fingerprint of the whole table while fpKept is set.
+	// State sets both under the read lock, so they are atomics; appends
+	// update fp under the write lock.
+	fp     atomic.Uint64
+	fpKept atomic.Bool
 }
 
 // tableIndexThreshold is the entry count at which a table builds its
@@ -302,20 +313,30 @@ func (t *ObfuscationTable) appendLocked(top geo.Point, createdNs int64, candidat
 	if t.index != nil {
 		t.index.Insert(id, top)
 	}
+	if t.fpKept.Load() {
+		t.fp.Store(t.foldEntryLocked(t.fp.Load(), id))
+	}
 	return id
 }
 
-// State returns the table's length and fingerprint-chain digest in one
-// read-locked pass, without materializing entries — the cheap content
+// State returns the table's length and fingerprint-chain digest under
+// the read lock, without materializing entries — the cheap content
 // proof replication uses to decide how much of the table a replica
-// already holds.
+// already holds. The first call folds every entry and keeps the result;
+// later calls read it.
 func (t *ObfuscationTable) State() (int, uint64) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	if t.fpKept.Load() {
+		return len(t.tops), t.fp.Load()
+	}
 	fp := FingerprintSeed
 	for i := range t.tops {
 		fp = t.foldEntryLocked(fp, i)
 	}
+	// Concurrent first calls all store the same value.
+	t.fp.Store(fp)
+	t.fpKept.Store(true)
 	return len(t.tops), fp
 }
 

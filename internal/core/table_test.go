@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/geo"
+	"repro/internal/profile"
 )
 
 func TestNewObfuscationTableValidation(t *testing.T) {
@@ -185,5 +188,126 @@ func TestTableConcurrentInsertSameTop(t *testing.T) {
 	}
 	if tbl.Len() != 1 {
 		t.Errorf("Len = %d, want 1", tbl.Len())
+	}
+}
+
+// TestTableStateKeepsFingerprint: State keeps the fingerprint it folds
+// and every append extends it, so after inserts, an import, a restore
+// and a fault-in the user's TableState must equal the fingerprint of
+// its entries folded from scratch. A restored or faulted-in table must
+// come back without a kept fingerprint: loading hashes nothing.
+func TestTableStateKeepsFingerprint(t *testing.T) {
+	for _, shards := range []int{1, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			newEngine := func() *Engine {
+				cfg := tieredConfig(t, 0)
+				cfg.Shards = shards
+				e, err := NewEngine(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { _ = e.Close() })
+				return e
+			}
+			// resident returns u's resident table, or nil when u is spilled.
+			resident := func(e *Engine, u string) *ObfuscationTable {
+				s, _ := e.shardFor(u)
+				s.mu.RLock()
+				defer s.mu.RUnlock()
+				if us := s.users[u]; us != nil {
+					return us.table
+				}
+				return nil
+			}
+			check := func(e *Engine, u, step string) {
+				t.Helper()
+				entries, err := e.Table(u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for range 2 {
+					n, fp, err := e.TableState(u)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := FingerprintTable(entries); n != len(entries) || fp != want {
+						t.Fatalf("%s: TableState (%d, %016x), entries (%d, %016x)", step, n, fp, len(entries), want)
+					}
+				}
+				if tbl := resident(e, u); tbl != nil && !tbl.fpKept.Load() {
+					t.Fatalf("%s: State kept no fingerprint", step)
+				}
+			}
+			unkept := func(e *Engine, u, step string) {
+				t.Helper()
+				if tbl := resident(e, u); tbl == nil || tbl.fpKept.Load() {
+					t.Fatalf("%s: want a resident table without a kept fingerprint", step)
+				}
+			}
+			tops := func(xs ...float64) profile.Profile {
+				var p profile.Profile
+				for i, x := range xs {
+					p = append(p, profile.LocationFreq{Loc: geo.Point{X: x, Y: 100}, Freq: 50 - i})
+				}
+				return p
+			}
+			now := time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC)
+
+			e := newEngine()
+			const u = "u"
+			if err := e.InstallTops(u, tops(0, 1_000), now); err != nil {
+				t.Fatal(err)
+			}
+			check(e, u, "first install")
+			if err := e.InstallTops(u, tops(0, 1_000, 2_000, 3_000), now.Add(time.Hour)); err != nil {
+				t.Fatal(err)
+			}
+			check(e, u, "install onto a kept fingerprint")
+
+			other := newEngine()
+			if err := other.InstallTops(u, tops(4_000, 5_000), now); err != nil {
+				t.Fatal(err)
+			}
+			theirs, err := other.Table(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.ImportTable(u, PackTable(theirs).AppendSuffix(nil, 0)); err != nil {
+				t.Fatal(err)
+			}
+			check(e, u, "import")
+
+			if _, err := e.EvictIdle(0); err != nil {
+				t.Fatal(err)
+			}
+			if resident(e, u) != nil {
+				t.Fatal("EvictIdle(0) left the user resident")
+			}
+			check(e, u, "spilled")
+			if err := e.Report(u, geo.Point{X: 0, Y: 100}, now.Add(2*time.Hour)); err != nil {
+				t.Fatal(err)
+			}
+			unkept(e, u, "fault-in")
+			check(e, u, "after fault-in")
+			if err := e.InstallTops(u, tops(0, 6_000), now.Add(3*time.Hour)); err != nil {
+				t.Fatal(err)
+			}
+			check(e, u, "install after fault-in")
+
+			var snap bytes.Buffer
+			if err := e.Snapshot(&snap); err != nil {
+				t.Fatal(err)
+			}
+			restored := newEngine()
+			if err := restored.Restore(&snap); err != nil {
+				t.Fatal(err)
+			}
+			unkept(restored, u, "restore")
+			check(restored, u, "after restore")
+			if err := restored.InstallTops(u, tops(7_000), now.Add(4*time.Hour)); err != nil {
+				t.Fatal(err)
+			}
+			check(restored, u, "install after restore")
+		})
 	}
 }

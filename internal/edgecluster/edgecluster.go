@@ -86,7 +86,16 @@ func (e unavailable) Unwrap() error { return edge.ErrUnavailable }
 type Node struct {
 	ID       string
 	Coverage geo.Circle
-	Engine   *core.Engine
+	// Engine is the node's engine. RestartNode replaces it, so a caller
+	// outside the cluster reads it only while no restart can run.
+	Engine *core.Engine
+
+	// engineMu holds Engine in place while a call runs on it. Every
+	// engine call the cluster makes outside c.mu holds it in read mode;
+	// RestartNode holds it in write mode, taken after c.mu, while it
+	// recovers and swaps the engine. Calls made under c.mu need not take
+	// it, since the swap happens under c.mu too.
+	engineMu sync.RWMutex
 
 	// down is the node's health state — the cluster's *belief*, driven
 	// by MarkDown/MarkUp or the failure detector; a down node receives
@@ -150,15 +159,18 @@ type Config struct {
 // Cluster is a set of cooperating edge devices. Report and Request fan
 // out to per-node engines (which carry their own per-user locks) and are
 // safe for concurrent use; merge rounds, journal access, and health
-// transitions serialise on the cluster mutex. A Cluster is an
-// edge.Backend: edge.NewServer serves it over HTTP exactly as it serves
-// one edge's engine.
+// transitions serialise on the cluster mutex. A restart swaps a node's
+// engine under the cluster mutex and the node's engine lock, and every
+// engine call made outside the cluster mutex holds that lock in read
+// mode. Lock order: the cluster mutex before any node's engine lock. A
+// Cluster is an edge.Backend: edge.NewServer serves it over HTTP exactly
+// as it serves one edge's engine.
 type Cluster struct {
 	cfg   Config
 	nodes []*Node
 
 	// mu guards the journal, every node's lag map, merge rounds, and the
-	// scratch buffers.
+	// scratch buffers, and with each node's engineMu that node's Engine.
 	mu      sync.Mutex
 	journal map[string]*mergeRound
 	version uint64
@@ -376,23 +388,38 @@ func (c *Cluster) MarkUp(i int) error {
 // top. The recovered state — not a cold engine — is the catch-up
 // baseline, so a revived node only needs the journal for rounds merged
 // while it was down, and its permanent obfuscation table (the
-// longitudinal guarantee) survives the crash byte-identically. The node
-// is marked live on return; a catch-up failure is reported but leaves
-// the node retryable via Reconcile, matching MarkUp.
+// longitudinal guarantee) survives the crash byte-identically.
+//
+// It is safe under traffic. The node is marked down first, so no new
+// call routes to it, and the calls already running on the old engine
+// are waited out before st is read: every check-in the old engine
+// acknowledged is in its log by then, and it takes no call afterwards.
+// A store that opens the old engine's log on its first read therefore
+// sees all of it. Recovery, the swap and the audit run under the
+// cluster mutex, so merges wait for them. The node is marked live on
+// return; a catch-up failure is reported but leaves the node retryable
+// via Reconcile, matching MarkUp. A failed rebuild or recovery keeps
+// the old engine and the node's health as they were.
 func (c *Cluster) RestartNode(i int, st core.DurableStore) error {
 	if i < 0 || i >= len(c.nodes) {
 		return fmt.Errorf("edgecluster: no edge %d", i)
 	}
 	n := c.nodes[i]
-	engine, err := core.NewEngine(n.Engine.Config())
-	if err != nil {
-		return fmt.Errorf("edgecluster: rebuilding engine for %s: %w", n.ID, err)
-	}
-	if _, err := engine.Recover(st); err != nil {
-		return fmt.Errorf("edgecluster: recovering %s: %w", n.ID, err)
-	}
+	wasDown := n.down.Swap(true)
 	c.mu.Lock()
+	n.engineMu.Lock()
+	engine, err := core.NewEngine(n.Engine.Config())
+	if err == nil {
+		_, err = engine.Recover(st)
+	}
+	if err != nil {
+		n.engineMu.Unlock()
+		c.mu.Unlock()
+		n.down.Store(wasDown)
+		return fmt.Errorf("edgecluster: restarting %s: %w", n.ID, err)
+	}
 	n.Engine = engine
+	n.engineMu.Unlock()
 	// The lag map tracked the dead process's journal position, but a
 	// recovered engine can be behind what the bookkeeping says: a WAL
 	// running fsync=interval/never loses its tail on a crash, silently
@@ -665,7 +692,10 @@ func (c *Cluster) report(ctx context.Context, userID string, pos geo.Point, at t
 		ctx, sp = tracing.StartSpan(ctx, tracing.StageFailover)
 		defer sp.End()
 	}
-	if err := node.Engine.ReportCtx(ctx, userID, pos, at); err != nil {
+	node.engineMu.RLock()
+	err = node.Engine.ReportCtx(ctx, userID, pos, at)
+	node.engineMu.RUnlock()
+	if err != nil {
 		return "", fmt.Errorf("edgecluster: reporting to %s: %w", node.ID, err)
 	}
 	return node.ID, nil
@@ -709,6 +739,8 @@ func (c *Cluster) ReportBatchCtx(ctx context.Context, items []core.BatchReport) 
 	}
 	for _, node := range order {
 		deliver := func(ctx context.Context) []core.BatchError {
+			node.engineMu.RLock()
+			defer node.engineMu.RUnlock()
 			return node.Engine.ReportBatchCtx(ctx, groups[node])
 		}
 		var batchErrs []core.BatchError
@@ -749,7 +781,9 @@ func (c *Cluster) RequestCtx(ctx context.Context, userID string, pos geo.Point) 
 		ctx, sp = tracing.StartSpan(ctx, tracing.StageFailover)
 		defer sp.End()
 	}
+	node.engineMu.RLock()
 	out, fromTable, err := node.Engine.RequestCtx(ctx, userID, pos)
+	node.engineMu.RUnlock()
 	if err != nil {
 		return geo.Point{}, false, fmt.Errorf("edgecluster: requesting at %s: %w", node.ID, err)
 	}
@@ -759,7 +793,10 @@ func (c *Cluster) RequestCtx(ctx context.Context, userID string, pos geo.Point) 
 // FilterAdsAppend is the AOI filter of edge 0's engine: every edge runs
 // the same engine configuration, so any edge's filter is the cluster's.
 func (c *Cluster) FilterAdsAppend(dst []int, truePos geo.Point, adLocations []geo.Point) []int {
-	return c.nodes[0].Engine.FilterAdsAppend(dst, truePos, adLocations)
+	n := c.nodes[0]
+	n.engineMu.RLock()
+	defer n.engineMu.RUnlock()
+	return n.Engine.FilterAdsAppend(dst, truePos, adLocations)
 }
 
 // RebuildProfileCtx runs one merge round for the user at now: in a
@@ -780,7 +817,10 @@ func (c *Cluster) TopLocations(userID string) (profile.Profile, error) {
 		return append(profile.Profile(nil), round.tops...), nil
 	}
 	for _, n := range c.nodes {
-		switch _, err := n.Engine.TopLocations(userID); {
+		n.engineMu.RLock()
+		_, err := n.Engine.TopLocations(userID)
+		n.engineMu.RUnlock()
+		switch {
 		case err == nil || errors.Is(err, core.ErrNoProfile):
 			return nil, fmt.Errorf("edgecluster: %w for %q", core.ErrNoProfile, userID)
 		case !errors.Is(err, core.ErrUnknownUser):
@@ -809,7 +849,9 @@ func (c *Cluster) TableFingerprint(userID string) (uint64, error) {
 func (c *Cluster) NomadicLoss(userID string) (geoind.Loss, error) {
 	var sum geoind.Loss
 	for _, n := range c.nodes {
+		n.engineMu.RLock()
 		loss, err := n.Engine.NomadicLoss(userID)
+		n.engineMu.RUnlock()
 		if err != nil {
 			return geoind.Loss{}, fmt.Errorf("edgecluster: nomadic loss at %s: %w", n.ID, err)
 		}

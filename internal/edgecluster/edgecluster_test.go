@@ -12,6 +12,7 @@ import (
 	"repro/internal/geoind"
 	"repro/internal/profile"
 	"repro/internal/randx"
+	"repro/internal/secagg"
 	"repro/internal/telemetry"
 	"repro/internal/tracing"
 )
@@ -348,6 +349,33 @@ func TestMergeRoundsUseFreshSessionSeeds(t *testing.T) {
 				t.Errorf("sessions %d and %d share seed %#x", i+1, j+1, seeds[i])
 			}
 		}
+	}
+}
+
+// TestConsecutiveRoundsMaskApart: a pair's mask is its keystream under
+// the round's session seed, so consecutive journal versions must give a
+// pair keystreams that agree at no position, or two rounds' shares of
+// one edge would share a pad. With two parties and zero vectors, party
+// 0's share is the pair's mask itself.
+func TestConsecutiveRoundsMaskApart(t *testing.T) {
+	const length = 1024
+	var prev secagg.Vector
+	for version := uint64(1); version <= 32; version++ {
+		s, err := secagg.NewSession(2, length, mergeSeed(1, version))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make(secagg.Vector, 2*length)
+		if err := s.Mask(rows); err != nil {
+			t.Fatal(err)
+		}
+		mask := rows[:length]
+		for k := range prev {
+			if mask[k] == prev[k] {
+				t.Fatalf("rounds %d and %d: pair (0, 1) masks agree at word %d", version-1, version, k)
+			}
+		}
+		prev = mask
 	}
 }
 

@@ -4,17 +4,22 @@
 // multi-party computation protocol").
 //
 // The protocol is pairwise additive masking (the core of Bonawitz et al.
-// secure aggregation, without dropout recovery): every ordered pair of
-// parties (i < j) derives a shared mask vector from a pairwise seed;
-// party i adds the mask, party j subtracts it. Each party publishes only
-// its masked vector; the masks cancel in the sum, so the aggregator
-// learns exactly Σᵢ vᵢ and nothing about any individual vᵢ (each
-// published vector is one-time-pad masked modulo 2⁶⁴). The pad is fresh
-// per round: the masks depend only on the session seed and the pair, so
-// every round runs under its own seed, which edgecluster derives from
-// the version the round is journaled under. A reused seed would make it
-// a two-time pad: two shares of one party would differ by exactly the
-// difference of its two plaintexts.
+// secure aggregation, without dropout recovery): every pair of parties
+// (i < j) expands a shared key into a mask vector; party i adds the
+// mask, party j subtracts it. Each party publishes only its masked
+// vector; the masks cancel in the sum, so the aggregator learns exactly
+// Σᵢ vᵢ and nothing about any individual vᵢ. That holds only if each
+// mask is indistinguishable from uniform to whoever lacks the pair's
+// key, so the expansion is a cryptographic PRG: AES-128 in counter mode
+// (crypto/aes, hardware AES where the CPU has it). In a two-party round
+// a party's share at every cell it left empty is the pair's keystream
+// itself, which a statistical generator would hand over in the clear.
+//
+// The pad is fresh per round: the pair keys derive from the session seed
+// and the pair, so every round runs under its own seed, which
+// edgecluster derives from the version the round is journaled under. A
+// reused seed would make it a two-time pad: two shares of one party
+// would differ by exactly the difference of its two plaintexts.
 //
 // Location profiles are carried as grid histograms (GridCodec): counts
 // over fixed cells of the agreed region, which makes profile addition
@@ -22,14 +27,19 @@
 package secagg
 
 import (
+	"cmp"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/geo"
 	"repro/internal/profile"
-	"repro/internal/randx"
 )
 
 // Protocol errors.
@@ -44,9 +54,10 @@ var (
 type Vector []uint64
 
 // Session is one aggregation round among a fixed set of parties over
-// vectors of a fixed length. Pairwise seeds are derived deterministically
-// from a session seed; in a deployment they would come from a key
-// agreement, which is orthogonal to the aggregation algebra tested here.
+// vectors of a fixed length. Pair keys are derived deterministically
+// from a session seed (pairStream); in a deployment they would come from
+// a key agreement, which is orthogonal to the aggregation algebra tested
+// here.
 type Session struct {
 	parties int
 	length  int
@@ -65,30 +76,118 @@ func NewSession(parties, length int, seed uint64) (*Session, error) {
 	return &Session{parties: parties, length: length, seed: seed}, nil
 }
 
+// maskDomain prefixes every pair-key derivation, so no other key derived
+// from a session seed can coincide with a mask key.
+const maskDomain = "repro/secagg pairwise mask v1"
+
+// pairStream returns the keystream of pair (i, j) under seed: AES-128 in
+// counter mode from the all-zero counter block, keyed by the first 16
+// bytes of SHA-256(maskDomain ‖ seed ‖ i ‖ j), each number 8 bytes little
+// endian. Mask word k of the pair is keystream bytes [8k, 8k+8) read
+// little endian, so the mask is a pure function of (seed, i, j), and
+// distinct pairs or seeds run under unrelated keys.
+func pairStream(seed uint64, i, j int) cipher.Stream {
+	var in [len(maskDomain) + 24]byte
+	n := copy(in[:], maskDomain)
+	binary.LittleEndian.PutUint64(in[n:], seed)
+	binary.LittleEndian.PutUint64(in[n+8:], uint64(i))
+	binary.LittleEndian.PutUint64(in[n+16:], uint64(j))
+	key := sha256.Sum256(in[:])
+	block, err := aes.NewCipher(key[:16])
+	if err != nil {
+		panic(err) // unreachable: 16 bytes is an AES-128 key
+	}
+	return cipher.NewCTR(block, zeroIV[:])
+}
+
+// chunkWords is how many mask words a pair's keystream yields at a time:
+// 4 KiB, which stays in the L1 cache together with the rows' slices it
+// is added to and subtracted from.
+const chunkWords = 512
+
+// zeroChunk is the plaintext the keystream is XORed onto, so what comes
+// out is the keystream itself.
+var zeroChunk [8 * chunkWords]byte
+
+// zeroIV is the counter block every pair's keystream starts from; each
+// pair has a key of its own.
+var zeroIV [aes.BlockSize]byte
+
+// maskScratch is what one Mask call works in: the pairs' keystreams and
+// the chunk they are drawn into.
+type maskScratch struct {
+	streams []cipher.Stream
+	chunk   [8 * chunkWords]byte
+}
+
+// scratches recycles mask scratch across calls.
+var scratches = sync.Pool{New: func() any { return new(maskScratch) }}
+
 // Mask turns every party's private vector into its published share, in
 // place. rows holds party i's vector at rows[i·length : (i+1)·length].
 // The mask of each pair (i, j), i < j, is drawn once from the pair's
-// stream — which both parties can compute and nobody else holds — and
-// added to row i and subtracted from row j, so each row ends as its
+// keystream — which both parties can compute and nobody else holds —
+// and added to row i and subtracted from row j, so each row ends as its
 // vector plus the masks shared with higher-indexed parties minus those
-// shared with lower-indexed ones.
+// shared with lower-indexed ones. The rows are masked one column chunk
+// at a time, every pair's chunk in turn, so each slice of a row is
+// brought into the cache once for all the pairs it is in.
 func (s *Session) Mask(rows Vector) error {
 	if len(rows) != s.parties*s.length {
 		return fmt.Errorf("%w: got %d, session uses %d parties × %d", ErrVectorLength, len(rows), s.parties, s.length)
 	}
+	sc := scratches.Get().(*maskScratch)
+	defer func() {
+		clear(sc.streams)
+		sc.streams = sc.streams[:0]
+		scratches.Put(sc)
+	}()
 	for i := 0; i < s.parties; i++ {
-		lo := rows[i*s.length : (i+1)*s.length]
 		for j := i + 1; j < s.parties; j++ {
-			hi := rows[j*s.length:][:len(lo)]
-			rnd := randx.New(s.seed, (uint64(i)<<32)|uint64(j)|0x5EC466<<40)
-			for k := range lo {
-				m := rnd.Uint64()
-				lo[k] += m
-				hi[k] -= m
+			sc.streams = append(sc.streams, pairStream(s.seed, i, j))
+		}
+	}
+	for off := 0; off < s.length; off += chunkWords {
+		n := min(chunkWords, s.length-off)
+		ks := sc.chunk[:8*n]
+		pair := 0
+		for i := 0; i < s.parties; i++ {
+			lo := rows[i*s.length+off:][:n]
+			for j := i + 1; j < s.parties; j++ {
+				sc.streams[pair].XORKeyStream(ks, zeroChunk[:len(ks)])
+				pair++
+				addSub(lo, rows[j*s.length+off:][:n], ks)
 			}
 		}
 	}
 	return nil
+}
+
+// addSub adds mask word k, bytes [8k, 8k+8) of ks read little endian, to
+// lo[k] and subtracts it from hi[k], four words at a time.
+func addSub(lo, hi Vector, ks []byte) {
+	hi = hi[:len(lo)]
+	ks = ks[:8*len(lo)]
+	for len(lo) >= 4 && len(hi) >= 4 && len(ks) >= 32 {
+		m0 := binary.LittleEndian.Uint64(ks[0:])
+		m1 := binary.LittleEndian.Uint64(ks[8:])
+		m2 := binary.LittleEndian.Uint64(ks[16:])
+		m3 := binary.LittleEndian.Uint64(ks[24:])
+		lo[0] += m0
+		lo[1] += m1
+		lo[2] += m2
+		lo[3] += m3
+		hi[0] -= m0
+		hi[1] -= m1
+		hi[2] -= m2
+		hi[3] -= m3
+		lo, hi, ks = lo[4:], hi[4:], ks[32:]
+	}
+	for k := range lo {
+		m := binary.LittleEndian.Uint64(ks[8*k:])
+		lo[k] += m
+		hi[k] -= m
+	}
 }
 
 // GridCodec encodes location profiles as count histograms over a fixed
@@ -165,17 +264,35 @@ func (g *GridCodec) encode(row Vector, p profile.Profile) (dropped int) {
 }
 
 // aggregate is the aggregator's step: it sums the published shares —
-// consecutive rows of Length() slots — and decodes the total in the same
-// scan over cells into a profile whose locations are cell centres
-// (quantized to cell resolution), ordered by descending frequency.
+// consecutive rows of Length() slots — row by row into the first row,
+// then decodes the total in one scan over cells into a profile whose
+// locations are cell centres (quantized to cell resolution), ordered by
+// descending frequency. The pass that adds the last row also counts the
+// cells it leaves non-zero, so the profile is allocated once, at its
+// size; with no such cell it is nil. The first row is left holding the
+// total.
 func (g *GridCodec) aggregate(rows Vector) (profile.Profile, error) {
-	n := g.Length()
-	var p profile.Profile
-	for idx := 0; idx < n; idx++ {
-		var count uint64
-		for k := idx; k < len(rows); k += n {
-			count += rows[k]
+	total := rows[:g.Length()]
+	cells := 0
+	for r := len(total); r < len(rows); r += len(total) {
+		row := rows[r:][:len(total)]
+		if r+len(total) < len(rows) {
+			for k, v := range row {
+				total[k] += v
+			}
+			continue
 		}
+		for k, v := range row {
+			if total[k] += v; total[k] != 0 {
+				cells++
+			}
+		}
+	}
+	var p profile.Profile
+	if cells > 0 {
+		p = make(profile.Profile, 0, cells)
+	}
+	for idx, count := range total {
 		if count == 0 {
 			continue
 		}
@@ -184,23 +301,15 @@ func (g *GridCodec) aggregate(rows Vector) (profile.Profile, error) {
 		}
 		p = append(p, profile.LocationFreq{Loc: g.cellCenter(idx), Freq: int(count)})
 	}
-	sortProfile(p)
+	slices.SortFunc(p, byFreqThenPlace)
 	return p, nil
 }
 
-// sortProfile orders by descending frequency with coordinate tie-breaks.
-func sortProfile(p profile.Profile) {
-	for i := 1; i < len(p); i++ {
-		for j := i; j > 0; j-- {
-			a, b := p[j-1], p[j]
-			better := b.Freq > a.Freq ||
-				(b.Freq == a.Freq && (b.Loc.X < a.Loc.X || (b.Loc.X == a.Loc.X && b.Loc.Y < a.Loc.Y)))
-			if !better {
-				break
-			}
-			p[j-1], p[j] = b, a
-		}
-	}
+// byFreqThenPlace orders by descending frequency, then ascending X, then
+// ascending Y. Two cells that compare equal carry the same frequency and
+// centre, so they are equal values and an unstable sort gives one order.
+func byFreqThenPlace(a, b profile.LocationFreq) int {
+	return cmp.Or(cmp.Compare(b.Freq, a.Freq), cmp.Compare(a.Loc.X, b.Loc.X), cmp.Compare(a.Loc.Y, b.Loc.Y))
 }
 
 // slabs recycles the parties × cells share slab across merges: a merge

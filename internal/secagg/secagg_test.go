@@ -1,6 +1,10 @@
 package secagg
 
 import (
+	"crypto/aes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -20,11 +24,36 @@ func testRegion() geo.BBox {
 // random quarter of the values put back.
 var raceEnabled bool
 
+// referenceKeystream is the first words mask words of pair (i, j) under
+// seed, spelled out from the definition pairStream implements: the pair
+// key is the first 16 bytes of SHA-256(maskDomain ‖ seed ‖ i ‖ j), and
+// the keystream is AES-128 of the big-endian counter blocks 0, 1, 2, …,
+// read as little-endian words.
+func referenceKeystream(seed uint64, i, j, words int) []uint64 {
+	in := append([]byte(maskDomain), make([]byte, 24)...)
+	binary.LittleEndian.PutUint64(in[len(maskDomain):], seed)
+	binary.LittleEndian.PutUint64(in[len(maskDomain)+8:], uint64(i))
+	binary.LittleEndian.PutUint64(in[len(maskDomain)+16:], uint64(j))
+	key := sha256.Sum256(in)
+	block, err := aes.NewCipher(key[:16])
+	if err != nil {
+		panic(err)
+	}
+	out := make([]uint64, 0, words+1)
+	var ctr, ks [aes.BlockSize]byte
+	for c := uint64(0); len(out) < words; c++ {
+		binary.BigEndian.PutUint64(ctr[8:], c)
+		block.Encrypt(ks[:], ctr[:])
+		out = append(out, binary.LittleEndian.Uint64(ks[:8]), binary.LittleEndian.Uint64(ks[8:]))
+	}
+	return out[:words]
+}
+
 // referenceShare is party's published share computed the per-party way
 // Mask replaced, kept as the reference Mask is checked against: its
 // vector plus the mask of every pair it shares with a higher-indexed
 // party, minus the mask of every pair it shares with a lower-indexed
-// one, each mask drawn in full from the pair's own stream.
+// one, each mask drawn in full from the pair's reference keystream.
 func referenceShare(seed uint64, parties, party int, v Vector) Vector {
 	out := slices.Clone(v)
 	for other := 0; other < parties; other++ {
@@ -32,9 +61,8 @@ func referenceShare(seed uint64, parties, party int, v Vector) Vector {
 			continue
 		}
 		i, j := min(party, other), max(party, other)
-		rnd := randx.New(seed, (uint64(i)<<32)|uint64(j)|0x5EC466<<40)
-		for k := range out {
-			if m := rnd.Uint64(); party < other {
+		for k, m := range referenceKeystream(seed, i, j, len(out)) {
+			if party < other {
 				out[k] += m
 			} else {
 				out[k] -= m
@@ -53,6 +81,64 @@ func checkShares(t *testing.T, seed uint64, parties int, plain, masked Vector) {
 		want := referenceShare(seed, parties, p, plain[p*n:(p+1)*n])
 		if got := masked[p*n : (p+1)*n]; !slices.Equal(got, want) {
 			t.Fatalf("parties=%d length=%d: row %d differs from the reference share", parties, n, p)
+		}
+	}
+}
+
+// drawKeystream reads words mask words from pair (i, j)'s keystream
+// under seed in pieces of step bytes.
+func drawKeystream(seed uint64, i, j, words, step int) []uint64 {
+	ks := pairStream(seed, i, j)
+	b := make([]byte, 8*words)
+	for off := 0; off < len(b); off += step {
+		piece := b[off:min(off+step, len(b))]
+		ks.XORKeyStream(piece, make([]byte, len(piece)))
+	}
+	out := make([]uint64, words)
+	for k := range out {
+		out[k] = binary.LittleEndian.Uint64(b[8*k:])
+	}
+	return out
+}
+
+// TestPairKeystream: a pair's keystream is a pure function of (seed, i,
+// j) — the same words however it is drawn, equal to the reference spelled
+// out from AES-128 and SHA-256 — and no two pairs of one session, and no
+// pair under two neighbouring seeds, share a word at any position of
+// their first chunk, so none shares a prefix.
+func TestPairKeystream(t *testing.T) {
+	const words = chunkWords + 3
+	for _, seed := range []uint64{0, 1, 99, math.MaxUint64} {
+		for _, pair := range [][2]int{{0, 1}, {0, 7}, {3, 5}} {
+			i, j := pair[0], pair[1]
+			want := referenceKeystream(seed, i, j, words)
+			for _, step := range []int{1, 7, 16, 4096, 8 * words} {
+				if got := drawKeystream(seed, i, j, words, step); !slices.Equal(got, want) {
+					t.Fatalf("seed %d pair (%d, %d) drawn %d bytes at a time differs from the reference keystream", seed, i, j, step)
+				}
+			}
+		}
+	}
+
+	type stream struct {
+		name  string
+		words []uint64
+	}
+	var streams []stream
+	for _, seed := range []uint64{41, 42} {
+		for i := 0; i < 8; i++ {
+			for j := i + 1; j < 8; j++ {
+				streams = append(streams, stream{fmt.Sprintf("seed %d pair (%d, %d)", seed, i, j), drawKeystream(seed, i, j, chunkWords, 8*chunkWords)})
+			}
+		}
+	}
+	for a := range streams {
+		for b := a + 1; b < len(streams); b++ {
+			for k := range chunkWords {
+				if streams[a].words[k] == streams[b].words[k] {
+					t.Fatalf("%s and %s agree at word %d", streams[a].name, streams[b].name, k)
+				}
+			}
 		}
 	}
 }
@@ -348,14 +434,31 @@ func TestMergeAllocatesNoGrid(t *testing.T) {
 	}
 }
 
+// BenchmarkMergeProfiles3Parties times a merge of ten locations per
+// party: three parties on the 10 km grid at 100 m (10,000 cells), and
+// two and three parties on cluster-failover's district grid, 6 km × 3 km
+// at 50 m (7,200 cells) — the round with edge 1 out and a full round.
 func BenchmarkMergeProfiles3Parties(b *testing.B) {
-	region := testRegion()
-	parts := randomParts(randx.New(1, 1), 3, 10, region)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := MergeProfiles(parts, region, 100, uint64(i)); err != nil {
-			b.Fatal(err)
-		}
+	district := geo.BBox{MinX: 0, MinY: 0, MaxX: 6_000, MaxY: 3_000}
+	for _, bc := range []struct {
+		name    string
+		region  geo.BBox
+		cell    float64
+		parties int
+	}{
+		{"grid=10km/parties=3", testRegion(), 100, 3},
+		{"grid=district/parties=2", district, 50, 2},
+		{"grid=district/parties=3", district, 50, 3},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			parts := randomParts(randx.New(1, 1), bc.parties, 10, bc.region)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := MergeProfiles(parts, bc.region, bc.cell, uint64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

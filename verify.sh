@@ -26,6 +26,13 @@ go test -race ./...
 # ~6 min on a 1-CPU host, so two runs legitimately exceed Go's 10m default.
 go test -race -count=2 -timeout 30m ./internal/edgecluster ./internal/client ./internal/edge
 
+# Restarting an edge swaps its engine while reports, batches and ad
+# requests run through edge.Server. Twenty race-detector passes check
+# that no call reads the engine mid-swap, that no acknowledged check-in
+# is lost, and that stats, fingerprints and snapshots match a run
+# without the restart.
+go test -race -count=20 -run 'TestRestartNodeUnderTraffic$' ./internal/edgecluster
+
 # Ad matching collects its hits into pooled scratch shared by concurrent
 # requests; ten race-detector passes of the concurrent tests check that
 # no returned ad slice aliases the pool and that the index and the bid
@@ -74,7 +81,7 @@ go test ./internal/workload -run '^$' -fuzz 'FuzzExternalSource$' -fuzztime 10s
 # far-out coordinates included.
 go test ./internal/cluster -run '^$' -fuzz 'FuzzConnectivity$' -fuzztime 10s
 
-# Secure-merge fuzz smoke: masked rows must equal the per-party reference shares and the merge the plaintext sum.
+# Secure-merge fuzz smoke: masked rows must equal the per-party reference shares, drawn from each pair's AES-CTR keystream spelled out block by block, and the merge the plaintext sum.
 go test ./internal/secagg -run '^$' -fuzz 'FuzzSecureMerge$' -fuzztime 10s
 
 # Ad-matching fuzz smoke: Match must equal a naive scan over every
