@@ -26,6 +26,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"repro/internal/geo"
@@ -74,6 +75,53 @@ func AppendTime(b []byte, t time.Time) []byte {
 	b = append(b, 1)
 	b = AppendVarint(b, t.Unix())
 	return AppendVarint(b, int64(t.Nanosecond()))
+}
+
+// ReadPoint decodes the point at the front of b, which must hold its
+// 16 bytes. Reader.Point checks that they are there; ReadPoint alone
+// serves bytes this process encoded itself.
+func ReadPoint(b []byte) geo.Point {
+	_ = b[15]
+	return geo.Point{
+		X: math.Float64frombits(binary.LittleEndian.Uint64(b)),
+		Y: math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
+	}
+}
+
+// SkipTime returns b past the time at its front, stepping over its
+// bytes without decoding them. b must hold a time as AppendTime writes
+// it: SkipTime checks nothing, for bytes this process encoded itself.
+func SkipTime(b []byte) []byte {
+	if b[0] == 0 {
+		return b[1:]
+	}
+	n := 1
+	for b[n] >= 0x80 { // the seconds' varint
+		n++
+	}
+	n++
+	for b[n] >= 0x80 { // the nanoseconds' varint
+		n++
+	}
+	return b[n+1:]
+}
+
+// TimeLen returns len(AppendTime(nil, t)) without encoding t.
+func TimeLen(t time.Time) int {
+	if t.IsZero() {
+		return 1
+	}
+	return 1 + varintLen(t.Unix()) + varintLen(int64(t.Nanosecond()))
+}
+
+// varintLen returns len(AppendVarint(nil, v)): seven bits of the
+// zig-zag encoding per byte.
+func varintLen(v int64) int {
+	ux := uint64(v) << 1
+	if v < 0 {
+		ux = ^ux
+	}
+	return (bits.Len64(ux|1) + 6) / 7
 }
 
 // AppendSliceLen appends s's length with nil-ness kept: 0 for a nil
@@ -186,6 +234,17 @@ func (r *Reader) Bool() bool { return r.flag("bool") }
 // Str reads a length-prefixed string.
 func (r *Reader) Str() string { return string(r.next(r.Uvarint(), "string")) }
 
+// StrReuse is Str, except that it returns prev itself, without
+// allocating, when the bytes read spell prev: the items of a batch that
+// repeat one string then share one copy of it.
+func (r *Reader) StrReuse(prev string) string {
+	b := r.next(r.Uvarint(), "string")
+	if string(b) == prev {
+		return prev
+	}
+	return string(b)
+}
+
 // Bytes reads a length-prefixed byte string into a fresh slice; an
 // empty one reads as nil.
 func (r *Reader) Bytes() []byte {
@@ -207,8 +266,10 @@ func (r *Reader) Rest() []byte {
 
 // Point reads a point.
 func (r *Reader) Point() geo.Point {
-	x := math.Float64frombits(r.Uint64())
-	return geo.Point{X: x, Y: math.Float64frombits(r.Uint64())}
+	if b := r.next(16, "point"); b != nil {
+		return ReadPoint(b)
+	}
+	return geo.Point{}
 }
 
 // Time reads the time layout. It fails on a flag byte above 1 and on

@@ -6,8 +6,10 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/geo"
 )
@@ -132,6 +134,76 @@ func TestReaderRejects(t *testing.T) {
 	r := NewReader(append([]byte{4}, make([]byte, 8)...))
 	if n := r.Count(2); n != 4 || r.Err() != nil {
 		t.Errorf("Count(2) of 4 items in 8 bytes = %d, %v", n, r.Err())
+	}
+}
+
+// TestTimeLen: TimeLen is the length AppendTime writes, and SkipTime
+// steps over exactly those bytes, at every varint width of the seconds
+// and nanoseconds, on both sides of zero, and for times int64
+// nanoseconds since 1970 cannot hold. ReadPoint reads what AppendPoint
+// writes, as Reader.Point does.
+func TestTimeLen(t *testing.T) {
+	times := []time.Time{
+		{},
+		time.Unix(0, 0),
+		time.Date(1, 1, 1, 0, 0, 0, 1, time.UTC),
+		time.Date(1900, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(2300, 1, 1, 0, 0, 0, 999_999_999, time.UTC),
+		time.Date(9999, 12, 31, 23, 59, 59, 0, time.FixedZone("east", 14*3600)),
+		time.Unix(math.MaxInt64/2, 0),
+		time.Unix(math.MinInt64/2, 0),
+		time.Now(),
+	}
+	for shift := 0; shift < 63; shift++ {
+		for _, sec := range []int64{1<<shift - 1, 1 << shift, -(1 << shift), -(1 << shift) - 1} {
+			times = append(times, time.Unix(sec, 0))
+		}
+	}
+	for ns := int64(1); ns < 1e9; ns *= 2 {
+		times = append(times, time.Unix(1, ns-1), time.Unix(-1, ns))
+	}
+	for i, at := range times {
+		b := AppendTime(nil, at)
+		if got := TimeLen(at); got != len(b) {
+			t.Errorf("TimeLen(%v) = %d, want %d", at, got, len(b))
+		}
+		p := geo.Point{X: math.Float64frombits(uint64(i) * 0x9e37_79b9_7f4a_7c15), Y: -float64(i)}
+		rec := AppendTime(AppendPoint(nil, p), at)
+		rec = append(rec, 0xff) // the next record's first byte
+		if got := ReadPoint(rec); math.Float64bits(got.X) != math.Float64bits(p.X) || got.Y != p.Y {
+			t.Errorf("ReadPoint = %v, want %v", got, p)
+		}
+		if rest := SkipTime(rec[16:]); len(rest) != 1 || rest[0] != 0xff {
+			t.Errorf("SkipTime(%v) left %d bytes, want 1", at, len(rest))
+		}
+	}
+}
+
+// TestStrReuse: StrReuse returns the previous string itself when the
+// bytes spell it, without allocating, and a fresh string otherwise.
+func TestStrReuse(t *testing.T) {
+	prev := strings.Repeat("device-", 4)
+	b := AppendString(AppendString(AppendString(nil, prev), prev), "other")
+	r := NewReader(b)
+	first := r.StrReuse("")
+	if first != prev {
+		t.Fatalf("StrReuse = %q, want %q", first, prev)
+	}
+	if got := r.StrReuse(first); got != first || unsafe.StringData(got) != unsafe.StringData(first) {
+		t.Errorf("StrReuse of the same bytes = %q, not the previous string", got)
+	}
+	if got := r.StrReuse(first); got != "other" {
+		t.Errorf("StrReuse = %q, want %q", got, "other")
+	}
+	if err := r.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	again := NewReader(AppendString(nil, prev))
+	if n := testing.AllocsPerRun(100, func() {
+		again = NewReader(again.buf)
+		again.StrReuse(prev)
+	}); n != 0 {
+		t.Errorf("StrReuse of the previous string allocated %.0f times", n)
 	}
 }
 

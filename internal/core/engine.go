@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -17,7 +18,6 @@ import (
 	"repro/internal/par"
 	"repro/internal/profile"
 	"repro/internal/randx"
-	"repro/internal/trace"
 	"repro/internal/tracing"
 	"repro/internal/wal"
 )
@@ -172,9 +172,14 @@ func (c Config) Validate() error {
 
 // userState is the engine's per-user state.
 type userState struct {
-	mu          sync.Mutex
-	rnd         *randx.Rand
-	pending     []trace.CheckIn
+	mu  sync.Mutex
+	rnd *randx.Rand
+	// window is the collection window in its user-frame encoding: for
+	// each pending check-in, its point then its time, as
+	// binfmt.AppendPoint and binfmt.AppendTime write them. nPending
+	// counts them. Bytes hold no pointer for the collector to scan.
+	window      []byte
+	nPending    int
 	windowStart time.Time
 	tops        profile.Profile
 	table       *ObfuscationTable
@@ -227,6 +232,9 @@ type engineShard struct {
 	// tier on.
 	ring []residentSlot
 	hand int
+	// faultBuf is the buffer a fault-in reads its spill frame into,
+	// reused under mu's write side (see faultInLocked).
+	faultBuf []byte
 }
 
 // Engine is the Edge-PrivLocAd core: it manages per-user location
@@ -477,7 +485,8 @@ func (e *Engine) ReportCtx(ctx context.Context, userID string, pos geo.Point, at
 	if u.windowStart.IsZero() {
 		u.windowStart = at
 	}
-	u.pending = append(u.pending, trace.CheckIn{Pos: pos, Time: at})
+	u.window = slices.Grow(u.window, checkInLen(at))
+	u.addCheckIn(pos, at)
 	var opErr error
 	if at.Sub(u.windowStart) >= e.cfg.ProfileWindow {
 		// A window-rollover rebuild needs no record of its own:
@@ -587,16 +596,21 @@ func (e *Engine) reportUserRun(ctx context.Context, h *durHolder, userID string,
 		return errs
 	}
 	defer u.mu.Unlock()
-	// Grow pending once for the whole run, with amortized doubling —
-	// growing to the exact need would re-copy the full history on every
-	// batch. rebuildLocked may still empty the slice mid-run on a window
-	// rollover, and keeps its array for the appends that follow.
-	if need := len(u.pending) + n; cap(u.pending) < need {
-		newCap := max(need, 2*cap(u.pending))
-		grown := make([]trace.CheckIn, len(u.pending), newCap)
-		copy(grown, u.pending)
-		u.pending = grown
+	// Grow the window once for the whole run, by the run's encoded
+	// length, with slices.Grow's geometric headroom: growing to the
+	// exact need would re-copy the full history on every batch, and
+	// growing record by record would regrow it within one. rebuildLocked
+	// may still empty the window mid-run on a rollover, and keeps its
+	// array for the appends that follow.
+	size := 0
+	for i := 0; i < n; i++ {
+		j := i
+		if idx != nil {
+			j = idx[i]
+		}
+		size += checkInLen(items[j].At)
 	}
+	u.window = slices.Grow(u.window, size)
 	for i := 0; i < n; i++ {
 		j := i
 		if idx != nil {
@@ -606,7 +620,7 @@ func (e *Engine) reportUserRun(ctx context.Context, h *durHolder, userID string,
 		if u.windowStart.IsZero() {
 			u.windowStart = it.At
 		}
-		u.pending = append(u.pending, trace.CheckIn{Pos: it.Pos, Time: it.At})
+		u.addCheckIn(it.Pos, it.At)
 		if it.At.Sub(u.windowStart) >= e.cfg.ProfileWindow {
 			if err := e.rebuildLocked(u, it.At, true); err != nil {
 				errs = append(errs, BatchError{Index: j, Err: fmt.Errorf("core: rebuilding profile for %q: %w", userID, err)})
@@ -778,7 +792,7 @@ var ptsPool = sync.Pool{
 // a report's rollover keeps it, a rebuild pass does not. The caller
 // holds u.mu.
 func (e *Engine) rebuildLocked(u *userState, now time.Time, keep bool) error {
-	if len(u.pending) == 0 {
+	if u.nPending == 0 {
 		u.emptyWindow(keep)
 		return nil
 	}
@@ -790,10 +804,7 @@ func (e *Engine) rebuildLocked(u *userState, now time.Time, keep bool) error {
 		defer func() { observeSince(m.rebuildSeconds, start) }()
 	}
 	bp := ptsPool.Get().(*[]geo.Point)
-	pts := (*bp)[:0]
-	for _, c := range u.pending {
-		pts = append(pts, c.Pos)
-	}
+	pts := u.appendPositions((*bp)[:0])
 	prof, err := profile.Build(pts, e.cfg.ConnectivityThreshold)
 	*bp = pts[:0]
 	ptsPool.Put(bp)
@@ -819,11 +830,34 @@ func (e *Engine) rebuildLocked(u *userState, now time.Time, keep bool) error {
 // good. Capacity is never encoded, so either way the state is the
 // same.
 func (u *userState) emptyWindow(keep bool) {
+	u.nPending = 0
 	if keep {
-		u.pending = u.pending[:0]
+		u.window = u.window[:0]
 	} else {
-		u.pending = nil
+		u.window = nil
 	}
+}
+
+// checkInLen is the encoded length of a check-in at time at in the
+// window.
+func checkInLen(at time.Time) int { return pointSize + binfmt.TimeLen(at) }
+
+// addCheckIn appends one check-in to the window, which the caller has
+// grown for it. The caller holds u.mu.
+func (u *userState) addCheckIn(pos geo.Point, at time.Time) {
+	u.window = binfmt.AppendTime(binfmt.AppendPoint(u.window, pos), at)
+	u.nPending++
+}
+
+// appendPositions appends the position of each pending check-in to
+// dst, in arrival order, stepping over the times. Only addCheckIn and
+// readWindow write the window, so its bytes need no checks. The caller
+// holds u.mu.
+func (u *userState) appendPositions(dst []geo.Point) []geo.Point {
+	for w := u.window; len(w) > 0; w = binfmt.SkipTime(w[pointSize:]) {
+		dst = append(dst, binfmt.ReadPoint(w))
+	}
+	return dst
 }
 
 // obfuscateLocked records a permanent entry for each of tops that the
@@ -994,14 +1028,11 @@ func (e *Engine) PendingProfile(userID string) (profile.Profile, error) {
 		return nil, err
 	}
 	defer release()
-	if len(u.pending) == 0 {
+	if u.nPending == 0 {
 		return nil, nil
 	}
 	bp := ptsPool.Get().(*[]geo.Point)
-	pts := (*bp)[:0]
-	for _, c := range u.pending {
-		pts = append(pts, c.Pos)
-	}
+	pts := u.appendPositions((*bp)[:0])
 	prof, err := profile.Build(pts, e.cfg.ConnectivityThreshold)
 	*bp = pts[:0]
 	ptsPool.Put(bp)

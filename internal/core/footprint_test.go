@@ -45,7 +45,7 @@ func windowLenCap(t *testing.T, e *Engine, userID string) (int, int) {
 	u := residentUser(t, e, userID)
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	return len(u.pending), cap(u.pending)
+	return len(u.window), cap(u.window)
 }
 
 // TestPassReleasesWindow: a report's own rollover keeps the emptied

@@ -137,7 +137,7 @@ func (e *Engine) appendUserRecord(rec, scratch []byte, id string) ([]byte, []byt
 			return rec, scratch, err
 		}
 		if _, ok := s.spilled[id]; ok {
-			payload, ok, err := s.spill.Get(id, scratch[:0])
+			buf, payload, ok, err := s.spill.Get(id, scratch[:0])
 			s.mu.RUnlock()
 			if err != nil {
 				return nil, scratch, err
@@ -145,7 +145,7 @@ func (e *Engine) appendUserRecord(rec, scratch []byte, id string) ([]byte, []byt
 			if !ok {
 				continue // raced with a concurrent fault-in; re-resolve
 			}
-			return append(rec, payload...), payload[:0], nil
+			return append(rec, payload...), buf[:0], nil
 		}
 		s.mu.RUnlock()
 		return nil, scratch, ErrUnknownUser

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/binfmt"
 	"repro/internal/randx"
-	"repro/internal/trace"
 	"repro/internal/wal"
 )
 
@@ -51,16 +50,14 @@ func encodeUserFrame(b []byte, u *userState) ([]byte, error) {
 	b = binfmt.AppendString(b, st)
 	b = binfmt.AppendBool(b, u.hasProfile)
 	b = binfmt.AppendTime(b, u.windowStart)
-	b = binfmt.AppendUvarint(b, uint64(len(u.pending)))
-	for _, c := range u.pending {
-		b = binfmt.AppendPoint(b, c.Pos)
-		b = binfmt.AppendTime(b, c.Time)
-	}
+	b = binfmt.AppendUvarint(b, uint64(u.nPending))
+	b = append(b, u.window...)
 	b = appendTops(b, u.tops)
 	return u.table.appendPacked(b), nil
 }
 
 // decodeUserFrame rebuilds a userState from encodeUserFrame output.
+// The state shares no memory with payload, so callers may reuse it.
 func (e *Engine) decodeUserFrame(payload []byte) (*userState, error) {
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("%w: empty user frame", ErrCorruptRecord)
@@ -72,15 +69,8 @@ func (e *Engine) decodeUserFrame(payload []byte) (*userState, error) {
 	st := r.Bytes()
 	hasProfile := r.Bool()
 	windowStart := r.Time()
-	var pending []trace.CheckIn
-	if np := r.Count(17); np > 0 { // 16B point + ≥1B time
-		pending = make([]trace.CheckIn, 0, np)
-		for i := 0; i < np; i++ {
-			pos := r.Point()
-			at := r.Time()
-			pending = append(pending, trace.CheckIn{Pos: pos, Time: at})
-		}
-	}
+	np := r.Count(pointSize + 1) // a point and a time of at least 1 byte
+	window := readWindow(&r, np)
 	tops := readTops(&r)
 	table, err := NewObfuscationTable(e.cfg.ConnectivityThreshold)
 	if err != nil {
@@ -96,12 +86,38 @@ func (e *Engine) decodeUserFrame(payload []byte) (*userState, error) {
 	}
 	return &userState{
 		rnd:         rnd,
-		pending:     pending,
+		window:      window,
+		nPending:    np,
 		windowStart: windowStart,
 		tops:        tops,
 		hasProfile:  hasProfile,
 		table:       table,
 	}, nil
+}
+
+// readWindow reads n check-ins from r into a window of exactly their
+// length. Each is decoded and encoded again, never copied, so the
+// window is canonical even when the frame is not, and Restore's
+// re-encode check sees the difference. Re-encoding into a pooled buffer
+// first lets the window be allocated once, at its exact length.
+func readWindow(r *binfmt.Reader, n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	bp := recBufPool.Get().(*[]byte)
+	w := (*bp)[:0]
+	for i := 0; i < n; i++ {
+		pos := r.Point()
+		w = binfmt.AppendTime(binfmt.AppendPoint(w, pos), r.Time())
+	}
+	var window []byte
+	if r.Err() == nil {
+		window = make([]byte, len(w))
+		copy(window, w)
+	}
+	*bp = w[:0]
+	recBufPool.Put(bp)
+	return window
 }
 
 // ensureSpillLocked opens the shard's spill file on first use. The
@@ -139,7 +155,7 @@ func (e *Engine) evictLocked(s *engineShard, id string, u *userState) error {
 	if err != nil {
 		return fmt.Errorf("core: evicting %q: %w", id, err)
 	}
-	s.spilled[id] = spillMeta{pending: len(u.pending)}
+	s.spilled[id] = spillMeta{pending: u.nPending}
 	delete(s.users, id)
 	// Swap the ring's last entry into u's slot.
 	last := len(s.ring) - 1
@@ -164,15 +180,25 @@ func (e *Engine) addResidentLocked(s *engineShard, id string, u *userState) {
 	}
 }
 
+// maxKeptFaultBuf bounds the fault-in buffer a shard keeps between
+// fault-ins, so that a rare huge user frame is not held for good.
+const maxKeptFaultBuf = 1 << 20
+
 // faultInLocked loads a spilled user back into residency. The caller
 // holds s.mu and has found id in s.spilled.
 func (e *Engine) faultInLocked(s *engineShard, id string) (*userState, error) {
-	payload, ok, err := s.spill.Get(id, nil)
+	buf, payload, ok, err := s.spill.Get(id, s.faultBuf[:0])
 	if err != nil {
 		return nil, fmt.Errorf("core: faulting in %q: %w", id, err)
 	}
 	if !ok {
 		return nil, fmt.Errorf("core: spilled user %q missing from spill file", id)
+	}
+	// decodeUserFrame copies everything out of payload, so the buffer
+	// serves the next fault-in. One huge frame is not kept.
+	s.faultBuf = buf[:0]
+	if cap(buf) > maxKeptFaultBuf {
+		s.faultBuf = nil
 	}
 	u, err := e.decodeUserFrame(payload)
 	if err != nil {
@@ -300,7 +326,7 @@ func (e *Engine) viewUser(userID string) (*userState, func(), error) {
 			continue // evicted between resolve and lock; re-resolve
 		}
 		if _, ok := s.spilled[userID]; ok {
-			payload, ok, err := s.spill.Get(userID, nil)
+			_, payload, ok, err := s.spill.Get(userID, nil)
 			s.mu.RUnlock()
 			if err != nil {
 				return nil, nil, fmt.Errorf("core: reading spilled %q: %w", userID, err)

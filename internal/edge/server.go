@@ -537,8 +537,13 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	now := s.clock()
-	items := make([]core.BatchReport, 0, len(req.Reports))
-	origIndex := make([]int, 0, len(req.Reports)) // backend item -> request index
+	// The items go to the backend on pooled scratch: the engine logs
+	// them before it returns and a cluster copies them into its per-edge
+	// groups, so nothing keeps them past the call.
+	sc := batchScratchPool.Get().(*batchScratch)
+	defer sc.release()
+	items := sc.items[:0]
+	origIndex := sc.origIndex[:0] // backend item -> request index
 	var itemErrs []BatchItemError
 	for i, rr := range req.Reports {
 		if err := checkReport(rr.UserID, rr.Pos); err != nil {
@@ -552,6 +557,7 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 		items = append(items, core.BatchReport{UserID: rr.UserID, Pos: rr.Pos, At: at})
 		origIndex = append(origIndex, i)
 	}
+	sc.items, sc.origIndex = items, origIndex
 	// A cluster fans the batch out per routed edge and remaps error
 	// indexes to its input order; origIndex restores the client's order
 	// past the entries rejected above.
@@ -629,6 +635,22 @@ func (s *Server) handleAds(w http.ResponseWriter, r *http.Request) {
 		Fetched:   len(ads),
 	})
 	adsScratchPool.Put(sc)
+}
+
+// batchScratch holds the per-request working slices of
+// handleReportBatch.
+type batchScratch struct {
+	items     []core.BatchReport
+	origIndex []int
+}
+
+var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// release returns the scratch to its pool, dropping the items' user IDs
+// so the pool does not keep them alive.
+func (sc *batchScratch) release() {
+	clear(sc.items)
+	batchScratchPool.Put(sc)
 }
 
 // adsScratch holds the per-request working slices of handleAds.

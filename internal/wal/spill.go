@@ -32,6 +32,7 @@ type SpillFile struct {
 	size  int64 // file append position
 	live  int64 // bytes occupied by live (indexed) frames
 	index map[string]spillRef
+	buf   []byte // Put's frame buffer, reused under mu
 }
 
 type spillRef struct {
@@ -46,6 +47,9 @@ const (
 	// spillCompactGarbageFactor triggers compaction when dead bytes
 	// exceed live bytes by this factor.
 	spillCompactGarbageFactor = 3
+	// spillMaxKeptBuf bounds the frame buffer Put keeps between calls,
+	// so that a rare huge payload is not held for good.
+	spillMaxKeptBuf = 1 << 20
 )
 
 // OpenSpill creates (or truncates) the spill file at path. Any previous
@@ -61,11 +65,14 @@ func OpenSpill(path string) (*SpillFile, error) {
 // Put records payload as the current state for key, superseding any
 // previous frame for it.
 func (s *SpillFile) Put(key string, payload []byte) error {
-	frame := binfmt.AppendFrame(nil, payload)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
 		return fmt.Errorf("wal: spill file %s is closed", s.path)
+	}
+	frame := binfmt.AppendFrame(s.buf[:0], payload)
+	if cap(frame) <= spillMaxKeptBuf {
+		s.buf = frame[:0]
 	}
 	if _, err := s.f.WriteAt(frame, s.size); err != nil {
 		return fmt.Errorf("wal: appending spill frame: %w", err)
@@ -83,32 +90,33 @@ func (s *SpillFile) Put(key string, payload []byte) error {
 }
 
 // Get returns the payload most recently Put for key; ok is false when
-// the key is not present. The payload is appended to dst (which may be
-// nil), letting callers reuse one fault-in buffer.
-func (s *SpillFile) Get(key string, dst []byte) (payload []byte, ok bool, err error) {
+// the key is not present. It reads key's frame onto the end of dst
+// (which may be nil) and returns that grown buffer too, payload within
+// it, so a caller can keep buf[:0] to reuse one buffer across reads.
+func (s *SpillFile) Get(key string, dst []byte) (buf, payload []byte, ok bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
-		return nil, false, fmt.Errorf("wal: spill file %s is closed", s.path)
+		return nil, nil, false, fmt.Errorf("wal: spill file %s is closed", s.path)
 	}
 	ref, ok := s.index[key]
 	if !ok {
-		return nil, false, nil
+		return dst, nil, false, nil
 	}
 	start := len(dst)
-	dst = append(dst, make([]byte, ref.n)...)
-	frame := dst[start:]
+	buf = append(dst, make([]byte, ref.n)...)
+	frame := buf[start:]
 	if _, err := s.f.ReadAt(frame, ref.off); err != nil {
-		return nil, false, fmt.Errorf("wal: reading spill frame for %q: %w", key, err)
+		return nil, nil, false, fmt.Errorf("wal: reading spill frame for %q: %w", key, err)
 	}
 	payload, rest, err := binfmt.SplitFrame(frame)
 	if err == nil && len(rest) != 0 {
 		err = fmt.Errorf("%d bytes after the frame's payload", len(rest))
 	}
 	if err != nil {
-		return nil, false, fmt.Errorf("wal: spill frame for %q: %w", key, err)
+		return nil, nil, false, fmt.Errorf("wal: spill frame for %q: %w", key, err)
 	}
-	return payload, true, nil
+	return buf, payload, true, nil
 }
 
 // Delete forgets key. The frame's bytes become garbage to be reclaimed

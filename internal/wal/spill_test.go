@@ -23,7 +23,7 @@ func openTestSpill(t *testing.T) *SpillFile {
 
 func TestSpillPutGetDelete(t *testing.T) {
 	s := openTestSpill(t)
-	if _, ok, err := s.Get("nope", nil); err != nil || ok {
+	if _, _, ok, err := s.Get("nope", nil); err != nil || ok {
 		t.Fatalf("Get on empty store: ok=%v err=%v", ok, err)
 	}
 	payloads := map[string][]byte{
@@ -40,7 +40,7 @@ func TestSpillPutGetDelete(t *testing.T) {
 		t.Errorf("Len = %d, want 3", got)
 	}
 	for k, want := range payloads {
-		got, ok, err := s.Get(k, nil)
+		_, got, ok, err := s.Get(k, nil)
 		if err != nil || !ok {
 			t.Fatalf("Get(%s): ok=%v err=%v", k, ok, err)
 		}
@@ -52,7 +52,7 @@ func TestSpillPutGetDelete(t *testing.T) {
 	if err := s.Put("alice", []byte("beta")); err != nil {
 		t.Fatal(err)
 	}
-	if got, _, _ := s.Get("alice", nil); string(got) != "beta" {
+	if _, got, _, _ := s.Get("alice", nil); string(got) != "beta" {
 		t.Errorf("after overwrite Get(alice) = %q", got)
 	}
 	if got := s.Len(); got != 3 {
@@ -64,7 +64,7 @@ func TestSpillPutGetDelete(t *testing.T) {
 	if s.Delete("alice") {
 		t.Error("second Delete(alice) = true, want false")
 	}
-	if _, ok, err := s.Get("alice", nil); err != nil || ok {
+	if _, _, ok, err := s.Get("alice", nil); err != nil || ok {
 		t.Errorf("Get after delete: ok=%v err=%v", ok, err)
 	}
 }
@@ -80,7 +80,7 @@ func TestSpillFrameAboveReadBound(t *testing.T) {
 	if err := s.Put("big", want); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := s.Get("big", nil)
+	_, got, ok, err := s.Get("big", nil)
 	if err != nil || !ok || !bytes.Equal(got, want) {
 		t.Fatalf("Get(big): %d bytes, ok=%v, err=%v; want the %d bytes put", len(got), ok, err, len(want))
 	}
@@ -92,7 +92,7 @@ func TestSpillGetAppendsToDst(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := append(make([]byte, 0, 64), "prefix"...)
-	got, ok, err := s.Get("k", dst)
+	buf, got, ok, err := s.Get("k", dst)
 	if err != nil || !ok {
 		t.Fatalf("Get: ok=%v err=%v", ok, err)
 	}
@@ -101,6 +101,10 @@ func TestSpillGetAppendsToDst(t *testing.T) {
 	}
 	if string(dst[:6]) != "prefix" {
 		t.Errorf("dst prefix clobbered: %q", dst[:6])
+	}
+	// buf is dst grown by the frame, in dst's array, and ends in the payload.
+	if len(buf) != 6+binfmt.HeaderSize+len(got) || &buf[0] != &dst[:1][0] || &buf[len(buf)-1] != &got[len(got)-1] {
+		t.Errorf("buf = %q, want dst grown by the frame holding the payload", buf)
 	}
 }
 
@@ -125,7 +129,7 @@ func TestSpillCorruptionDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if _, _, err := s.Get("k", nil); err == nil {
+	if _, _, _, err := s.Get("k", nil); err == nil {
 		t.Error("Get of corrupted frame succeeded, want checksum error")
 	}
 }
@@ -146,7 +150,7 @@ func TestSpillCompaction(t *testing.T) {
 	if got, max := s.Size(), int64(2*(300<<10+binfmt.HeaderSize)); got > max {
 		t.Errorf("Size after compaction = %d, want <= %d", got, max)
 	}
-	got, ok, err := s.Get("churner", nil)
+	_, got, ok, err := s.Get("churner", nil)
 	if err != nil || !ok {
 		t.Fatalf("Get after compaction: ok=%v err=%v", ok, err)
 	}
@@ -164,10 +168,10 @@ func TestSpillCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, ok, _ := s.Get("churner", nil); ok {
+	if _, _, ok, _ := s.Get("churner", nil); ok {
 		t.Error("deleted key resurrected by compaction")
 	}
-	if got, ok, err := s.Get("other", nil); err != nil || !ok || string(got) != "keep me" {
+	if _, got, ok, err := s.Get("other", nil); err != nil || !ok || string(got) != "keep me" {
 		t.Errorf("small key lost across compaction: %q ok=%v err=%v", got, ok, err)
 	}
 }
@@ -191,7 +195,7 @@ func TestSpillCloseRemovesFile(t *testing.T) {
 	if err := s.Put("k", []byte("v")); err == nil {
 		t.Error("Put after Close succeeded")
 	}
-	if _, _, err := s.Get("k", nil); err == nil {
+	if _, _, _, err := s.Get("k", nil); err == nil {
 		t.Error("Get after Close succeeded")
 	}
 	if err := s.Close(); err != nil {
@@ -238,7 +242,7 @@ func TestSpillConcurrent(t *testing.T) {
 						return
 					}
 				case 1:
-					if _, _, err := s.Get(key, nil); err != nil {
+					if _, _, _, err := s.Get(key, nil); err != nil {
 						t.Error(err)
 						return
 					}

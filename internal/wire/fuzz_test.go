@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/adnet"
 	"repro/internal/binfmt"
@@ -728,6 +729,52 @@ func TestDecodeAllocationBoundedByFrame(t *testing.T) {
 				t.Errorf("dense frame: %v", err)
 			}
 		})
+	}
+}
+
+// TestBatchDecodeSharesUserID: decoding one device's 64-item batch
+// allocates the item slice and one user ID, which every item shares,
+// not one ID per item, so it allocates as often as a one-item batch. A
+// batch that switches users still gives each run its own ID.
+func TestBatchDecodeSharesUserID(t *testing.T) {
+	single := &ReportBatchRequest{Reports: make([]ReportRequest, 64)}
+	mixed := &ReportBatchRequest{Reports: make([]ReportRequest, 64)}
+	for i := range single.Reports {
+		r := ReportRequest{UserID: "device-00042", Pos: geo.Point{X: float64(i), Y: -float64(i)}, Time: time.Unix(1700000000+int64(i), 0).UTC()}
+		single.Reports[i] = r
+		r.UserID = fmt.Sprintf("device-%d", i/16)
+		mixed.Reports[i] = r
+	}
+	for _, want := range []*ReportBatchRequest{single, mixed} {
+		var got ReportBatchRequest
+		if err := Decode(Encode(want), &got); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(&got, want) {
+			t.Fatalf("decoded batch differs from the encoded one")
+		}
+		for i := 1; i < len(got.Reports); i++ {
+			prev, cur := got.Reports[i-1].UserID, got.Reports[i].UserID
+			if shared := unsafe.StringData(prev) == unsafe.StringData(cur); shared != (prev == cur) {
+				t.Errorf("items %d and %d (%q, %q): shared ID string %v", i-1, i, prev, cur, shared)
+			}
+		}
+	}
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	allocs := func(m *ReportBatchRequest) float64 {
+		frame := Encode(m)
+		return testing.AllocsPerRun(100, func() {
+			var got ReportBatchRequest
+			if err := Decode(frame, &got); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one := &ReportBatchRequest{Reports: single.Reports[:1]}
+	if n, n1 := allocs(single), allocs(one); n != n1 {
+		t.Errorf("decoding a 64-item single-user batch: %v allocs, a one-item batch %v", n, n1)
 	}
 }
 

@@ -36,8 +36,12 @@ func (m *ReportRequest) appendBody(dst []byte) []byte {
 	return binfmt.AppendTime(dst, m.Time)
 }
 
-func (m *ReportRequest) readBody(r *binfmt.Reader) {
-	m.UserID = r.Str()
+func (m *ReportRequest) readBody(r *binfmt.Reader) { m.readItem(r, "") }
+
+// readItem reads a report whose user ID shares prevID's string, without
+// allocating, when the two are equal.
+func (m *ReportRequest) readItem(r *binfmt.Reader, prevID string) {
+	m.UserID = r.StrReuse(prevID)
 	m.Pos = r.Point()
 	m.Time = r.Time()
 }
@@ -99,8 +103,11 @@ func (m *ReportBatchRequest) readBody(r *binfmt.Reader) {
 		return
 	}
 	m.Reports = make([]ReportRequest, n)
+	// One device's batch repeats one user ID: the items share its string.
+	prevID := ""
 	for i := range m.Reports {
-		m.Reports[i].readBody(r)
+		m.Reports[i].readItem(r, prevID)
+		prevID = m.Reports[i].UserID
 	}
 }
 

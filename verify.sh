@@ -94,6 +94,13 @@ go test ./internal/adnet -run '^$' -fuzz 'FuzzMatchEquivalence$' -fuzztime 10s
 # allocation, and an accepted stream must re-snapshot byte for byte.
 go test ./internal/core -run '^$' -fuzz 'FuzzRestore$' -fuzztime 10s
 
+# Collection-window fuzz smoke: arbitrary check-ins (point bits, times
+# the zero time and beyond int64 nanoseconds included) reported into an
+# engine capped at one resident user, so every report evicts and faults
+# in, must reach the user frame exactly as their reference encoding,
+# and PendingProfile must equal profile.Build over their positions.
+go test ./internal/core -run '^$' -fuzz 'FuzzWindowEncoding$' -fuzztime 10s
+
 # Chaos smoke: kill edge endpoints under live traffic and let the
 # ping-based failure detector confirm and revive them — the simulation
 # itself never calls MarkDown/MarkUp, and it exits non-zero unless the
