@@ -2,16 +2,13 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"sort"
 
 	"repro/internal/attack"
-	"repro/internal/deploy"
 	"repro/internal/geo"
 	"repro/internal/profile"
-	"repro/internal/randx"
-	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -20,27 +17,62 @@ import (
 // the collude gate tolerates one extra user on tiny smoke populations.
 const paperBand500 = 0.068
 
-// scenarioResult is one scenario mode's measured outcome.
-type scenarioResult struct {
-	Mode      string
-	Users     int
-	Events    int
-	Mutations int
-	// Streams is the number of distinct advertising identifiers observed
-	// (> Users under churn and collude).
-	Streams int
-	// EntropyMean is the mean per-user entropy of the defended request
-	// stream (bits; higher means the observable stream is more spread).
-	EntropyMean float64
-	// Hits200/Hits500 count users whose top-1 location the longitudinal
-	// attack recovers from the defended stream within 200 m / 500 m.
-	Hits200 int
-	Hits500 int
-	// MergeDropped counts check-ins excluded from secure aggregation for
-	// falling outside the merge region (traveler exercises this).
-	MergeDropped int
-	// Degraded counts merges that ran with at least one edge missing.
-	Degraded int
+// evaluation is the longitudinal attack's outcome on the defended
+// streams.
+type evaluation struct {
+	// hits200/hits500 count users whose top-1 location the attack
+	// recovers within 200 m / 500 m.
+	hits200, hits500 int
+	// entropyMean is the mean per-user entropy of the defended outputs
+	// (bits; higher means the observable stream is more spread).
+	entropyMean float64
+}
+
+// evaluate mounts the longitudinal attack on every ad ID's stream of
+// defended outputs: a user counts as compromised if any identifier it
+// ever carried leaks its top-1 location.
+func evaluate(wl *workload.Workload, defended []attack.Observation, owner map[string]string, opts attack.Options) (evaluation, error) {
+	var ev evaluation
+	byAdID := make(map[string][]geo.Point)
+	byUser := make(map[string][]geo.Point)
+	for _, o := range defended {
+		byAdID[o.AdID] = append(byAdID[o.AdID], o.Loc)
+		byUser[owner[o.AdID]] = append(byUser[owner[o.AdID]], o.Loc)
+	}
+	entUsers := 0
+	for _, u := range wl.Dataset.Users {
+		if obs := byUser[u.ID]; len(obs) > 0 {
+			p, err := profile.Build(obs, 50)
+			if err != nil {
+				return evaluation{}, fmt.Errorf("profiling %s: %w", u.ID, err)
+			}
+			ev.entropyMean += p.Entropy()
+			entUsers++
+		}
+		hit200, hit500 := false, false
+		truth := []geo.Point{u.TrueTops[0].Pos}
+		for id, o := range owner {
+			if o != u.ID {
+				continue
+			}
+			inferred, err := attack.TopN(byAdID[id], 1, opts)
+			if err != nil {
+				continue // stream too sparse to attack
+			}
+			hit200 = hit200 || attack.Succeeds(inferred, truth, 1, 200)
+			hit500 = hit500 || attack.Succeeds(inferred, truth, 1, 500)
+		}
+		if hit200 {
+			ev.hits200++
+		}
+		if hit500 {
+			ev.hits500++
+		}
+	}
+	if entUsers > 0 {
+		ev.entropyMean /= float64(entUsers)
+	}
+	return ev, nil
 }
 
 // collusionResult measures the colluding cross-network adversary: the
@@ -62,203 +94,8 @@ type collusionResult struct {
 	SingleRate  float64
 	ColludeRate float64
 	// DefendedRate is the colluding adversary against the Edge-PrivLocAd
-	// cluster's output stream — the paper-band check.
+	// output stream — the paper-band check.
 	DefendedRate float64
-}
-
-// scenarioEdges resolves the edge count: scenarios always run through
-// the multi-edge cluster (failover and out-of-region merges are part of
-// what they exercise).
-func scenarioEdges(edges int) int {
-	if edges < 2 {
-		return 3
-	}
-	return edges
-}
-
-// runScenario composes the named workload scenario and replays it
-// through a multi-edge cluster: events report under the advertising
-// identifier the ecosystem observes (the device ID under collude —
-// pseudonymization happens at the bid layer, not on the device), merge
-// through secure aggregation, and request ads at every event position.
-// The longitudinal attack then mines the defended streams, and the
-// collude mode additionally mounts the cross-network join with and
-// without the defense.
-func runScenario(modeName string, users, maxCk, edges int, seed uint64) error {
-	mode, err := workload.ParseMode(modeName)
-	if err != nil {
-		return err
-	}
-	edges = scenarioEdges(edges)
-
-	tcfg := trace.DefaultConfig()
-	tcfg.NumUsers = users
-	tcfg.MaxCheckIns = maxCk
-	tcfg.Seed = seed
-	wl, err := workload.Build(workload.Synthetic{Config: tcfg}, workload.Config{Mode: mode, Seed: seed})
-	if err != nil {
-		return err
-	}
-
-	reg := telemetry.NewRegistry()
-	wl.Instrument(reg)
-	// Traveler events leave the home box, so the edges cover the whole
-	// workload extent while secure aggregation still merges only
-	// home-region check-ins (out-of-region ones count as Dropped).
-	engineCfg, err := deploy.Engine(deploy.Params(), seed)
-	if err != nil {
-		return err
-	}
-	cluster, err := deploy.NewCluster(engineCfg, wl.Extent, tcfg.Region.BBox, edges, seed)
-	if err != nil {
-		return err
-	}
-	cluster.Instrument(reg)
-
-	// One-time geo-IND comparison deployment for the collude mode: the
-	// same events, obfuscated once with planar Laplace instead of the
-	// n-fold table — the paper's weak baseline.
-	oneTime, err := deploy.NewNomadic()
-	if err != nil {
-		return err
-	}
-	oneTimeRnd := randx.New(seed, 0x10CA1)
-
-	res := scenarioResult{
-		Mode:      string(mode),
-		Users:     wl.Stats.Users,
-		Events:    wl.Stats.Events,
-		Mutations: wl.Stats.Mutations,
-	}
-
-	// Replay. The edge keys profiles by the identifier it is handed:
-	// per-generation ad-IDs under churn (a reset looks like a brand-new
-	// device), the stable device ID otherwise.
-	reportID := func(e workload.Event) string {
-		if mode == workload.ModeCollude {
-			return e.User
-		}
-		return e.AdID
-	}
-	var (
-		defended   []attack.Observation // the ad networks' defended view
-		oneTimeObs []attack.Observation // same events under one-time geo-IND
-		perUserObs = make(map[string][]geo.Point)
-		truthOwner = make(map[string]string) // pseudonym -> ground-truth user
-	)
-	streamIDs := make(map[string]bool)
-	for _, st := range wl.Streams {
-		if len(st.Events) == 0 {
-			continue
-		}
-		ids := make(map[string]bool)
-		for _, e := range st.Events {
-			if _, err := cluster.Report(reportID(e), e.Pos, e.Time); err != nil {
-				return fmt.Errorf("reporting %s: %w", st.User, err)
-			}
-			ids[reportID(e)] = true
-			truthOwner[e.AdID] = e.User
-			streamIDs[e.AdID] = true
-		}
-		for _, id := range sortedKeys(ids) {
-			_, stats, err := cluster.MergeProfilesStats(id, tcfg.End)
-			if err != nil {
-				return fmt.Errorf("merging %s: %w", id, err)
-			}
-			if stats.Degraded {
-				res.Degraded++
-			}
-			res.MergeDropped += stats.Dropped
-		}
-		// The edge computes one obfuscated output per session and serves
-		// it to every SDK request in that burst — a burst must never hand
-		// the adversary independent noise samples of the same position.
-		sessionOut := make(map[int]geo.Point)
-		for _, e := range st.Events {
-			out, ok := sessionOut[e.Session]
-			if !ok {
-				var err error
-				out, _, err = cluster.Request(reportID(e), e.Pos)
-				if err != nil {
-					return fmt.Errorf("requesting for %s: %w", st.User, err)
-				}
-				sessionOut[e.Session] = out
-			}
-			defended = append(defended, attack.Observation{AdID: e.AdID, Net: e.Net, Loc: out, Time: e.Time})
-			perUserObs[e.User] = append(perUserObs[e.User], out)
-			if mode == workload.ModeCollude {
-				pts, err := oneTime.Obfuscate(oneTimeRnd, e.Pos)
-				if err != nil {
-					return fmt.Errorf("one-time obfuscation: %w", err)
-				}
-				oneTimeObs = append(oneTimeObs, attack.Observation{AdID: e.AdID, Net: e.Net, Loc: pts[0], Time: e.Time})
-			}
-		}
-	}
-	res.Streams = len(streamIDs)
-
-	// Entropy of the defended stream, mean over users with observations.
-	entUsers := 0
-	for _, u := range wl.Dataset.Users {
-		obs := perUserObs[u.ID]
-		if len(obs) == 0 {
-			continue
-		}
-		p, err := profile.Build(obs, 50)
-		if err != nil {
-			return fmt.Errorf("profiling %s: %w", u.ID, err)
-		}
-		res.EntropyMean += p.Entropy()
-		entUsers++
-	}
-	if entUsers > 0 {
-		res.EntropyMean /= float64(entUsers)
-	}
-
-	// The longitudinal attack against the defended per-ad-ID streams: a
-	// user counts as compromised if any identifier it ever carried leaks
-	// its top-1 location.
-	rAlpha, err := engineCfg.Mechanism.ConfidenceRadius(0.05)
-	if err != nil {
-		return err
-	}
-	defendedOpts := attack.Options{Theta: 500, ClusterRadius: rAlpha}
-	byAdID := groupByAdID(defended)
-	for _, u := range wl.Dataset.Users {
-		hit200, hit500 := false, false
-		for id, owner := range truthOwner {
-			if owner != u.ID {
-				continue
-			}
-			inferred, err := attack.TopN(byAdID[id], 1, defendedOpts)
-			if err != nil {
-				continue // stream too sparse to attack
-			}
-			truth := []geo.Point{u.TrueTops[0].Pos}
-			hit200 = hit200 || attack.Succeeds(inferred, truth, 1, 200)
-			hit500 = hit500 || attack.Succeeds(inferred, truth, 1, 500)
-		}
-		if hit200 {
-			res.Hits200++
-		}
-		if hit500 {
-			res.Hits500++
-		}
-	}
-
-	fmt.Printf("scenario %s: users=%d events=%d mutations=%d ad_id_streams=%d entropy_mean=%.2f bits merge_dropped=%d degraded=%d\n",
-		res.Mode, res.Users, res.Events, res.Mutations, res.Streams, res.EntropyMean, res.MergeDropped, res.Degraded)
-	fmt.Printf("scenario %s: longitudinal attack on defended streams: top-1 within 200m %d/%d users, within 500m %d/%d\n",
-		res.Mode, res.Hits200, res.Users, res.Hits500, res.Users)
-
-	if mode == workload.ModeCollude {
-		col, err := runCollusion(wl, oneTimeObs, defended, truthOwner, rAlpha)
-		if err != nil {
-			return err
-		}
-		attack.RecordCollusion(reg, &attack.CollusionStats{Joins: col.Joins, Pairs: col.Streams * (col.Streams - 1) / 2})
-	}
-	return nil
 }
 
 // runCollusion mounts the cross-network adversary. The one-time geo-IND
@@ -266,10 +103,10 @@ func runScenario(modeName string, users, maxCk, edges int, seed uint64) error {
 // its pseudonym streams (SingleRate), then the colluding adversary joins
 // the logs by timestamp+radius correlation and attacks the merged
 // streams (ColludeRate). The same join against the Edge-PrivLocAd
-// cluster's output gives DefendedRate. Gates: collusion must strictly
-// beat the single-network adversary, and the defense must hold the
-// colluding adversary inside the paper band.
-func runCollusion(wl *workload.Workload, oneTimeObs, defended []attack.Observation, truthOwner map[string]string, rAlpha float64) (collusionResult, error) {
+// output gives DefendedRate. Gates: collusion must strictly beat the
+// single-network adversary, and the defense must hold the colluding
+// adversary inside the paper band.
+func runCollusion(out io.Writer, wl *workload.Workload, oneTimeObs, defended []attack.Observation, truthOwner map[string]string, rAlpha float64) (collusionResult, error) {
 	col := collusionResult{Networks: wl.Config.Networks}
 	users := wl.Stats.Users
 	oneTimeOpts := attack.Options{Theta: math.Max(150, rAlpha/4), ClusterRadius: rAlpha}
@@ -358,9 +195,9 @@ func runCollusion(wl *workload.Workload, oneTimeObs, defended []attack.Observati
 	}
 	col.DefendedRate = float64(len(defReid)) / float64(users)
 
-	fmt.Printf("collusion: networks=%d pseudonym_streams=%d joins=%d precision=%.2f recall=%.2f\n",
+	fmt.Fprintf(out, "collusion: networks=%d pseudonym_streams=%d joins=%d precision=%.2f recall=%.2f\n",
 		col.Networks, col.Streams, col.Joins, col.Precision, col.Recall)
-	fmt.Printf("collusion: one-time geo-IND re-identification: single-network %.1f%%, colluding %.1f%%; defended colluding %.1f%%\n",
+	fmt.Fprintf(out, "collusion: one-time geo-IND re-identification: single-network %.1f%%, colluding %.1f%%; defended colluding %.1f%%\n",
 		100*col.SingleRate, 100*col.ColludeRate, 100*col.DefendedRate)
 
 	if col.ColludeRate <= col.SingleRate {
@@ -374,18 +211,9 @@ func runCollusion(wl *workload.Workload, oneTimeObs, defended []attack.Observati
 		return collusionResult{}, fmt.Errorf("defense did not hold against collusion: %.1f%% > %.1f%% band",
 			100*col.DefendedRate, 100*allowed)
 	}
-	fmt.Printf("collusion: defense holds — colluding adversary degraded from %.1f%% to %.1f%% (paper band ≤ %.1f%%)\n",
+	fmt.Fprintf(out, "collusion: defense holds — colluding adversary degraded from %.1f%% to %.1f%% (paper band ≤ %.1f%%)\n",
 		100*col.ColludeRate, 100*col.DefendedRate, 100*allowed)
 	return col, nil
-}
-
-// groupByAdID buckets observation locations per advertising identifier.
-func groupByAdID(obs []attack.Observation) map[string][]geo.Point {
-	out := make(map[string][]geo.Point)
-	for _, o := range obs {
-		out[o.AdID] = append(out[o.AdID], o.Loc)
-	}
-	return out
 }
 
 // groupObsByStream buckets observations per (network, ad-ID) stream in
@@ -413,15 +241,5 @@ func groupObsByStream(obs []attack.Observation) [][]attack.Observation {
 	for i, k := range keys {
 		out[i] = m[k]
 	}
-	return out
-}
-
-// sortedKeys returns the map's keys sorted (deterministic merge order).
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }

@@ -90,7 +90,7 @@ func (c *Client) Codec() edge.Codec { return c.codec }
 // DefaultMaxIdleConnsPerHost is the connection-pool depth of the
 // default transport. net/http's own default keeps only 2 idle
 // connections per host, so any workload with more than two concurrent
-// workers against one edge (loadgen, lbasim replays, busy devices
+// workers against one edge (the benchmark's workers, busy devices
 // behind a NAT) would close and re-dial connections on nearly every
 // request, serialising the serving path on TCP handshakes instead of
 // reusing keep-alive connections.

@@ -1,9 +1,9 @@
 // Package deploy builds the default Edge-PrivLocAd deployment that every
 // binary runs: the paper's defense parameters (Section V-C), the nomadic
 // mechanism, the ad side of synthetic radius-targeted campaigns, and the
-// simulation's multi-edge layout. edged, loadgen, lbasim, the examples
-// and the experiments all build from here, so a changed default reaches
-// every one of them.
+// simulation's multi-edge layout. edged, lbasim, the examples and the
+// experiments all build from here, so a changed default reaches every
+// one of them.
 package deploy
 
 import (

@@ -63,7 +63,7 @@ func layoutDigest(t *testing.T, network *adnet.Network) (uint64, int) {
 }
 
 // TestProviderLayoutPinned pins the default campaign layout to edged's:
-// the benchmark copies it and loadgen's and lbasim's edges serve it.
+// the benchmark copies it and lbasim's edges serve it.
 func TestProviderLayoutPinned(t *testing.T) {
 	provider, bidLog, _, err := NewProvider(500, 1, false)
 	if err != nil {

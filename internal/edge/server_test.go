@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,12 +20,14 @@ import (
 	"repro/internal/geo"
 	"repro/internal/geoind"
 	"repro/internal/randx"
+	"repro/internal/wire"
 )
 
 // testFixture bundles a running edge server with its engine and network.
 type testFixture struct {
 	engine  *core.Engine
 	network *adnet.Network
+	srv     *Server
 	server  *httptest.Server
 	now     time.Time
 	mu      sync.Mutex
@@ -59,11 +63,11 @@ func newFixture(t *testing.T) *testFixture {
 		network: network,
 		now:     time.Date(2021, 1, 1, 0, 0, 0, 0, time.UTC),
 	}
-	srv, err := NewServer(engine, network, f.clock, nil)
+	f.srv, err = NewServer(engine, network, f.clock, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.server = httptest.NewServer(srv.Handler())
+	f.server = httptest.NewServer(f.srv.Handler())
 	t.Cleanup(f.server.Close)
 	return f
 }
@@ -426,6 +430,9 @@ func TestAdsRequestValidation(t *testing.T) {
 	}
 }
 
+// TestConcurrentMixedTraffic has eight clients hit one single-edge
+// server at once with single reports, batches and ad requests, half of
+// them in binary frames and half in JSON.
 func TestConcurrentMixedTraffic(t *testing.T) {
 	f := newFixture(t)
 	if err := f.network.Register(adnet.Campaign{
@@ -433,23 +440,76 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	// post sends m in the client's codec and decodes the 200 answer into
+	// out, or expects 204 when out is nil.
+	post := func(binary bool, path string, m, out wire.Message) {
+		payload, contentType, decode := wire.Encode(m), wire.ContentType, wire.Decode
+		if !binary {
+			var err error
+			if payload, err = wire.AppendJSON(nil, m); err != nil {
+				t.Error(err)
+				return
+			}
+			contentType, decode = "application/json", wire.DecodeJSON
+		}
+		resp, err := http.Post(f.server.URL+path, contentType, bytes.NewReader(payload))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		switch {
+		case err != nil:
+			t.Error(err)
+		case out == nil && resp.StatusCode != http.StatusNoContent, out != nil && resp.StatusCode != http.StatusOK:
+			t.Errorf("%s: status %d: %s", path, resp.StatusCode, body)
+		case out != nil:
+			if err := decode(body, out); err != nil {
+				t.Errorf("%s: decoding: %v", path, err)
+			}
+		}
+	}
+	var batchErrs atomic.Int64
 	var wg sync.WaitGroup
 	for u := 0; u < 8; u++ {
 		wg.Add(1)
 		go func(u int) {
 			defer wg.Done()
+			binary := u%2 == 1
 			id := fmt.Sprintf("user-%d", u)
 			for i := 0; i < 20; i++ {
-				r := f.post(t, "/v1/report", ReportRequest{UserID: id, Pos: geo.Point{X: float64(u), Y: float64(i)}})
-				r.Body.Close()
-				r = f.post(t, "/v1/ads", AdsRequest{UserID: id, Pos: geo.Point{X: float64(u), Y: float64(i)}})
-				r.Body.Close()
+				pos := geo.Point{X: float64(u), Y: float64(i)}
+				if i%4 == 0 {
+					batch := &ReportBatchRequest{}
+					for j := 0; j < 4; j++ {
+						batch.Reports = append(batch.Reports, ReportRequest{UserID: id, Pos: geo.Point{X: pos.X, Y: pos.Y + float64(j)/4}})
+					}
+					var resp ReportBatchResponse
+					post(binary, "/v1/report/batch", batch, &resp)
+					batchErrs.Add(int64(len(resp.Errors)))
+					if resp.Accepted != 4 {
+						t.Errorf("%s batch %d: accepted %d of 4", id, i, resp.Accepted)
+					}
+				} else {
+					post(binary, "/v1/report", &ReportRequest{UserID: id, Pos: pos}, nil)
+				}
+				post(binary, "/v1/ads", &AdsRequest{UserID: id, Pos: pos}, &AdsResponse{})
 			}
 		}(u)
 	}
 	wg.Wait()
 	if got := f.network.LogSize(); got != 160 {
 		t.Errorf("bid log = %d, want 160", got)
+	}
+	if got := batchErrs.Load(); got != 0 {
+		t.Errorf("batch item errors = %d, want 0", got)
+	}
+	if got := f.srv.Registry().Gauge("edge_http_in_flight_requests", "").Value(); got != 0 {
+		t.Errorf("in-flight after traffic = %d, want 0", got)
+	}
+	if got := f.srv.Tracer().ActiveSpans(); got != 0 {
+		t.Errorf("active spans after traffic = %d, want 0", got)
 	}
 }
 

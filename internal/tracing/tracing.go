@@ -220,7 +220,7 @@ func (t *Tracer) nextWord() uint64 {
 // tracing_traces_total / tracing_slow_traces_total counters, and the
 // tracing_active_spans gauge (spans started and not yet ended — it
 // returns to 0 when no request is in flight, which verify.sh asserts
-// after the loadgen smoke as a span-leak gate).
+// after the lbasim smokes as a span-leak gate).
 func (t *Tracer) Instrument(reg *telemetry.Registry) {
 	m := &tracerMetrics{
 		traces: reg.Counter("tracing_traces_total", "Finished request traces."),
@@ -446,15 +446,15 @@ func ContextTraceID(ctx context.Context) (string, bool) {
 	return sp.trace.id.String(), true
 }
 
-// StageStat is one row of the per-stage latency breakdown loadgen and
-// lbasim print next to their p50/p95/p99 summaries.
+// StageStat is one row of the per-stage latency breakdown lbasim
+// prints after a replay.
 type StageStat struct {
-	Stage    string  `json:"stage"`
-	Count    uint64  `json:"count"`
-	Overflow uint64  `json:"overflow,omitempty"`
-	P50Ms    float64 `json:"p50_ms"`
-	P95Ms    float64 `json:"p95_ms"`
-	P99Ms    float64 `json:"p99_ms"`
+	Stage    string
+	Count    uint64
+	Overflow uint64
+	P50Ms    float64
+	P95Ms    float64
+	P99Ms    float64
 }
 
 // StageBreakdown reads the tracing_span_seconds histograms back out of

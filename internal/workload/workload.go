@@ -314,26 +314,6 @@ func Build(src Source, cfg Config) (*Workload, error) {
 	return w, nil
 }
 
-// Flatten returns every event across all streams ordered by time (ties
-// broken by user then ad-ID), for replay harnesses that want one global
-// sequence.
-func (w *Workload) Flatten() []Event {
-	var out []Event
-	for i := range w.Streams {
-		out = append(out, w.Streams[i].Events...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].Time.Equal(out[j].Time) {
-			return out[i].Time.Before(out[j].Time)
-		}
-		if out[i].User != out[j].User {
-			return out[i].User < out[j].User
-		}
-		return out[i].AdID < out[j].AdID
-	})
-	return out
-}
-
 // fixtures carries mode-level state shared by every user.
 type fixtures struct {
 	outages []outage

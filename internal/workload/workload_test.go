@@ -195,22 +195,6 @@ func TestColludeSplitsAcrossNetworks(t *testing.T) {
 	}
 }
 
-func TestFlattenOrdered(t *testing.T) {
-	w, err := Build(testSource(), Config{Mode: ModeCollude, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat := w.Flatten()
-	if len(flat) != w.Stats.Events {
-		t.Fatalf("flatten length %d != stats %d", len(flat), w.Stats.Events)
-	}
-	for i := 1; i < len(flat); i++ {
-		if flat[i].Time.Before(flat[i-1].Time) {
-			t.Fatalf("flatten out of order at %d", i)
-		}
-	}
-}
-
 func TestParseMode(t *testing.T) {
 	if _, err := ParseMode("collude"); err != nil {
 		t.Fatal(err)

@@ -134,29 +134,29 @@ for EXAMPLE in examples/*/; do
     go run "./$EXAMPLE"
 done
 
-# Smoke the serving path under closed-loop load in both wire codecs: a
-# few hundred batched requests against an in-process edge, so every
-# verify exercises the sharded engine, /v1/report/batch, the pooled
-# handler hot path, and the binary frame codec end to end. Each summary
-# must end with the span-leak gate: every request trace the run opened
-# was also closed.
-LOADGEN_OUT="$(mktemp)"
+# Smoke the serving path in both wire codecs: a batched replay through
+# an in-process edge, so every verify exercises the sharded engine,
+# /v1/report/batch, the pooled handler hot path, and the binary frame
+# codec end to end. Each run must end with the span-leak gate: every
+# request trace the run opened was also closed.
+CODEC_OUT="$(mktemp)"
 for WIRE_CODEC in json binary; do
-    go run ./cmd/loadgen -users 16 -workers 4 -requests 400 -batch 16 -campaigns 20 -wire "$WIRE_CODEC" | tee "$LOADGEN_OUT"
-    grep -q '^tracing: active_spans=0$' "$LOADGEN_OUT"
+    go run ./cmd/lbasim -users 16 -max-checkins 60 -batch 16 -campaigns 20 -stats-every 0 -wire "$WIRE_CODEC" | tee "$CODEC_OUT"
+    grep -q '^tracing: active_spans=0$' "$CODEC_OUT"
 done
-rm -f "$LOADGEN_OUT"
+rm -f "$CODEC_OUT"
 
-# Workload-scenario smoke: loadgen replays a churn workload (device
-# resets mid-trace) through the serving path, and lbasim runs the
-# colluding cross-edge adversary end to end. The lbasim run exits
-# non-zero unless the colluding join beats the single-network attack AND
-# the n-fold Gaussian defense degrades it back inside the paper band;
-# the greps pin that both scenario paths actually engaged.
+# Workload-scenario smoke: lbasim replays a churn workload (device
+# resets mid-trace) through one edge, and the colluding cross-network
+# adversary end to end through a three-edge cluster. The collude run
+# exits non-zero unless the colluding join beats the single-network
+# attack AND the n-fold Gaussian defense degrades it back inside the
+# paper band; the greps pin that both scenarios actually engaged.
 SCN_OUT="$(mktemp)"
-go run ./cmd/loadgen -scenario churn -users 64 -workers 4 -requests 2000 -batch 16 -campaigns 20 | tee "$SCN_OUT"
-grep -Eq '^scenario: mode=churn events=[1-9][0-9]* mutations=[1-9][0-9]* replayed=[1-9][0-9]*$' "$SCN_OUT"
-go run ./cmd/lbasim -scenario collude -users 12 -max-checkins 120 | tee "$SCN_OUT"
+go run ./cmd/lbasim -scenario churn -users 64 -max-checkins 100 -batch 16 -campaigns 20 -stats-every 0 | tee "$SCN_OUT"
+grep -Eq '^scenario churn: users=64 events=[1-9][0-9]* mutations=[1-9][0-9]* ' "$SCN_OUT"
+grep -q '^tracing: active_spans=0$' "$SCN_OUT"
+go run ./cmd/lbasim -scenario collude -edges 3 -users 12 -max-checkins 120 | tee "$SCN_OUT"
 grep -q 'collusion: defense holds' "$SCN_OUT"
 grep -Eq 'joins=[1-9]' "$SCN_OUT"
 rm -f "$SCN_OUT"
@@ -203,11 +203,15 @@ curl -fs -X POST "http://$EDGED_ADDR/v1/rebuild" -d '{"user_id":"smoke"}' >/dev/
 curl -fs "http://$EDGED_ADDR/metrics" | grep -q '^wal_appends_total [1-9]'
 
 # Mixed-protocol interop smoke: the same live edged instance the JSON
-# curl traffic above drove now takes binary-wire traffic from loadgen.
-# Both codecs share one server, the negotiated-codec counters must show
-# it, and the binary-ingested reports ride through the crash-recovery
-# check below like any JSON ones.
-go run ./cmd/loadgen -users 8 -workers 2 -requests 200 -batch 8 -mix 1:0 -wire binary -addr "http://$EDGED_ADDR" >/dev/null
+# curl traffic above drove now takes lbasim's replay, first in binary
+# frames and then in JSON. Both codecs share one server, the
+# negotiated-codec counters must show it, and the replayed reports,
+# rebuilds and ad requests ride through the crash-recovery check below
+# like the curl ones. A replay touches each user once, so its first
+# pass only evicts; the second faults the evicted users back in.
+for WIRE_CODEC in binary json; do
+    go run ./cmd/lbasim -addr "http://$EDGED_ADDR" -users 8 -max-checkins 40 -batch 8 -wire "$WIRE_CODEC" >/dev/null
+done
 curl -fs "http://$EDGED_ADDR/metrics" | grep -q 'wire_requests_total{codec="binary"} [1-9]'
 curl -fs "http://$EDGED_ADDR/metrics" | grep -q 'wire_requests_total{codec="json"} [1-9]'
 # Nine users against a 4-user cap: the tier counters must show real
