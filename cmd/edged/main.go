@@ -24,10 +24,11 @@
 // startup, and checkpoints are taken every -checkpoint-every and on
 // graceful shutdown.
 //
-// With -max-resident and/or -evict-idle the engine is memory-tiered:
-// cold users are spilled to disk (under -data-dir/spill, or a temp dir)
-// and faulted back in transparently on their next touch, bounding RSS
-// for long-tailed populations far larger than memory. -rebuild-every
+// With -max-resident the engine is memory-tiered: users beyond the cap,
+// picked by a CLOCK sweep that spares recently touched ones, are spilled
+// to disk (under -data-dir/spill, or a temp dir) and faulted back in
+// transparently on their next touch, bounding RSS for long-tailed
+// populations far larger than memory. -rebuild-every
 // with -rebuild-parts amortizes the periodic profile rebuild across
 // incremental sub-rounds instead of stopping the world.
 package main
@@ -86,7 +87,6 @@ func run(args []string) error {
 		slowTrace = flags.Duration("slow-trace", 250*time.Millisecond, "log requests whose trace exceeds this duration with their per-stage breakdown; 0 disables")
 
 		maxResident  = flags.Int("max-resident", 0, "bound on users resident in memory; cold users beyond it (picked by a CLOCK sweep) are spilled to disk and faulted back in transparently (0 = unbounded)")
-		evictIdle    = flags.Duration("evict-idle", 0, "periodically spill users idle for at least this long (0 disables; enables the spill tier even without -max-resident)")
 		rebuildEvery = flags.Duration("rebuild-every", 0, "run one incremental profile-rebuild sub-round this often, covering the population every -rebuild-parts ticks (0 disables)")
 		rebuildParts = flags.Int("rebuild-parts", 4, "sub-rounds an incremental rebuild spreads the population across (with -rebuild-every)")
 	)
@@ -112,7 +112,7 @@ func run(args []string) error {
 	// without one it lives in a temp dir removed on exit. Crash recovery
 	// always rebuilds from the WAL.
 	var spillDir string
-	if *maxResident > 0 || *evictIdle > 0 {
+	if *maxResident > 0 {
 		if *dataDir != "" {
 			spillDir = filepath.Join(*dataDir, "spill")
 		} else {
@@ -208,9 +208,6 @@ func run(args []string) error {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if *evictIdle > 0 {
-		go sweepIdle(ctx, engine, *evictIdle, logger)
-	}
 	if *rebuildEvery > 0 {
 		go rebuildIncremental(ctx, engine, *rebuildEvery, *rebuildParts, logger)
 	}
@@ -274,33 +271,6 @@ func serveAndPersist(ctx context.Context, server *edge.Server, engine *core.Engi
 		}
 	}
 	return serveErr
-}
-
-// sweepIdle periodically spills users idle for at least minIdle,
-// keeping a long-tailed population's cold majority out of memory even
-// when no hard -max-resident cap is set.
-func sweepIdle(ctx context.Context, engine *core.Engine, minIdle time.Duration, logger *slog.Logger) {
-	ticker := time.NewTicker(minIdle)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			n, err := engine.EvictIdle(minIdle)
-			if err != nil {
-				logger.Error("idle eviction sweep failed", slog.Any("err", err))
-				continue
-			}
-			if n > 0 {
-				ts := engine.TierStats()
-				logger.Info("evicted idle users",
-					slog.Int("evicted", n),
-					slog.Int("resident", ts.Resident),
-					slog.Int("spilled", ts.Spilled))
-			}
-		}
-	}
 }
 
 // rebuildIncremental runs one RebuildPart sub-round per tick, covering

@@ -19,7 +19,6 @@ import (
 	"repro/internal/profile"
 	"repro/internal/randx"
 	"repro/internal/tracing"
-	"repro/internal/wal"
 )
 
 // Engine errors.
@@ -44,22 +43,9 @@ type Config struct {
 	// noise; the paper motivates one-time geo-IND (planar Laplace) for
 	// these. Required.
 	NomadicMechanism geoind.Mechanism
-	// ConnectivityThreshold clusters check-ins into locations; ≤ 0 selects
-	// the paper's 50 m.
-	ConnectivityThreshold float64
-	// EtaFraction selects the η of the frequent location set as a fraction
-	// of the window's check-ins; ≤ 0 selects 0.9.
-	EtaFraction float64
 	// ProfileWindow is the recompute period of the location management
 	// module; ≤ 0 selects the paper's three months.
 	ProfileWindow time.Duration
-	// TargetRadius is the advertising radius R defining the AOI; ≤ 0
-	// selects the paper's 5 km.
-	TargetRadius float64
-	// PosteriorSigma overrides the σ of the output selection posterior;
-	// ≤ 0 derives it from the mechanism (its Sigma method when available,
-	// otherwise the empirical candidate spread).
-	PosteriorSigma float64
 	// NomadicBudget, when non-nil, bounds each user's cumulative privacy
 	// loss from nomadic (fresh-noise) exposures — the edge's
 	// risk-assessment function from the paper's system description. Each
@@ -83,25 +69,36 @@ type Config struct {
 	Shards int
 	// Seed drives all engine randomness deterministically.
 	Seed uint64
-	// SpillDir, when set, enables the cold tier: idle users can be
-	// evicted from memory into per-shard spill files under this
-	// directory and are faulted back in transparently on their next
+	// SpillDir is the directory the cold tier spills into, one file per
+	// shard; required when MaxResidentUsers is set and unused otherwise.
+	// Spilled users are faulted back in transparently on their next
 	// touch. The spill tier is process-local scratch (crash recovery
 	// comes from the WAL, never from spill files); the directory must
 	// not be shared between live engines.
 	SpillDir string
-	// MaxResidentUsers bounds how many users' state stays resident in
-	// memory; users beyond the bound, picked by a CLOCK sweep that spares
-	// recently touched ones, are evicted to SpillDir (which must be set).
-	// The bound is enforced
-	// per shard (cap/Shards each, minimum one resident per shard), so
-	// the effective engine-wide bound is max(MaxResidentUsers, Shards).
-	// 0 means unbounded residency; eviction is then only ever triggered
-	// explicitly via EvictIdle. Eviction never changes logical state:
-	// TableFingerprint and Snapshot bytes are byte-identical across any
-	// evict/fault-in schedule.
+	// MaxResidentUsers, when positive, turns the cold tier on: it bounds
+	// how many users' state stays resident in memory, and users beyond
+	// the bound, picked by a CLOCK sweep that spares recently touched
+	// ones, are evicted to SpillDir. The bound is enforced per shard
+	// (cap/Shards each, minimum one resident per shard), so the
+	// effective engine-wide bound is max(MaxResidentUsers, Shards). 0
+	// means unbounded residency and no cold tier. Eviction never changes
+	// logical state: TableFingerprint and Snapshot bytes are
+	// byte-identical across any evict/fault-in schedule.
 	MaxResidentUsers int
 }
+
+// The paper's constants for the location management module and the
+// relevance filter.
+const (
+	// EtaFraction is the η of the frequent location set as a fraction of
+	// a window's check-ins. Check-ins cluster into locations at
+	// profile.DefaultConnectivityThreshold, the paper's 50 m.
+	EtaFraction = 0.9
+	// TargetRadius is the advertising radius R, in metres, that defines
+	// the AOI.
+	TargetRadius = 5000.0
+)
 
 // DefaultShards is the default user-map shard count. 64 stripes keep
 // lock contention negligible up to many dozens of serving goroutines
@@ -110,17 +107,8 @@ const DefaultShards = 64
 
 // withDefaults fills zero fields with the paper's defaults.
 func (c Config) withDefaults() Config {
-	if c.ConnectivityThreshold <= 0 {
-		c.ConnectivityThreshold = profile.DefaultConnectivityThreshold
-	}
-	if c.EtaFraction <= 0 {
-		c.EtaFraction = 0.9
-	}
 	if c.ProfileWindow <= 0 {
 		c.ProfileWindow = 90 * 24 * time.Hour
-	}
-	if c.TargetRadius <= 0 {
-		c.TargetRadius = 5000
 	}
 	if c.NomadicReportEpsilon <= 0 {
 		c.NomadicReportEpsilon = 1
@@ -155,9 +143,6 @@ func (c Config) Validate() error {
 	if c.NomadicMechanism == nil {
 		return fmt.Errorf("core: config requires a NomadicMechanism")
 	}
-	if c.EtaFraction > 1 {
-		return fmt.Errorf("core: eta fraction %g must be at most 1", c.EtaFraction)
-	}
 	if c.Shards > MaxShards {
 		return fmt.Errorf("core: shard count %d exceeds MaxShards (%d)", c.Shards, MaxShards)
 	}
@@ -189,12 +174,9 @@ type userState struct {
 	// gone set must drop the orphan and re-resolve through the shard
 	// (which faults the user back in). Guarded by mu.
 	gone bool
-	// lastTouch is the wall-clock nanosecond of the user's last
-	// serving-path touch, for EvictIdle's idle cutoff; ref is the CLOCK
-	// reference bit a touch sets for the quota sweep (see
-	// evictOneLocked). Only maintained when the spill tier is enabled.
-	lastTouch atomic.Int64
-	ref       atomic.Bool
+	// ref is the CLOCK reference bit a touch sets for the quota sweep
+	// (see evictOneLocked). Only maintained when the cold tier is on.
+	ref atomic.Bool
 	// slot is the user's index in its shard's CLOCK ring while resident.
 	// Guarded by the shard's mu.
 	slot int
@@ -206,10 +188,12 @@ type residentSlot struct {
 	u  *userState
 }
 
-// spillMeta is the resident-side record of one spilled user: just
-// enough to decide, without reading the spill frame, whether a
-// population-wide pass (RebuildAll/RebuildPart) can skip the user.
+// spillMeta is the one record of a spilled user: where its frame lies
+// in the shard's spill file, and enough to decide, without reading the
+// frame, whether a population-wide pass (RebuildAll/RebuildPart) can
+// skip the user.
 type spillMeta struct {
+	off, n int64 // the frame's offset and whole length, header included
 	// pending is the user's pending check-in count at eviction time; a
 	// rebuild pass over a user with no pending check-ins is a no-op, so
 	// spilled users with pending == 0 are rebuilt without fault-in.
@@ -219,14 +203,14 @@ type spillMeta struct {
 // engineShard is one lock stripe of the engine's user map. Distinct
 // users hash to distinct shards (up to collisions), so serving-path
 // lookups on different users never contend on a shared mutex. Each
-// shard owns its slice of the cold tier: the spilled-user index and the
-// spill file evicted state is written to.
+// shard owns its slice of the cold tier: the spilled map, which locates
+// every spilled user's frame, and the spill file holding the frames.
 type engineShard struct {
 	mu      sync.RWMutex
 	idx     int // position in Engine.shards; names the shard's spill file
 	users   map[string]*userState
 	spilled map[string]spillMeta // nil until the first eviction
-	spill   *wal.SpillFile       // opened lazily on first eviction
+	spill   *spillFile           // opened lazily on first eviction
 	// ring lists the resident users in CLOCK order and hand is the next
 	// slot the eviction sweep inspects; maintained only with the cold
 	// tier on.
@@ -267,7 +251,7 @@ type Engine struct {
 	nSpillErrs atomic.Uint64
 
 	// residentQuota is the per-shard resident bound derived from
-	// Config.MaxResidentUsers (0 = unbounded).
+	// Config.MaxResidentUsers (0 = unbounded, and no cold tier).
 	residentQuota int
 
 	// dur is the optional durability sink (see SetDurability); nil
@@ -295,16 +279,14 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.shards[i].idx = i
 		e.shards[i].users = make(map[string]*userState)
 	}
-	if e.cfg.SpillDir != "" {
+	if e.cfg.MaxResidentUsers > 0 {
 		if err := os.MkdirAll(e.cfg.SpillDir, 0o755); err != nil {
 			return nil, fmt.Errorf("core: creating spill dir: %w", err)
 		}
-		if e.cfg.MaxResidentUsers > 0 {
-			// Ceiling division so Shards quotas always cover the cap;
-			// at least one resident per shard keeps a touched user
-			// resident for the duration of its own operation.
-			e.residentQuota = max(1, (e.cfg.MaxResidentUsers+e.cfg.Shards-1)/e.cfg.Shards)
-		}
+		// Ceiling division so Shards quotas always cover the cap; at
+		// least one resident per shard keeps a touched user resident for
+		// the duration of its own operation.
+		e.residentQuota = max(1, (e.cfg.MaxResidentUsers+e.cfg.Shards-1)/e.cfg.Shards)
 	}
 	if e.cfg.NomadicBudget != nil {
 		acct, err := geoind.NewAccountant(e.cfg.NomadicReportEpsilon, e.cfg.NomadicReportDelta)
@@ -342,25 +324,25 @@ func (e *Engine) shardFor(userID string) (*engineShard, uint64) {
 	return &e.shards[h&e.shardMask], h
 }
 
-// tiered reports whether the cold tier is enabled.
-func (e *Engine) tiered() bool { return e.cfg.SpillDir != "" }
+// tiered reports whether the cold tier is on.
+func (e *Engine) tiered() bool { return e.residentQuota > 0 }
 
-// touch stamps the user's idle clock and sets its CLOCK reference bit,
-// writing the bit only when it is clear so hot users do not keep
-// dirtying its cache line. Only paid when the cold tier is on.
+// touch sets the user's CLOCK reference bit, writing it only when it is
+// clear so hot users do not keep dirtying its cache line. Only paid when
+// the cold tier is on.
 func (e *Engine) touch(u *userState) {
-	if e.tiered() {
-		u.lastTouch.Store(time.Now().UnixNano())
-		if !u.ref.Load() {
-			u.ref.Store(true)
-		}
+	if e.tiered() && !u.ref.Load() {
+		u.ref.Store(true)
 	}
 }
 
-// userFor returns (creating or faulting in if needed) the state for
-// userID. The returned pointer may be concurrently evicted; mutators
-// must go through lockUser, which re-resolves on eviction.
-func (e *Engine) userFor(userID string) (*userState, error) {
+// resolveUser returns the state for userID, faulting a spilled user
+// back into residency. An unknown user is created when create is set
+// and fails with ErrUnknownUser otherwise. Read-only paths that must
+// not promote cold users use viewUser (spill.go) instead. The returned
+// pointer may be concurrently evicted; callers go through lockUser,
+// which re-resolves on eviction.
+func (e *Engine) resolveUser(userID string, create bool) (*userState, error) {
 	s, h := e.shardFor(userID)
 	s.mu.RLock()
 	u, ok := s.users[userID]
@@ -376,75 +358,38 @@ func (e *Engine) userFor(userID string) (*userState, error) {
 		e.touch(u)
 		return u, nil
 	}
-	if _, ok := s.spilled[userID]; ok {
-		u, err := e.faultInLocked(s, userID)
-		if err != nil {
+	if m, ok := s.spilled[userID]; ok {
+		var err error
+		if u, err = e.faultInLocked(s, userID, m); err != nil {
 			return nil, err
 		}
-		e.touch(u)
-		e.enforceQuotaLocked(s, u)
-		return u, nil
+	} else if create {
+		table, err := NewObfuscationTable(profile.DefaultConnectivityThreshold)
+		if err != nil {
+			return nil, fmt.Errorf("core: user %q table: %w", userID, err)
+		}
+		u = &userState{
+			rnd:   randx.New(e.cfg.Seed, h),
+			table: table,
+		}
+		e.addResidentLocked(s, userID, u)
+		e.nUsers.Add(1)
+		e.nResident.Add(1)
+	} else {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownUser, userID)
 	}
-	table, err := NewObfuscationTable(e.cfg.ConnectivityThreshold)
-	if err != nil {
-		return nil, fmt.Errorf("core: user %q table: %w", userID, err)
-	}
-	u = &userState{
-		rnd:   randx.New(e.cfg.Seed, h),
-		table: table,
-	}
-	e.addResidentLocked(s, userID, u)
-	e.nUsers.Add(1)
-	e.nResident.Add(1)
 	e.touch(u)
 	e.enforceQuotaLocked(s, u)
 	return u, nil
 }
 
-// lookup returns the state for an existing user, faulting a spilled
-// user back into residency. Read-only paths that must not promote cold
-// users use viewUser (spill.go) instead.
-func (e *Engine) lookup(userID string) (*userState, error) {
-	s, _ := e.shardFor(userID)
-	s.mu.RLock()
-	u, ok := s.users[userID]
-	s.mu.RUnlock()
-	if ok {
-		e.touch(u)
-		return u, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if u, ok := s.users[userID]; ok {
-		e.touch(u)
-		return u, nil
-	}
-	if _, ok := s.spilled[userID]; ok {
-		u, err := e.faultInLocked(s, userID)
-		if err != nil {
-			return nil, err
-		}
-		e.touch(u)
-		e.enforceQuotaLocked(s, u)
-		return u, nil
-	}
-	return nil, fmt.Errorf("%w: %q", ErrUnknownUser, userID)
-}
-
-// lockUser resolves userID and returns its state with u.mu held. When
-// create is set, unknown users are created (userFor semantics);
-// otherwise they fail with ErrUnknownUser. The loop absorbs the
-// eviction race: a state evicted between resolution and lock acquisition
-// is marked gone, and the retry faults the user back in.
+// lockUser resolves userID and returns its state with u.mu held; create
+// is resolveUser's. The loop absorbs the eviction race: a state evicted
+// between resolution and lock acquisition is marked gone, and the retry
+// faults the user back in.
 func (e *Engine) lockUser(userID string, create bool) (*userState, error) {
 	for {
-		var u *userState
-		var err error
-		if create {
-			u, err = e.userFor(userID)
-		} else {
-			u, err = e.lookup(userID)
-		}
+		u, err := e.resolveUser(userID, create)
 		if err != nil {
 			return nil, err
 		}
@@ -805,13 +750,13 @@ func (e *Engine) rebuildLocked(u *userState, now time.Time, keep bool) error {
 	}
 	bp := ptsPool.Get().(*[]geo.Point)
 	pts := u.appendPositions((*bp)[:0])
-	prof, err := profile.Build(pts, e.cfg.ConnectivityThreshold)
+	prof, err := profile.Build(pts, profile.DefaultConnectivityThreshold)
 	*bp = pts[:0]
 	ptsPool.Put(bp)
 	if err != nil {
 		return fmt.Errorf("building profile: %w", err)
 	}
-	tops := prof.EtaFractionSet(e.cfg.EtaFraction)
+	tops := prof.EtaFractionSet(EtaFraction)
 	if err := e.obfuscateLocked(u, tops, now); err != nil {
 		return fmt.Errorf("obfuscating top location: %w", err)
 	}
@@ -989,13 +934,10 @@ func (e *Engine) NomadicLoss(userID string) (geoind.Loss, error) {
 }
 
 // posteriorSigma resolves the σ of the output-selection posterior
-// (Eq. 17): explicit config, then the mechanism's own Sigma scaled to the
-// posterior deviation σ/√n (the sufficient statistic's deviation), then
-// the empirical candidate spread.
+// (Eq. 17): the mechanism's own Sigma scaled to the posterior deviation
+// σ/√n (the sufficient statistic's deviation), else the empirical
+// candidate spread.
 func (e *Engine) posteriorSigma(candidates []geo.Point) float64 {
-	if e.cfg.PosteriorSigma > 0 {
-		return e.cfg.PosteriorSigma
-	}
 	if s, ok := e.cfg.Mechanism.(interface{ Sigma() float64 }); ok {
 		n := e.cfg.Mechanism.Fold()
 		if n < 1 {
@@ -1033,7 +975,7 @@ func (e *Engine) PendingProfile(userID string) (profile.Profile, error) {
 	}
 	bp := ptsPool.Get().(*[]geo.Point)
 	pts := u.appendPositions((*bp)[:0])
-	prof, err := profile.Build(pts, e.cfg.ConnectivityThreshold)
+	prof, err := profile.Build(pts, profile.DefaultConnectivityThreshold)
 	*bp = pts[:0]
 	ptsPool.Put(bp)
 	if err != nil {
@@ -1229,7 +1171,7 @@ func (e *Engine) FilterAds(truePos geo.Point, adLocations []geo.Point) []int {
 // paths reuse one index buffer across requests instead of allocating a
 // fresh slice per call.
 func (e *Engine) FilterAdsAppend(dst []int, truePos geo.Point, adLocations []geo.Point) []int {
-	r2 := e.cfg.TargetRadius * e.cfg.TargetRadius
+	const r2 = TargetRadius * TargetRadius
 	for i, ad := range adLocations {
 		if ad.Dist2(truePos) <= r2 {
 			dst = append(dst, i)

@@ -197,20 +197,9 @@ func TestImportTableRejectsWrappedCandidateCount(t *testing.T) {
 	}
 }
 
-// TestPosteriorSigmaFallbacks covers the resolution order: explicit
-// config, mechanism Sigma, then empirical candidate spread.
+// TestPosteriorSigmaFallbacks covers the fallback of the resolution
+// order: a mechanism without Sigma gets the empirical candidate spread.
 func TestPosteriorSigmaFallbacks(t *testing.T) {
-	// Explicit override.
-	cfg := testConfig(t)
-	cfg.PosteriorSigma = 1234
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := e.posteriorSigma(nil); got != 1234 {
-		t.Errorf("explicit sigma = %g", got)
-	}
-
 	// Mechanism without Sigma: empirical spread of the candidates.
 	cfg2 := testConfig(t)
 	cfg2.Mechanism = &uniformDiskMechanism{radius: 1000, n: 4}

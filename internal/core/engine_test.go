@@ -36,11 +36,6 @@ func TestNewEngineValidation(t *testing.T) {
 	if _, err := NewEngine(cfg); err == nil {
 		t.Error("missing nomadic mechanism expected error")
 	}
-	cfg = testConfig(t)
-	cfg.EtaFraction = 1.5
-	if _, err := NewEngine(cfg); err == nil {
-		t.Error("eta > 1 expected error")
-	}
 }
 
 func TestEngineDefaults(t *testing.T) {
@@ -48,18 +43,8 @@ func TestEngineDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := e.Config()
-	if cfg.ConnectivityThreshold != 50 {
-		t.Errorf("threshold = %g", cfg.ConnectivityThreshold)
-	}
-	if cfg.EtaFraction != 0.9 {
-		t.Errorf("eta = %g", cfg.EtaFraction)
-	}
-	if cfg.ProfileWindow != 90*24*time.Hour {
+	if cfg := e.Config(); cfg.ProfileWindow != 90*24*time.Hour {
 		t.Errorf("window = %v", cfg.ProfileWindow)
-	}
-	if cfg.TargetRadius != 5000 {
-		t.Errorf("radius = %g", cfg.TargetRadius)
 	}
 }
 

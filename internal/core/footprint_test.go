@@ -241,7 +241,7 @@ func TestInstallMatchesInsertInTurn(t *testing.T) {
 		{{Loc: geo.Point{X: 0, Y: 0}}, {Loc: geo.Point{X: 30, Y: 0}}, {Loc: geo.Point{X: 3000, Y: 0}}},
 		{{Loc: geo.Point{X: 3020, Y: 10}}, {Loc: geo.Point{X: 6000, Y: 0}}, {Loc: geo.Point{X: 6000, Y: 45}}, {Loc: geo.Point{X: 9000, Y: 0}}},
 	}
-	want, err := NewObfuscationTable(e.Config().ConnectivityThreshold)
+	want, err := NewObfuscationTable(profile.DefaultConnectivityThreshold)
 	if err != nil {
 		t.Fatal(err)
 	}

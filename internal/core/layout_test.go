@@ -97,6 +97,7 @@ func TestPersistedBytesPinned(t *testing.T) {
 			cfg := testConfig(t)
 			cfg.Shards = shards
 			cfg.SpillDir = t.TempDir()
+			cfg.MaxResidentUsers = noCap
 			e, err := NewEngine(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -122,8 +123,8 @@ func TestPersistedBytesPinned(t *testing.T) {
 			if got := pinDigest(snap); got != pinnedSnapshotDigest {
 				t.Errorf("snapshot digest %s (%d B), want %s", got, len(snap), pinnedSnapshotDigest)
 			}
-			if n, err := e.EvictIdle(0); err != nil || n != 4 {
-				t.Fatalf("EvictIdle = %d, %v; want all 4 users spilled", n, err)
+			if n := evictAll(t, e); n != 4 {
+				t.Fatalf("evictAll = %d; want all 4 users spilled", n)
 			}
 			files, err := filepath.Glob(filepath.Join(cfg.SpillDir, "spill-*.dat"))
 			if err != nil {

@@ -100,7 +100,7 @@ func (e *Engine) snapshotLen(n int) int {
 			size += strLen(id)
 		}
 		if s.spill != nil {
-			size += int(s.spill.Live())
+			size += int(s.spill.liveBytes())
 		}
 		s.mu.RUnlock()
 	}
@@ -115,11 +115,12 @@ func strLen(s string) int {
 
 // appendUserRecord appends id's record payload to rec: the ID, then its
 // user frame. A resident user is encoded under its lock. A spilled
-// user's frame is copied as SpillFile.Get returns it (Get has checked
-// its CRC), so a snapshot faults nobody in and decodes nothing cold.
-// scratch is the buffer for that read, returned for reuse. The shard is
-// re-resolved until it answers consistently, so a user evicted or
-// faulted in between the ID walk and this read is captured exactly once.
+// user's frame is copied as the spill file reads it (the read has
+// checked its CRC), so a snapshot faults nobody in and decodes nothing
+// cold. scratch is the buffer for that read, returned for reuse. A user
+// evicted between the shard lookup and its lock is looked up again, so
+// a user evicted or faulted in between the ID walk and this read is
+// captured exactly once.
 func (e *Engine) appendUserRecord(rec, scratch []byte, id string) ([]byte, []byte, error) {
 	rec = binfmt.AppendString(rec, id)
 	s, _ := e.shardFor(id)
@@ -136,19 +137,17 @@ func (e *Engine) appendUserRecord(rec, scratch []byte, id string) ([]byte, []byt
 			u.mu.Unlock()
 			return rec, scratch, err
 		}
-		if _, ok := s.spilled[id]; ok {
-			buf, payload, ok, err := s.spill.Get(id, scratch[:0])
+		m, ok := s.spilled[id]
+		if !ok {
 			s.mu.RUnlock()
-			if err != nil {
-				return nil, scratch, err
-			}
-			if !ok {
-				continue // raced with a concurrent fault-in; re-resolve
-			}
-			return append(rec, payload...), buf[:0], nil
+			return nil, scratch, ErrUnknownUser
 		}
+		buf, payload, err := s.spill.read(scratch[:0], m)
 		s.mu.RUnlock()
-		return nil, scratch, ErrUnknownUser
+		if err != nil {
+			return nil, scratch, err
+		}
+		return append(rec, payload...), buf[:0], nil
 	}
 }
 

@@ -3,26 +3,27 @@ package core
 import (
 	"fmt"
 	"path/filepath"
-	"time"
 
 	"repro/internal/binfmt"
+	"repro/internal/profile"
 	"repro/internal/randx"
-	"repro/internal/wal"
 )
 
 // Memory tiering: the paper's obfuscation table is *permanent* (Section
 // V-C — replacing entries is exactly the longitudinal degradation the
 // defense prevents), so an edge serving a long-tailed population of
 // millions of users would otherwise pay RAM forever for every user it
-// has ever seen. With Config.SpillDir set, the engine keeps only the
-// recently-touched users resident: state beyond Config.MaxResidentUsers,
-// picked by a per-shard CLOCK sweep (an O(1) approximation of least
-// recently touched), is serialized into a compact binary user frame —
-// table (in the packed layout, see packed.go), top set, pending window,
-// window start, and the exact PCG PRNG position via
-// randx.Rand.MarshalState — and appended to a per-shard spill file. The next Report/Request/merge
-// touch faults the user back in. The same frame is a user's record in a
-// snapshot (persist.go), so a checkpoint copies spilled users as stored.
+// has ever seen. With Config.MaxResidentUsers set, the engine keeps only
+// the recently-touched users resident: state beyond the cap, picked by a
+// per-shard CLOCK sweep (an O(1) approximation of least recently
+// touched), is serialized into a compact binary user frame — table (in
+// the packed layout, see packed.go), top set, pending window, window
+// start, and the exact PCG PRNG position via randx.Rand.MarshalState —
+// and appended to the shard's spill file (spillfile.go) under
+// Config.SpillDir. The shard's spilled map records where the frame lies.
+// The next Report/Request/merge touch faults the user back in. The same
+// frame is a user's record in a snapshot (persist.go), so a checkpoint
+// copies spilled users as stored.
 //
 // Determinism is sacred: a faulted-in user draws the same PRNG stream,
 // holds the same table bytes, and snapshots identically — the engine's
@@ -72,7 +73,7 @@ func (e *Engine) decodeUserFrame(payload []byte) (*userState, error) {
 	np := r.Count(pointSize + 1) // a point and a time of at least 1 byte
 	window := readWindow(&r, np)
 	tops := readTops(&r)
-	table, err := NewObfuscationTable(e.cfg.ConnectivityThreshold)
+	table, err := NewObfuscationTable(profile.DefaultConnectivityThreshold)
 	if err != nil {
 		return nil, fmt.Errorf("core: user frame table: %w", err)
 	}
@@ -126,7 +127,7 @@ func (e *Engine) ensureSpillLocked(s *engineShard) error {
 	if s.spill != nil {
 		return nil
 	}
-	sf, err := wal.OpenSpill(filepath.Join(e.cfg.SpillDir, fmt.Sprintf("spill-%04x.dat", s.idx)))
+	sf, err := openSpill(filepath.Join(e.cfg.SpillDir, fmt.Sprintf("spill-%04x.dat", s.idx)))
 	if err != nil {
 		return fmt.Errorf("core: opening shard %d spill file: %w", s.idx, err)
 	}
@@ -140,22 +141,24 @@ func (e *Engine) ensureSpillLocked(s *engineShard) error {
 // evictLocked serializes u into the shard's spill file and drops it
 // from the resident tier. The caller holds s.mu and u.mu; on success u
 // is marked gone and any other holder of the pointer re-resolves
-// through lockUser.
+// through lockUser. On an error u stays resident and the shard's cold
+// tier is unchanged.
 func (e *Engine) evictLocked(s *engineShard, id string, u *userState) error {
 	if err := e.ensureSpillLocked(s); err != nil {
 		return err
 	}
 	bp := recBufPool.Get().(*[]byte)
 	payload, err := encodeUserFrame((*bp)[:0], u)
+	var off, n int64
 	if err == nil {
-		err = s.spill.Put(id, payload)
+		off, n, err = s.spill.append(payload, s.spilled)
 	}
 	*bp = payload[:0]
 	recBufPool.Put(bp)
 	if err != nil {
 		return fmt.Errorf("core: evicting %q: %w", id, err)
 	}
-	s.spilled[id] = spillMeta{pending: u.nPending}
+	s.spilled[id] = spillMeta{off: off, n: n, pending: u.nPending}
 	delete(s.users, id)
 	// Swap the ring's last entry into u's slot.
 	last := len(s.ring) - 1
@@ -184,15 +187,12 @@ func (e *Engine) addResidentLocked(s *engineShard, id string, u *userState) {
 // fault-ins, so that a rare huge user frame is not held for good.
 const maxKeptFaultBuf = 1 << 20
 
-// faultInLocked loads a spilled user back into residency. The caller
-// holds s.mu and has found id in s.spilled.
-func (e *Engine) faultInLocked(s *engineShard, id string) (*userState, error) {
-	buf, payload, ok, err := s.spill.Get(id, s.faultBuf[:0])
+// faultInLocked loads a spilled user back into residency from the frame
+// at m, id's entry in s.spilled. The caller holds s.mu.
+func (e *Engine) faultInLocked(s *engineShard, id string, m spillMeta) (*userState, error) {
+	buf, payload, err := s.spill.read(s.faultBuf[:0], m)
 	if err != nil {
 		return nil, fmt.Errorf("core: faulting in %q: %w", id, err)
-	}
-	if !ok {
-		return nil, fmt.Errorf("core: spilled user %q missing from spill file", id)
 	}
 	// decodeUserFrame copies everything out of payload, so the buffer
 	// serves the next fault-in. One huge frame is not kept.
@@ -205,7 +205,7 @@ func (e *Engine) faultInLocked(s *engineShard, id string) (*userState, error) {
 		return nil, fmt.Errorf("core: faulting in %q: %w", id, err)
 	}
 	delete(s.spilled, id)
-	s.spill.Delete(id)
+	s.spill.free(m)
 	e.addResidentLocked(s, id, u)
 	e.nResident.Add(1)
 	e.nFaultIns.Add(1)
@@ -269,44 +269,6 @@ func (e *Engine) evictOneLocked(s *engineShard, keep *userState) bool {
 	return false
 }
 
-// EvictIdle sweeps every shard and evicts residents whose last touch is
-// at least minIdle ago (0 evicts everything not actively locked). It
-// returns the number of users evicted. Requires Config.SpillDir; the
-// sweep is how a deployment without a hard resident cap still sheds its
-// cold tail on a timer (edged -evict-idle).
-func (e *Engine) EvictIdle(minIdle time.Duration) (int, error) {
-	if !e.tiered() {
-		return 0, fmt.Errorf("core: EvictIdle requires Config.SpillDir")
-	}
-	cutoff := time.Now().Add(-minIdle).UnixNano()
-	total := 0
-	for i := range e.shards {
-		s := &e.shards[i]
-		s.mu.Lock()
-		ids := make([]string, 0, len(s.users))
-		for id, u := range s.users {
-			if u.lastTouch.Load() <= cutoff {
-				ids = append(ids, id)
-			}
-		}
-		for _, id := range ids {
-			u, ok := s.users[id]
-			if !ok || !u.mu.TryLock() {
-				continue
-			}
-			err := e.evictLocked(s, id, u)
-			u.mu.Unlock()
-			if err != nil {
-				e.nSpillErrs.Add(1)
-				break
-			}
-			total++
-		}
-		s.mu.Unlock()
-	}
-	return total, nil
-}
-
 // viewUser returns a read-consistent view of the user's state with its
 // lock held (release it via the returned func). Spilled users are
 // decoded into a private transient state instead of being promoted —
@@ -325,23 +287,21 @@ func (e *Engine) viewUser(userID string) (*userState, func(), error) {
 			u.mu.Unlock()
 			continue // evicted between resolve and lock; re-resolve
 		}
-		if _, ok := s.spilled[userID]; ok {
-			_, payload, ok, err := s.spill.Get(userID, nil)
+		m, ok := s.spilled[userID]
+		if !ok {
 			s.mu.RUnlock()
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: reading spilled %q: %w", userID, err)
-			}
-			if !ok {
-				continue // raced with a concurrent fault-in; re-resolve
-			}
-			u, err := e.decodeUserFrame(payload)
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: reading spilled %q: %w", userID, err)
-			}
-			return u, func() {}, nil
+			return nil, nil, fmt.Errorf("%w: %q", ErrUnknownUser, userID)
 		}
+		_, payload, err := s.spill.read(nil, m)
 		s.mu.RUnlock()
-		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownUser, userID)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: reading spilled %q: %w", userID, err)
+		}
+		u, err := e.decodeUserFrame(payload)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: reading spilled %q: %w", userID, err)
+		}
+		return u, func() {}, nil
 	}
 }
 
@@ -373,18 +333,17 @@ func (e *Engine) TierStats() TierStats {
 
 // Close releases the cold tier's spill files (deleting them — spilled
 // state never outlives the process; durability is the WAL's job). The
-// engine must not serve after Close: spilled users would fail to fault
-// in.
+// engine must not serve after Close: spilled users fail to fault in,
+// and evictions fail.
 func (e *Engine) Close() error {
 	var first error
 	for i := range e.shards {
 		s := &e.shards[i]
 		s.mu.Lock()
 		if s.spill != nil {
-			if err := s.spill.Close(); err != nil && first == nil {
+			if err := s.spill.close(); err != nil && first == nil {
 				first = err
 			}
-			s.spill = nil
 		}
 		s.mu.Unlock()
 	}

@@ -3,7 +3,10 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime/debug"
 	"sync"
 	"testing"
@@ -18,14 +21,43 @@ import (
 // raceEnabled is set under the race detector (race_test.go).
 var raceEnabled bool
 
-// tieredConfig returns testConfig with the cold tier enabled at the
-// given resident cap (0 = unbounded, eviction only via EvictIdle).
+// tieredConfig returns testConfig with the cold tier on at the given
+// resident cap.
 func tieredConfig(t *testing.T, cap int) Config {
 	t.Helper()
 	cfg := testConfig(t)
 	cfg.SpillDir = t.TempDir()
 	cfg.MaxResidentUsers = cap
 	return cfg
+}
+
+// noCap is a resident cap no test population reaches: the cold tier is
+// on, and only evictAll spills anyone.
+const noCap = 1 << 30
+
+// evictAll spills every resident user through evictLocked, the quota
+// sweep's eviction, and returns how many it spilled. A user locked by
+// another goroutine is waited for.
+func evictAll(t *testing.T, e *Engine) int {
+	t.Helper()
+	n := 0
+	for i := range e.shards {
+		s := &e.shards[i]
+		s.mu.Lock()
+		for len(s.ring) > 0 {
+			v := s.ring[len(s.ring)-1]
+			v.u.mu.Lock()
+			err := e.evictLocked(s, v.id, v.u)
+			v.u.mu.Unlock()
+			if err != nil {
+				s.mu.Unlock()
+				t.Fatal(err)
+			}
+			n++
+		}
+		s.mu.Unlock()
+	}
+	return n
 }
 
 // feedTraceTiered is feedTrace with a resident cap: same trace, same
@@ -114,7 +146,7 @@ func TestFingerprintIdentityAcrossResidentCaps(t *testing.T) {
 // eviction must preserve the exact PRNG position, table bytes, and
 // pending window, or the answer streams would fork.
 func TestEvictFaultInCycleByteIdentity(t *testing.T) {
-	cfg := tieredConfig(t, 0)
+	cfg := tieredConfig(t, noCap)
 	cfg.Shards = 4
 	e, err := NewEngine(cfg)
 	if err != nil {
@@ -135,11 +167,7 @@ func TestEvictFaultInCycleByteIdentity(t *testing.T) {
 
 	base := time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC)
 	for cycle := 0; cycle < 3; cycle++ {
-		n, err := e.EvictIdle(0)
-		if err != nil {
-			t.Fatalf("EvictIdle: %v", err)
-		}
-		if n == 0 {
+		if n := evictAll(t, e); n == 0 {
 			t.Fatalf("cycle %d evicted nothing", cycle)
 		}
 		if ts := e.TierStats(); ts.Resident != 0 {
@@ -271,7 +299,7 @@ func TestRebuildPartSequentialEquivalence(t *testing.T) {
 // check-ins are not faulted in by a rebuild pass — the cold tail must
 // cost a map lookup, not disk traffic.
 func TestRebuildPartSkipsSpilledIdle(t *testing.T) {
-	cfg := tieredConfig(t, 0)
+	cfg := tieredConfig(t, noCap)
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -294,9 +322,7 @@ func TestRebuildPartSkipsSpilledIdle(t *testing.T) {
 	if err := e.Report("u0", geo.Point{X: 10, Y: 10}, base.Add(2*time.Hour)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.EvictIdle(0); err != nil {
-		t.Fatal(err)
-	}
+	evictAll(t, e)
 	before := e.TierStats()
 	if err := e.RebuildAll(base.Add(3*time.Hour), 2); err != nil {
 		t.Fatal(err)
@@ -366,13 +392,14 @@ func TestRebuildPartRestoresQuota(t *testing.T) {
 }
 
 // TestSpillTierConcurrencyStress hammers a tiny-cap tiered engine from
-// many goroutines — Report, ReportBatch, Request, RebuildAll, EvictIdle,
-// Snapshot, fingerprints — at shards {1,8}. Meaningful primarily under
-// -race; the final state must still be byte-identical to an untiered
-// engine fed the same per-user operation sequence... which concurrency
-// makes nondeterministic across users, so the assert here is the tier
-// accounting invariant (resident + spilled == users) plus zero spill
-// errors, with byte-identity covered by the deterministic tests above.
+// many goroutines — Report, ReportBatch, Request, RebuildPart, Snapshot,
+// fingerprints, with the cap evicting throughout — at shards {1,8}.
+// Meaningful primarily under -race; the final state must still be
+// byte-identical to an untiered engine fed the same per-user operation
+// sequence... which concurrency makes nondeterministic across users, so
+// the assert here is the tier accounting invariant (resident + spilled
+// == users) plus zero spill errors, with byte-identity covered by the
+// deterministic tests above.
 func TestSpillTierConcurrencyStress(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -430,13 +457,8 @@ func TestSpillTierConcurrencyStress(t *testing.T) {
 						return
 					default:
 					}
-					switch i % 3 {
+					switch i % 2 {
 					case 0:
-						if _, err := e.EvictIdle(0); err != nil {
-							t.Error(err)
-							return
-						}
-					case 1:
 						if err := e.RebuildPart(start.Add(time.Hour), 2, i, 4); err != nil {
 							t.Error(err)
 							return
@@ -497,9 +519,7 @@ func TestRecoverWithSpilledUsers(t *testing.T) {
 	driveWorkload(t, e, 8)
 	// Spill everything, then checkpoint: the snapshot is taken with the
 	// entire population cold.
-	if _, err := e.EvictIdle(0); err != nil {
-		t.Fatal(err)
-	}
+	evictAll(t, e)
 	before := e.TierStats()
 	if before.Resident != 0 || before.Spilled == 0 {
 		t.Fatalf("pre-checkpoint tier state: %+v", before)
@@ -624,12 +644,10 @@ func TestUserFrameAboveReadBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		data = nil
-		if _, err := e.EvictIdle(0); err != nil {
-			t.Fatal(err)
-		}
+		evictAll(t, e)
 		before := e.TierStats()
 		if before.Spilled != 1 {
-			t.Fatalf("after EvictIdle: %+v, want the user spilled", before)
+			t.Fatalf("after evictAll: %+v, want the user spilled", before)
 		}
 		if err := e.Report("big", geo.Point{X: 1, Y: 1}, base.Add(n*10*time.Second)); err != nil {
 			t.Fatalf("fault-in: %v", err)
@@ -659,6 +677,44 @@ func TestUserFrameAboveReadBound(t *testing.T) {
 	}
 	if digest(e) != want {
 		t.Error("recovered snapshot diverged from pre-crash state")
+	}
+}
+
+// TestCloseRefusesLaterSpills: after Close, an eviction fails instead
+// of reopening a spill file that would outlive the engine, and a
+// spilled user fails to fault in instead of reading its old offset in
+// some newer file.
+func TestCloseRefusesLaterSpills(t *testing.T) {
+	cfg := tieredConfig(t, 1)
+	cfg.Shards = 1
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := time.Date(2021, 3, 1, 9, 0, 0, 0, time.UTC)
+	for _, id := range []string{"a", "b"} {
+		if err := e.Report(id, geo.Point{X: 10, Y: 20}, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ts := e.TierStats(); ts.Spilled != 1 {
+		t.Fatalf("setup: %+v, want a spilled", ts)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// c joins the resident tier; its quota sweep's eviction of b fails.
+	if err := e.Report("c", geo.Point{X: 10, Y: 20}, at); err != nil {
+		t.Fatal(err)
+	}
+	if ts := e.TierStats(); ts.SpillErrors == 0 || ts.Spilled != 1 {
+		t.Errorf("after Close: %+v, want a failed eviction and a still spilled", ts)
+	}
+	if files, _ := filepath.Glob(filepath.Join(cfg.SpillDir, "*")); len(files) != 0 {
+		t.Errorf("spill files after Close: %v", files)
+	}
+	if err := e.Report("a", geo.Point{X: 10, Y: 20}, at); !errors.Is(err, os.ErrClosed) {
+		t.Errorf("fault-in after Close: %v, want %v", err, os.ErrClosed)
 	}
 }
 
@@ -692,14 +748,5 @@ func TestSpillConfigValidation(t *testing.T) {
 		if got := nextPow2(tc.in); got != tc.want {
 			t.Errorf("nextPow2(%d) = %d, want %d", tc.in, got, tc.want)
 		}
-	}
-
-	// EvictIdle without the tier is a config error, not a silent no-op.
-	e, err := NewEngine(testConfig(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.EvictIdle(0); err == nil {
-		t.Error("EvictIdle on an untiered engine expected error")
 	}
 }

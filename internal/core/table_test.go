@@ -200,7 +200,7 @@ func TestTableStateKeepsFingerprint(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			newEngine := func() *Engine {
-				cfg := tieredConfig(t, 0)
+				cfg := tieredConfig(t, noCap)
 				cfg.Shards = shards
 				e, err := NewEngine(cfg)
 				if err != nil {
@@ -277,11 +277,9 @@ func TestTableStateKeepsFingerprint(t *testing.T) {
 			}
 			check(e, u, "import")
 
-			if _, err := e.EvictIdle(0); err != nil {
-				t.Fatal(err)
-			}
+			evictAll(t, e)
 			if resident(e, u) != nil {
-				t.Fatal("EvictIdle(0) left the user resident")
+				t.Fatal("evictAll left the user resident")
 			}
 			check(e, u, "spilled")
 			if err := e.Report(u, geo.Point{X: 0, Y: 100}, now.Add(2*time.Hour)); err != nil {

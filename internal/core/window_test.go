@@ -247,9 +247,7 @@ func TestWindowRebuildAcrossSpillAndRecovery(t *testing.T) {
 			for _, id := range users {
 				feed(t, spilled, rebuildCheckIns(id), batch)
 			}
-			if _, err := spilled.EvictIdle(0); err != nil {
-				t.Fatal(err)
-			}
+			evictAll(t, spilled)
 			if ts := spilled.TierStats(); ts.Resident != 0 {
 				t.Fatalf("users still resident: %+v", ts)
 			}
@@ -359,7 +357,7 @@ func TestEvictFaultInCycleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations of its own")
 	}
-	e, err := NewEngine(tieredConfig(t, 0))
+	e, err := NewEngine(tieredConfig(t, noCap))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +404,7 @@ func TestEvictFaultInCycleAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.faultInLocked(s, id); err != nil {
+		if _, err := e.faultInLocked(s, id, s.spilled[id]); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -525,7 +523,7 @@ func FuzzWindowEncoding(f *testing.F) {
 			for i, c := range want[k] {
 				pts[i] = c.Pos
 			}
-			wantProf, wantErr := profile.Build(pts, e.Config().ConnectivityThreshold)
+			wantProf, wantErr := profile.Build(pts, profile.DefaultConnectivityThreshold)
 			gotProf, gotErr := e.PendingProfile(id)
 			if (gotErr != nil) != (wantErr != nil) {
 				t.Fatalf("%s: PendingProfile error %v, profile.Build error %v", id, gotErr, wantErr)

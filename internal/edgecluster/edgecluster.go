@@ -148,10 +148,9 @@ type Config struct {
 	// all coverage disks.
 	MergeRegion geo.BBox
 	// MergeCell is the aggregation grid resolution; ≤ 0 selects the
-	// engine's connectivity threshold (50 m by default).
+	// paper's 50 m connectivity threshold. A merge keeps the
+	// core.EtaFraction-frequent set of the merged profile.
 	MergeCell float64
-	// EtaFraction selects the merged η-frequent set; ≤ 0 selects 0.9.
-	EtaFraction float64
 	// Seed drives cluster randomness (per-edge seeds, merge sessions).
 	Seed uint64
 }
@@ -303,13 +302,7 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("edgecluster: degenerate merge region %+v", cfg.MergeRegion)
 	}
 	if cfg.MergeCell <= 0 {
-		cfg.MergeCell = cfg.Engine.ConnectivityThreshold
-		if cfg.MergeCell <= 0 {
-			cfg.MergeCell = profile.DefaultConnectivityThreshold
-		}
-	}
-	if cfg.EtaFraction <= 0 {
-		cfg.EtaFraction = 0.9
+		cfg.MergeCell = profile.DefaultConnectivityThreshold
 	}
 
 	cluster := &Cluster{cfg: cfg, journal: make(map[string]*mergeRound)}
@@ -998,7 +991,7 @@ func (c *Cluster) MergeProfilesStats(userID string, now time.Time) (profile.Prof
 			}
 		}
 	}
-	tops := merged.EtaFractionSet(c.cfg.EtaFraction)
+	tops := merged.EtaFractionSet(core.EtaFraction)
 
 	// Install at this round's obfuscator: the lowest-indexed LIVE node.
 	// The obfuscator must be CURRENT before generating candidates: a node

@@ -778,6 +778,27 @@ func TestBatchDecodeSharesUserID(t *testing.T) {
 	}
 }
 
+// TestDecodeReaderStaysOnStack: Decode's binfmt.Reader does not escape
+// through the Message interface, so a one-item binary batch decodes in
+// three allocations: the message, which does escape through it, the
+// item slice and the user ID. A reader moved to the heap makes it four.
+func TestDecodeReaderStaysOnStack(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	frame := Encode(&ReportBatchRequest{Reports: []ReportRequest{
+		{UserID: "device-00042", Pos: geo.Point{X: 1, Y: -1}, Time: time.Unix(1700000000, 0).UTC()},
+	}})
+	if n := testing.AllocsPerRun(100, func() {
+		var got ReportBatchRequest
+		if err := Decode(frame, &got); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 3 {
+		t.Errorf("decoding a one-item batch: %v allocs, want 3", n)
+	}
+}
+
 // TestTimeNormalization documents the one intentional lossy edge: a
 // non-UTC time decodes to the same instant in UTC.
 func TestTimeNormalization(t *testing.T) {

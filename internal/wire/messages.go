@@ -36,7 +36,10 @@ func (m *ReportRequest) appendBody(dst []byte) []byte {
 	return binfmt.AppendTime(dst, m.Time)
 }
 
-func (m *ReportRequest) readBody(r *binfmt.Reader) { m.readItem(r, "") }
+func (m *ReportRequest) readBody(r binfmt.Reader) binfmt.Reader {
+	m.readItem(&r, "")
+	return r
+}
 
 // readItem reads a report whose user ID shares prevID's string, without
 // allocating, when the two are equal.
@@ -96,19 +99,20 @@ func (m *ReportBatchRequest) appendBody(dst []byte) []byte {
 	return dst
 }
 
-func (m *ReportBatchRequest) readBody(r *binfmt.Reader) {
+func (m *ReportBatchRequest) readBody(r binfmt.Reader) binfmt.Reader {
 	n, ok := r.SliceLen(minReportBytes)
 	if !ok {
 		m.Reports = nil
-		return
+		return r
 	}
 	m.Reports = make([]ReportRequest, n)
 	// One device's batch repeats one user ID: the items share its string.
 	prevID := ""
 	for i := range m.Reports {
-		m.Reports[i].readItem(r, prevID)
+		m.Reports[i].readItem(&r, prevID)
 		prevID = m.Reports[i].UserID
 	}
+	return r
 }
 
 func (m *ReportBatchRequest) appendJSON(e *jsonEncoder) {
@@ -175,18 +179,19 @@ func (m *ReportBatchResponse) appendBody(dst []byte) []byte {
 	return dst
 }
 
-func (m *ReportBatchResponse) readBody(r *binfmt.Reader) {
+func (m *ReportBatchResponse) readBody(r binfmt.Reader) binfmt.Reader {
 	m.Accepted = r.Int()
 	n, ok := r.SliceLen(2) // varint index, string length
 	if !ok {
 		m.Errors = nil
-		return
+		return r
 	}
 	m.Errors = make([]BatchItemError, n)
 	for i := range m.Errors {
 		m.Errors[i].Index = r.Int()
 		m.Errors[i].Error = r.Str()
 	}
+	return r
 }
 
 func (m *ReportBatchResponse) appendJSON(e *jsonEncoder) {
@@ -258,10 +263,11 @@ func (m *AdsRequest) appendBody(dst []byte) []byte {
 	return binfmt.AppendInt(dst, m.Limit)
 }
 
-func (m *AdsRequest) readBody(r *binfmt.Reader) {
+func (m *AdsRequest) readBody(r binfmt.Reader) binfmt.Reader {
 	m.UserID = r.Str()
 	m.Pos = r.Point()
 	m.Limit = r.Int()
+	return r
 }
 
 func (m *AdsRequest) appendJSON(e *jsonEncoder) {
@@ -333,7 +339,7 @@ func (m *AdsResponse) appendBody(dst []byte) []byte {
 	return binfmt.AppendBool(dst, m.Degraded)
 }
 
-func (m *AdsResponse) readBody(r *binfmt.Reader) {
+func (m *AdsResponse) readBody(r binfmt.Reader) binfmt.Reader {
 	n, ok := r.SliceLen(2 + 16) // two string lengths, the location
 	if !ok {
 		m.Ads = nil
@@ -349,6 +355,7 @@ func (m *AdsResponse) readBody(r *binfmt.Reader) {
 	m.FromTable = r.Bool()
 	m.Fetched = r.Int()
 	m.Degraded = r.Bool()
+	return r
 }
 
 func (m *AdsResponse) appendJSON(e *jsonEncoder) {
@@ -442,10 +449,11 @@ func (m *StatsResponse) appendBody(dst []byte) []byte {
 	return binfmt.AppendInt(dst, m.TotalCandidate)
 }
 
-func (m *StatsResponse) readBody(r *binfmt.Reader) {
+func (m *StatsResponse) readBody(r binfmt.Reader) binfmt.Reader {
 	m.Users = r.Int()
 	m.ProtectedTops = r.Int()
 	m.TotalCandidate = r.Int()
+	return r
 }
 
 func (m *StatsResponse) appendJSON(e *jsonEncoder) {
@@ -486,7 +494,10 @@ func (*ErrorResponse) wireType() byte { return typeError }
 
 func (m *ErrorResponse) appendBody(dst []byte) []byte { return binfmt.AppendString(dst, m.Error) }
 
-func (m *ErrorResponse) readBody(r *binfmt.Reader) { m.Error = r.Str() }
+func (m *ErrorResponse) readBody(r binfmt.Reader) binfmt.Reader {
+	m.Error = r.Str()
+	return r
+}
 
 func (m *ErrorResponse) appendJSON(e *jsonEncoder) {
 	e.raw(`{"error":`)

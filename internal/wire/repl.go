@@ -63,7 +63,7 @@ func (m *ReplDelta) appendBody(dst []byte) []byte {
 	return binfmt.AppendTime(dst, m.At)
 }
 
-func (m *ReplDelta) readBody(r *binfmt.Reader) {
+func (m *ReplDelta) readBody(r binfmt.Reader) binfmt.Reader {
 	m.UserID = r.Str()
 	m.Version = r.Uvarint()
 	m.BaseLen = r.Int()
@@ -81,4 +81,5 @@ func (m *ReplDelta) readBody(r *binfmt.Reader) {
 		}
 	}
 	m.At = r.Time()
+	return r
 }

@@ -87,7 +87,10 @@ var (
 type Message interface {
 	wireType() byte
 	appendBody(dst []byte) []byte
-	readBody(r *binfmt.Reader)
+	// readBody takes the reader by value and returns it advanced: a
+	// pointer passed to an interface method escapes, which would move
+	// Decode's reader to the heap on every message.
+	readBody(r binfmt.Reader) binfmt.Reader
 }
 
 // Append encodes m as one binary frame appended to dst and returns the
@@ -122,8 +125,7 @@ func Decode(data []byte, m Message) error {
 	if payload[1] != m.wireType() {
 		return fmt.Errorf("%w: got %d, want %d", ErrType, payload[1], m.wireType())
 	}
-	r := binfmt.NewReader(payload[2:])
-	m.readBody(&r)
+	r := m.readBody(binfmt.NewReader(payload[2:]))
 	if err := r.Finish(); err != nil {
 		return fmt.Errorf("%w: %v", ErrBody, err)
 	}

@@ -47,6 +47,15 @@ if go list -deps ./internal/wire | grep -qx 'repro/internal/core'; then
     exit 1
 fi
 
+# The engine's cold tier lives in internal/core: the shard's spilled map
+# is the one record of where a spilled user's frame lies, and the spill
+# file is core's own. A core -> wal import is what once let a second
+# index of spilled users live in the WAL package.
+if go list -deps ./internal/core | grep -qx 'repro/internal/wal'; then
+    echo "internal/core depends on internal/wal" >&2
+    exit 1
+fi
+
 # Frame fuzz smoke: on arbitrary bytes the slice reader (SplitFrame) and
 # the stream reader (ReadFrame) return the same payload or both fail, an
 # accepted payload re-frames to the same bytes, and no header makes a
@@ -217,6 +226,7 @@ curl -fs "http://$EDGED_ADDR/metrics" | grep -q 'wire_requests_total{codec="json
 # Nine users against a 4-user cap: the tier counters must show real
 # evict/fault-in churn, and the runtime memory gauges must be scraping.
 curl -fs "http://$EDGED_ADDR/metrics" | grep -q '^core_faultins_total [1-9]'
+curl -fs "http://$EDGED_ADDR/metrics" | grep -q '^core_evictions_total [1-9]'
 curl -fs "http://$EDGED_ADDR/metrics" | grep -q '^mem_heap_alloc_bytes [1-9]'
 # Two JSON bodies the edge once stored a check-in from: a report with a
 # second value after it (the second was dropped silently) and a report
