@@ -28,9 +28,11 @@
 // picked by a CLOCK sweep that spares recently touched ones, are spilled
 // to disk (under -data-dir/spill, or a temp dir) and faulted back in
 // transparently on their next touch, bounding RSS for long-tailed
-// populations far larger than memory. -rebuild-every
-// with -rebuild-parts amortizes the periodic profile rebuild across
-// incremental sub-rounds instead of stopping the world.
+// populations far larger than memory.
+//
+// A user's profile window (the paper's three months) closes on the
+// first report that falls a full window after it opened, or on POST
+// /v1/rebuild; no timer closes windows.
 package main
 
 import (
@@ -86,9 +88,7 @@ func run(args []string) error {
 		logFormat = flags.String("log-format", logx.FormatText, "structured log format: json | text")
 		slowTrace = flags.Duration("slow-trace", 250*time.Millisecond, "log requests whose trace exceeds this duration with their per-stage breakdown; 0 disables")
 
-		maxResident  = flags.Int("max-resident", 0, "bound on users resident in memory; cold users beyond it (picked by a CLOCK sweep) are spilled to disk and faulted back in transparently (0 = unbounded)")
-		rebuildEvery = flags.Duration("rebuild-every", 0, "run one incremental profile-rebuild sub-round this often, covering the population every -rebuild-parts ticks (0 disables)")
-		rebuildParts = flags.Int("rebuild-parts", 4, "sub-rounds an incremental rebuild spreads the population across (with -rebuild-every)")
+		maxResident = flags.Int("max-resident", 0, "bound on users resident in memory; cold users beyond it (picked by a CLOCK sweep) are spilled to disk and faulted back in transparently (0 = unbounded)")
 	)
 	if err := flags.Parse(args); err != nil {
 		return err
@@ -103,9 +103,6 @@ func run(args []string) error {
 	}, *seed)
 	if err != nil {
 		return err
-	}
-	if *rebuildParts < 1 {
-		return errors.New("-rebuild-parts must be at least 1")
 	}
 	// The spill tier is process-local scratch, never durable state: under
 	// -data-dir it lives in a subdirectory the WAL scanner ignores, and
@@ -208,9 +205,6 @@ func run(args []string) error {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if *rebuildEvery > 0 {
-		go rebuildIncremental(ctx, engine, *rebuildEvery, *rebuildParts, logger)
-	}
 	if err := serveAndPersist(ctx, server, engine, ln, store, *ckptEvery, logger); err != nil {
 		return err
 	}
@@ -271,32 +265,6 @@ func serveAndPersist(ctx context.Context, server *edge.Server, engine *core.Engi
 		}
 	}
 	return serveErr
-}
-
-// rebuildIncremental runs one RebuildPart sub-round per tick, covering
-// the whole population every parts ticks — the amortized form of the
-// paper's periodic profile recomputation, which at millions of users
-// must never stop the world.
-func rebuildIncremental(ctx context.Context, engine *core.Engine, every time.Duration, parts int, logger *slog.Logger) {
-	ticker := time.NewTicker(every)
-	defer ticker.Stop()
-	for tick := 0; ; tick++ {
-		select {
-		case <-ctx.Done():
-			return
-		case now := <-ticker.C:
-			start := time.Now()
-			if err := engine.RebuildPart(now, 0, tick%parts, parts); err != nil {
-				logger.Error("incremental rebuild sub-round failed",
-					slog.Int("part", tick%parts), slog.Int("parts", parts), slog.Any("err", err))
-				continue
-			}
-			logger.Debug("incremental rebuild sub-round",
-				slog.Int("part", tick%parts),
-				slog.Int("parts", parts),
-				slog.Duration("took", time.Since(start).Round(time.Millisecond)))
-		}
-	}
 }
 
 // checkpoint captures an engine snapshot and hands it to the store,

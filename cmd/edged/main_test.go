@@ -36,6 +36,11 @@ func TestRunValidationErrors(t *testing.T) {
 		// -data-dir carries the state; an invocation still passing the
 		// removed -state flag must fail loudly, not start without its table.
 		{"removed state flag", []string{"-state", "/tmp/s.jsonl", "-data-dir", "/tmp/d"}},
+		// Windows close on their own rollover or on /v1/rebuild; an
+		// invocation still asking for timer-driven rebuilds must fail
+		// loudly, not start without them.
+		{"removed rebuild-every flag", []string{"-rebuild-every", "1m"}},
+		{"removed rebuild-parts flag", []string{"-rebuild-parts", "8"}},
 		{"bad fsync policy", []string{"-data-dir", "/tmp/d", "-fsync", "sometimes"}},
 	}
 	for _, tt := range tests {

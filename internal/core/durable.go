@@ -74,33 +74,15 @@ func (e *Engine) SetDurability(d Durability) {
 	e.dur.Store(&durHolder{d: d})
 }
 
-// durBegin enters a logged operation: it returns the attached sink (nil
-// when durability is off) and, when attached, takes the checkpoint read
-// lock so no checkpoint can interleave between the state apply and its
-// log record. Pair with durEnd.
-func (e *Engine) durBegin() *durHolder {
-	h := e.dur.Load()
-	if h == nil {
-		return nil
-	}
-	e.ckptMu.RLock()
-	return h
-}
-
-func (e *Engine) durEnd(h *durHolder) {
-	if h != nil {
-		e.ckptMu.RUnlock()
-	}
-}
-
 var recBufPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 512); return &b },
 }
 
 // emit encodes one record into a pooled buffer and appends it to the
-// log. Callers hold the user's lock so the log preserves per-user apply
-// order. The append (group commit + fsync wait included) is timed as
-// the request's WAL span when ctx carries a trace.
+// log. update calls it under the user's lock so the log preserves
+// per-user apply order. The append (group commit + fsync wait
+// included) is timed as the request's WAL span when ctx carries a
+// trace.
 func (h *durHolder) emit(ctx context.Context, enc func(b []byte) []byte) error {
 	_, sp := tracing.StartSpan(ctx, tracing.StageWAL)
 	defer sp.End()

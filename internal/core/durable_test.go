@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -473,24 +474,183 @@ type failingDur struct{}
 func (failingDur) Append([]byte) (uint64, error) { return 0, errors.New("disk on fire") }
 func (failingDur) NextLSN() uint64               { return 0 }
 
+// nopDur is a durability sink that accepts every record.
+type nopDur struct{}
+
+func (nopDur) Append([]byte) (uint64, error) { return 0, nil }
+func (nopDur) NextLSN() uint64               { return 0 }
+
+// TestAppendFailureSurfaces: every logged operation reports a failed
+// append as its error, every item of a batch included, with its state
+// change applied all the same: crash-equivalent, the engine equals one
+// that ran the operation with no sink, and a request still returns the
+// output it drew. Once the sink is detached, the same operation
+// succeeds.
 func TestAppendFailureSurfaces(t *testing.T) {
-	e, err := NewEngine(testConfig(t))
-	if err != nil {
-		t.Fatal(err)
+	start := time.Date(2021, 1, 1, 0, 0, 0, 0, time.UTC)
+	now := start.Add(3 * time.Hour)
+	homes := map[string]geo.Point{"alice": {X: 1000, Y: 1000}, "bob": {X: 3000, Y: 1000}}
+	// Both users hold a table entry for their home and check-ins still
+	// pending, so a rebuild and a request each have work to do.
+	setup := func(t *testing.T) *Engine {
+		t.Helper()
+		e, err := NewEngine(testConfig(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 2; round++ {
+			for _, id := range []string{"alice", "bob"} {
+				for k := 0; k < 10; k++ {
+					if err := e.Report(id, homes[id], start.Add(time.Duration(2*round)*time.Hour+time.Duration(k)*time.Minute)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if round == 0 {
+				if err := e.RebuildAll(start.Add(time.Hour), 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return e
 	}
-	e.SetDurability(failingDur{})
-	err = e.Report("alice", geo.Point{X: 1, Y: 2}, time.Date(2021, 1, 1, 0, 0, 0, 0, time.UTC))
-	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("disk on fire")) {
-		t.Fatalf("Report with failing log = %v, want append error", err)
+	batch := func(ids ...string) []BatchReport {
+		var items []BatchReport
+		for k := 0; k < 2; k++ {
+			for _, id := range ids {
+				items = append(items, BatchReport{UserID: id, Pos: homes[id], At: now})
+			}
+		}
+		return items
 	}
-	// Crash-equivalent semantics: the state change IS applied, only
-	// unacknowledged.
-	if got := e.Users(); len(got) != 1 {
-		t.Errorf("user not applied: %v", got)
+	// An operation returns what it returned, if anything, and its
+	// errors: a batch's item by item.
+	perItem := func(items []BatchReport, errs []BatchError) (any, []error) {
+		out := make([]error, len(items))
+		for _, be := range errs {
+			out[be.Index] = be.Err
+		}
+		return nil, out
 	}
-	e.SetDurability(nil)
-	if err := e.Report("alice", geo.Point{X: 2, Y: 3}, time.Date(2021, 1, 1, 0, 1, 0, 0, time.UTC)); err != nil {
-		t.Errorf("detached engine still failing: %v", err)
+	one := func(err error) (any, []error) { return nil, []error{err} }
+	tops := profile.Profile{{Loc: geo.Point{X: 5000, Y: 5000}, Freq: 3}}
+	suffix := PackTable([]TableEntry{{
+		Top:        geo.Point{X: 6000, Y: 6000},
+		Candidates: []geo.Point{{X: 6100, Y: 6050}, {X: 5950, Y: 6010}},
+		CreatedAt:  now,
+	}}).AppendSuffix(nil, 0)
+	ops := []struct {
+		name string
+		run  func(*Engine) (any, []error)
+	}{
+		{"Report", func(e *Engine) (any, []error) { return one(e.Report("alice", homes["alice"], now)) }},
+		{"ReportBatch/one user", func(e *Engine) (any, []error) {
+			items := batch("alice")
+			return perItem(items, e.ReportBatch(items))
+		}},
+		{"ReportBatch/mixed users", func(e *Engine) (any, []error) {
+			items := batch("alice", "bob")
+			return perItem(items, e.ReportBatch(items))
+		}},
+		{"RebuildProfile", func(e *Engine) (any, []error) { return one(e.RebuildProfile("alice", now)) }},
+		{"RebuildAll", func(e *Engine) (any, []error) { return one(e.RebuildAll(now, 2)) }},
+		{"Request", func(e *Engine) (any, []error) {
+			out, fromTable, err := e.Request("alice", homes["alice"])
+			return [2]any{out, fromTable}, []error{err}
+		}},
+		{"InstallTops", func(e *Engine) (any, []error) { return one(e.InstallTops("alice", tops, now)) }},
+		{"SyncTops", func(e *Engine) (any, []error) { return one(e.SyncTops("alice", tops, now)) }},
+		{"ImportTable", func(e *Engine) (any, []error) { return one(e.ImportTable("alice", suffix)) }},
+	}
+	for _, op := range ops {
+		t.Run(op.name, func(t *testing.T) {
+			ref := setup(t)
+			want, errs := op.run(ref)
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("item %d with no sink: %v", i, err)
+				}
+			}
+			e := setup(t)
+			before := snapshotBytes(t, e)
+			e.SetDurability(failingDur{})
+			res, errs := op.run(e)
+			for i, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), "disk on fire") {
+					t.Errorf("item %d with a failing log: %v, want the append error", i, err)
+				}
+			}
+			if res != want {
+				t.Errorf("returned %v with a failing log, want %v as with no sink", res, want)
+			}
+			got := snapshotBytes(t, e)
+			if bytes.Equal(got, before) {
+				t.Error("the state change was not applied")
+			}
+			if !bytes.Equal(got, snapshotBytes(t, ref)) {
+				t.Error("state differs from the same operation with no sink")
+			}
+			e.SetDurability(nil)
+			_, errs = op.run(e)
+			for i, err := range errs {
+				if err != nil {
+					t.Errorf("item %d once the sink is detached: %v", i, err)
+				}
+			}
+		})
+	}
+}
+
+// TestWritePathAllocs pins what a Report and a Request allocate, with no
+// sink and with one attached: nothing for a check-in, the nomadic
+// mechanism's output for a nomadic request, and output selection's two
+// scratch slices for a table hit. A closure that escaped through update
+// would add one to each.
+func TestWritePathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	home := geo.Point{X: 1000, Y: 1000}
+	away := geo.Point{X: 30_000, Y: 30_000}
+	start := time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC)
+	for _, sink := range []struct {
+		name string
+		dur  Durability
+	}{{"no sink", nil}, {"no-op sink", nopDur{}}} {
+		t.Run(sink.name, func(t *testing.T) {
+			e, err := NewEngine(testConfig(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < 10; k++ {
+				if err := e.Report("alice", home, start.Add(time.Duration(k)*time.Minute)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e.RebuildProfile("alice", start.Add(time.Hour)); err != nil {
+				t.Fatal(err)
+			}
+			e.SetDurability(sink.dur)
+			// A hundred check-ins regrow the window a few times, which
+			// AllocsPerRun's per-run integer mean rounds away.
+			for _, op := range []struct {
+				name string
+				want float64
+				run  func() error
+			}{
+				{"Report", 0, func() error { return e.Report("alice", home, start.Add(2*time.Hour)) }},
+				{"Request nomadic", 1, func() error { _, _, err := e.Request("alice", away); return err }},
+				{"Request table hit", 2, func() error { _, _, err := e.Request("alice", home); return err }},
+			} {
+				if n := testing.AllocsPerRun(100, func() {
+					if err := op.run(); err != nil {
+						t.Fatal(err)
+					}
+				}); n != op.want {
+					t.Errorf("%s: %v allocs, want %v", op.name, n, op.want)
+				}
+			}
+		})
 	}
 }
 

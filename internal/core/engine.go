@@ -190,8 +190,7 @@ type residentSlot struct {
 
 // spillMeta is the one record of a spilled user: where its frame lies
 // in the shard's spill file, and enough to decide, without reading the
-// frame, whether a population-wide pass (RebuildAll/RebuildPart) can
-// skip the user.
+// frame, whether a population-wide pass (RebuildAll) can skip the user.
 type spillMeta struct {
 	off, n int64 // the frame's offset and whole length, header included
 	// pending is the user's pending check-in count at eviction time; a
@@ -256,10 +255,10 @@ type Engine struct {
 
 	// dur is the optional durability sink (see SetDurability); nil
 	// keeps every logged path at one extra atomic load. ckptMu
-	// serialises Checkpoint against loggable operations: writers hold
-	// the read side from before their state apply until after their
-	// log append, so a checkpoint never splits an apply from its
-	// record. Lock order: ckptMu, then shard.mu, then userState.mu.
+	// serialises Checkpoint against loggable operations: update holds
+	// the read side from before the state apply until after its log
+	// append, so a checkpoint never splits an apply from its record.
+	// Lock order: ckptMu, then shard.mu, then userState.mu.
 	dur    atomic.Pointer[durHolder]
 	ckptMu sync.RWMutex
 
@@ -401,6 +400,39 @@ func (e *Engine) lockUser(userID string, create bool) (*userState, error) {
 	}
 }
 
+// update is the one write path of every logged operation. It takes the
+// checkpoint read hold when a sink is attached, so no checkpoint lands
+// between the state apply and its record, then locks the user (create
+// as in resolveUser) and runs apply as the apply span. Still under the
+// user's lock, so the log's per-user order is apply order, it appends
+// record as the WAL span, also when apply failed: a failed apply can
+// leave table entries inserted and the PRNG advanced, and replay
+// reproduces exactly that. apply's error wins over the log's; either
+// way the change is applied, unacknowledged — crash-equivalent, as a
+// client must assume after any error. A lock failure runs neither.
+func (e *Engine) update(ctx context.Context, userID string, create bool, apply func(*userState) error, record func([]byte) []byte) error {
+	h := e.dur.Load()
+	if h != nil {
+		e.ckptMu.RLock()
+		defer e.ckptMu.RUnlock()
+	}
+	_, sp := tracing.StartSpan(ctx, tracing.StageApply)
+	u, err := e.lockUser(userID, create)
+	if err != nil {
+		sp.End()
+		return err
+	}
+	defer u.mu.Unlock()
+	err = apply(u)
+	sp.End()
+	if h != nil {
+		if lerr := h.emit(ctx, record); err == nil {
+			err = lerr
+		}
+	}
+	return err
+}
+
 // Report ingests one check-in for userID (the location management
 // module's passive collection). When the report closes the user's
 // profile window, the profile is recomputed and new top locations are
@@ -413,40 +445,32 @@ func (e *Engine) Report(userID string, pos geo.Point, at time.Time) error {
 // shard-locked state apply and the WAL append are timed as separate
 // spans. An untraced ctx costs one context lookup.
 func (e *Engine) ReportCtx(ctx context.Context, userID string, pos geo.Point, at time.Time) error {
-	h := e.durBegin()
-	defer e.durEnd(h)
 	if m := e.met.Load(); m != nil {
 		m.reports.Inc()
 	}
-	// The apply span ends before the WAL emit so the breakdown separates
-	// lock + state work (fault-in included) from durability wait.
-	_, sp := tracing.StartSpan(ctx, tracing.StageApply)
-	u, err := e.lockUser(userID, true)
-	if err != nil {
-		sp.End()
-		return err
-	}
-	defer u.mu.Unlock()
+	return e.update(ctx, userID, true, func(u *userState) error {
+		u.window = slices.Grow(u.window, checkInLen(at))
+		return e.ingestLocked(u, userID, pos, at)
+	}, func(b []byte) []byte { return encodeReport(b, userID, pos, at) })
+}
+
+// ingestLocked appends one check-in to the user's window, which the
+// caller has grown for it, and closes the window when the check-in lies
+// a ProfileWindow or more past its start. A rollover needs no record of
+// its own: replaying the check-in reproduces it. The caller holds u.mu.
+func (e *Engine) ingestLocked(u *userState, userID string, pos geo.Point, at time.Time) error {
 	if u.windowStart.IsZero() {
 		u.windowStart = at
 	}
-	u.window = slices.Grow(u.window, checkInLen(at))
-	u.addCheckIn(pos, at)
-	var opErr error
-	if at.Sub(u.windowStart) >= e.cfg.ProfileWindow {
-		// A window-rollover rebuild needs no record of its own:
-		// replaying the report reproduces it deterministically.
-		if err := e.rebuildLocked(u, at, true); err != nil {
-			opErr = fmt.Errorf("core: rebuilding profile for %q: %w", userID, err)
-		}
+	u.window = binfmt.AppendTime(binfmt.AppendPoint(u.window, pos), at)
+	u.nPending++
+	if at.Sub(u.windowStart) < e.cfg.ProfileWindow {
+		return nil
 	}
-	sp.End()
-	if h != nil {
-		if lerr := h.emit(ctx, func(b []byte) []byte { return encodeReport(b, userID, pos, at) }); opErr == nil {
-			opErr = lerr
-		}
+	if err := e.rebuildLocked(u, at, true); err != nil {
+		return fmt.Errorf("core: rebuilding profile for %q: %w", userID, err)
 	}
-	return opErr
+	return nil
 }
 
 // BatchReport is one check-in of a ReportBatch call.
@@ -480,8 +504,6 @@ func (e *Engine) ReportBatchCtx(ctx context.Context, items []BatchReport) []Batc
 	if len(items) == 0 {
 		return nil
 	}
-	h := e.durBegin()
-	defer e.durEnd(h)
 	if m := e.met.Load(); m != nil {
 		m.reports.Add(uint64(len(items)))
 	}
@@ -497,7 +519,7 @@ func (e *Engine) ReportBatchCtx(ctx context.Context, items []BatchReport) []Batc
 		}
 	}
 	if single {
-		return e.reportUserRun(ctx, h, items[0].UserID, items, nil, nil)
+		return e.reportUserRun(ctx, items[0].UserID, items, nil, nil)
 	}
 
 	groups := make(map[string][]int, 8)
@@ -510,83 +532,61 @@ func (e *Engine) ReportBatchCtx(ctx context.Context, items []BatchReport) []Batc
 	}
 	var errs []BatchError
 	for _, id := range order {
-		errs = e.reportUserRun(ctx, h, id, items, groups[id], errs)
+		errs = e.reportUserRun(ctx, id, items, groups[id], errs)
 	}
 	return errs
 }
 
 // reportUserRun ingests the items selected by idx (nil selects all) for
-// one user under a single user-lock acquisition, applying exactly the
-// per-item append + window-rollover logic of Report.
+// one user under a single user-lock acquisition, each through
+// ingestLocked as Report does. A rollover error fails only its item.
 // One recBatch record covers the whole run: logging per-user runs
 // (rather than whole batches) under the user lock keeps the log's
 // per-user order identical to apply order even when batches touching
 // the same user race on different goroutines.
-func (e *Engine) reportUserRun(ctx context.Context, h *durHolder, userID string, items []BatchReport, idx []int, errs []BatchError) []BatchError {
+func (e *Engine) reportUserRun(ctx context.Context, userID string, items []BatchReport, idx []int, errs []BatchError) []BatchError {
 	n := len(idx)
 	if idx == nil {
 		n = len(items)
 	}
-	_, sp := tracing.StartSpan(ctx, tracing.StageApply)
-	u, err := e.lockUser(userID, true)
-	if err != nil {
-		sp.End()
+	err := e.update(ctx, userID, true, func(u *userState) error {
+		// Grow the window once for the whole run, by the run's encoded
+		// length, with slices.Grow's geometric headroom: growing to the
+		// exact need would re-copy the full history on every batch, and
+		// growing record by record would regrow it within one. A
+		// rollover may still empty the window mid-run, and keeps its
+		// array for the appends that follow.
+		size := 0
 		for i := 0; i < n; i++ {
-			j := i
-			if idx != nil {
-				j = idx[i]
-			}
-			errs = append(errs, BatchError{Index: j, Err: err})
+			size += checkInLen(items[runItem(idx, i)].At)
 		}
-		return errs
-	}
-	defer u.mu.Unlock()
-	// Grow the window once for the whole run, by the run's encoded
-	// length, with slices.Grow's geometric headroom: growing to the
-	// exact need would re-copy the full history on every batch, and
-	// growing record by record would regrow it within one. rebuildLocked
-	// may still empty the window mid-run on a rollover, and keeps its
-	// array for the appends that follow.
-	size := 0
-	for i := 0; i < n; i++ {
-		j := i
-		if idx != nil {
-			j = idx[i]
-		}
-		size += checkInLen(items[j].At)
-	}
-	u.window = slices.Grow(u.window, size)
-	for i := 0; i < n; i++ {
-		j := i
-		if idx != nil {
-			j = idx[i]
-		}
-		it := items[j]
-		if u.windowStart.IsZero() {
-			u.windowStart = it.At
-		}
-		u.addCheckIn(it.Pos, it.At)
-		if it.At.Sub(u.windowStart) >= e.cfg.ProfileWindow {
-			if err := e.rebuildLocked(u, it.At, true); err != nil {
-				errs = append(errs, BatchError{Index: j, Err: fmt.Errorf("core: rebuilding profile for %q: %w", userID, err)})
+		u.window = slices.Grow(u.window, size)
+		for i := 0; i < n; i++ {
+			j := runItem(idx, i)
+			if err := e.ingestLocked(u, userID, items[j].Pos, items[j].At); err != nil {
+				errs = append(errs, BatchError{Index: j, Err: err})
 			}
 		}
-	}
-	sp.End()
-	if h != nil {
-		if lerr := h.emit(ctx, func(b []byte) []byte { return encodeBatchRun(b, userID, items, idx) }); lerr != nil {
-			// The whole run is applied but unacknowledged: fail every
-			// item so the client treats them like any other error.
-			for i := 0; i < n; i++ {
-				j := i
-				if idx != nil {
-					j = idx[i]
-				}
-				errs = append(errs, BatchError{Index: j, Err: lerr})
-			}
+		return nil
+	}, func(b []byte) []byte { return encodeBatchRun(b, userID, items, idx) })
+	if err != nil {
+		// A lock failure applied nothing, and a log failure left the
+		// whole run applied but unacknowledged: either way every item
+		// fails, so the client treats them like any other error.
+		for i := 0; i < n; i++ {
+			errs = append(errs, BatchError{Index: runItem(idx, i), Err: err})
 		}
 	}
 	return errs
+}
+
+// runItem is the input index of a run's i-th item: idx[i], or i when
+// idx is nil and the run is the whole batch.
+func runItem(idx []int, i int) int {
+	if idx == nil {
+		return i
+	}
+	return idx[i]
 }
 
 // RebuildProfile forces an immediate profile recomputation for userID
@@ -599,92 +599,39 @@ func (e *Engine) RebuildProfile(userID string, now time.Time) error {
 // RebuildProfileCtx is RebuildProfile with trace context: the rebuild
 // itself is the apply span, the log record the WAL span.
 func (e *Engine) RebuildProfileCtx(ctx context.Context, userID string, now time.Time) error {
-	h := e.durBegin()
-	defer e.durEnd(h)
-	_, sp := tracing.StartSpan(ctx, tracing.StageApply)
-	u, err := e.lockUser(userID, false)
-	if err != nil {
-		sp.End()
-		return err
-	}
-	defer u.mu.Unlock()
-	var opErr error
-	if err := e.rebuildLocked(u, now, false); err != nil {
-		opErr = fmt.Errorf("core: rebuilding profile for %q: %w", userID, err)
-	}
-	sp.End()
-	// Logged even when the rebuild failed: a mid-rebuild error can
-	// leave table entries inserted and the PRNG advanced, and replay
-	// reproduces exactly that (including the error).
-	if h != nil {
-		if lerr := h.emit(ctx, func(b []byte) []byte { return encodeRebuild(b, userID, now) }); opErr == nil {
-			opErr = lerr
+	return e.update(ctx, userID, false, func(u *userState) error {
+		if err := e.rebuildLocked(u, now, false); err != nil {
+			return fmt.Errorf("core: rebuilding profile for %q: %w", userID, err)
 		}
-	}
-	return opErr
+		return nil
+	}, func(b []byte) []byte { return encodeRebuild(b, userID, now) })
 }
 
 // RebuildAll recomputes every known user's profile (the periodic task of
 // Section V-B run over the whole population, and the batch path the
-// Table II scaling experiment drives). Users rebuild concurrently under
-// at most parallelism workers (≤ 0 selects runtime.NumCPU()); each
-// user's randomness comes from its own ID-hash-derived stream, so the
-// resulting tables are identical at any parallelism level. Every user is
-// attempted even after failures; the returned error is the one for the
-// first failing user in sorted ID order.
-func (e *Engine) RebuildAll(now time.Time, parallelism int) error {
-	return e.RebuildPart(now, parallelism, 0, 1)
-}
-
-// RebuildPart is the incremental form of RebuildAll: it rebuilds only
-// the users owned by shards whose index is congruent to part modulo
-// parts. Running parts sub-rounds (part = 0..parts-1) with the same now
-// covers every user exactly once and — because each user's rebuild
-// depends only on that user's own state and PRNG stream — leaves the
-// engine byte-identical to one RebuildAll(now) call, while bounding
-// each pause to 1/parts of the population. A million-user engine
-// amortizes its periodic rebuild by calling RebuildPart(now, p, tick%K,
-// K) on a timer instead of stopping the world once per window.
+// Table II scaling experiment drives), each user exactly as
+// RebuildProfile does. Users rebuild concurrently under at most
+// parallelism workers (≤ 0 selects runtime.NumCPU()); each user's
+// randomness comes from its own ID-hash-derived stream, so the resulting
+// tables are identical at any parallelism level. Every user is attempted
+// even after failures; the returned error is the one for the first
+// failing user in sorted ID order.
 //
 // Spilled users with no pending check-ins are skipped without fault-in:
 // their rebuild is a no-op by construction (see rebuildLocked), so the
 // cold tail costs a map lookup, not disk traffic.
 //
-// Under a resident cap the part's shards are brought back to quota once
-// the workers are done: a fault-in's quota sweep skips residents whose
+// Under a resident cap the shards are brought back to quota once the
+// workers are done: a fault-in's quota sweep skips residents whose
 // locks are held, and the workers hold user locks throughout, so a shard
 // can be left over quota with no later touch to trim it.
-func (e *Engine) RebuildPart(now time.Time, parallelism, part, parts int) error {
-	if parts <= 0 {
-		parts = 1
-	}
-	part = ((part % parts) + parts) % parts
-	// One checkpoint read-hold covers every worker: per-user streams
-	// are independent, so the cross-user record order the workers race
-	// into the log is irrelevant — only per-user order matters, and
-	// each worker logs under its user's lock.
-	h := e.durBegin()
-	defer e.durEnd(h)
-	ids := e.rebuildTargets(part, parts)
+func (e *Engine) RebuildAll(now time.Time, parallelism int) error {
+	ids := e.rebuildTargets()
 	err := par.ForEachErr(parallelism, len(ids), func(i int) error {
-		u, err := e.lockUser(ids[i], false)
-		if err != nil {
-			return err
-		}
-		defer u.mu.Unlock()
-		var opErr error
-		if err := e.rebuildLocked(u, now, false); err != nil {
-			opErr = fmt.Errorf("core: rebuilding profile for %q: %w", ids[i], err)
-		}
-		if h != nil {
-			if lerr := h.emit(context.Background(), func(b []byte) []byte { return encodeRebuild(b, ids[i], now) }); opErr == nil {
-				opErr = lerr
-			}
-		}
-		return opErr
+		return e.RebuildProfile(ids[i], now)
 	})
-	if e.residentQuota > 0 {
-		for i := part; i < len(e.shards); i += parts {
+	if e.tiered() {
+		for i := range e.shards {
 			s := &e.shards[i]
 			s.mu.Lock()
 			e.enforceQuotaLocked(s, nil)
@@ -694,15 +641,12 @@ func (e *Engine) RebuildPart(now time.Time, parallelism, part, parts int) error 
 	return err
 }
 
-// rebuildTargets lists (sorted) the users a RebuildPart sub-round must
-// touch: every resident user of the selected shards, plus the spilled
-// users whose eviction-time state still had pending check-ins.
-func (e *Engine) rebuildTargets(part, parts int) []string {
+// rebuildTargets lists (sorted) the users a RebuildAll pass must touch:
+// every resident user, plus the spilled users whose eviction-time state
+// still had pending check-ins.
+func (e *Engine) rebuildTargets() []string {
 	var ids []string
 	for i := range e.shards {
-		if i%parts != part {
-			continue
-		}
 		s := &e.shards[i]
 		s.mu.RLock()
 		for id := range s.users {
@@ -787,15 +731,8 @@ func (u *userState) emptyWindow(keep bool) {
 // window.
 func checkInLen(at time.Time) int { return pointSize + binfmt.TimeLen(at) }
 
-// addCheckIn appends one check-in to the window, which the caller has
-// grown for it. The caller holds u.mu.
-func (u *userState) addCheckIn(pos geo.Point, at time.Time) {
-	u.window = binfmt.AppendTime(binfmt.AppendPoint(u.window, pos), at)
-	u.nPending++
-}
-
 // appendPositions appends the position of each pending check-in to
-// dst, in arrival order, stepping over the times. Only addCheckIn and
+// dst, in arrival order, stepping over the times. Only ingestLocked and
 // readWindow write the window, so its bytes need no checks. The caller
 // holds u.mu.
 func (u *userState) appendPositions(dst []geo.Point) []geo.Point {
@@ -840,7 +777,8 @@ func (e *Engine) Request(userID string, truePos geo.Point) (geo.Point, bool, err
 }
 
 // RequestCtx is Request with trace context: output selection under the
-// user lock is the apply span, the log record the WAL span.
+// user lock is the apply span, the log record the WAL span. The drawn
+// output is returned together with a log error.
 func (e *Engine) RequestCtx(ctx context.Context, userID string, truePos geo.Point) (geo.Point, bool, error) {
 	// Request mutates no table state, but posterior selection and
 	// nomadic noise DRAW from the user's PRNG stream. Skipping it in
@@ -849,28 +787,21 @@ func (e *Engine) RequestCtx(ctx context.Context, userID string, truePos geo.Poin
 	// — a second (r, ε, δ, n) release for the same top locations,
 	// exactly the longitudinal leak the permanent table prevents. So
 	// requests are logged too.
-	h := e.durBegin()
-	defer e.durEnd(h)
-	m := e.met.Load()
-	_, sp := tracing.StartSpan(ctx, tracing.StageApply)
-	u, err := e.lockUser(userID, false)
-	if err != nil {
-		sp.End()
-		return geo.Point{}, false, err
-	}
-	defer u.mu.Unlock()
-	out, fromTable, opErr := e.requestLocked(u, userID, truePos, m)
-	sp.End()
-	if h != nil {
-		if lerr := h.emit(ctx, func(b []byte) []byte { return encodeRequest(b, userID, truePos) }); opErr == nil {
-			opErr = lerr
-		}
-	}
-	return out, fromTable, opErr
+	var (
+		out       geo.Point
+		fromTable bool
+	)
+	err := e.update(ctx, userID, false, func(u *userState) error {
+		var err error
+		out, fromTable, err = e.requestLocked(u, userID, truePos)
+		return err
+	}, func(b []byte) []byte { return encodeRequest(b, userID, truePos) })
+	return out, fromTable, err
 }
 
 // requestLocked is the serving path of Request; the caller holds u.mu.
-func (e *Engine) requestLocked(u *userState, userID string, truePos geo.Point, m *engineMetrics) (geo.Point, bool, error) {
+func (e *Engine) requestLocked(u *userState, userID string, truePos geo.Point) (geo.Point, bool, error) {
+	m := e.met.Load()
 	if entry, ok := u.table.Lookup(truePos); ok {
 		var start time.Time
 		if m != nil {
@@ -1004,17 +935,14 @@ func (e *Engine) SyncTops(userID string, tops profile.Profile, now time.Time) er
 }
 
 func (e *Engine) installTops(userID string, tops profile.Profile, now time.Time, consumeWindow bool) error {
-	h := e.durBegin()
-	defer e.durEnd(h)
-	u, err := e.lockUser(userID, true)
-	if err != nil {
-		return err
+	tag := recSyncTops
+	if consumeWindow {
+		tag = recInstallTops
 	}
-	defer u.mu.Unlock()
-	var opErr error
-	if err := e.obfuscateLocked(u, tops, now); err != nil {
-		opErr = fmt.Errorf("core: obfuscating installed top for %q: %w", userID, err)
-	} else {
+	return e.update(context.Background(), userID, true, func(u *userState) error {
+		if err := e.obfuscateLocked(u, tops, now); err != nil {
+			return fmt.Errorf("core: obfuscating installed top for %q: %w", userID, err)
+		}
 		u.tops = make(profile.Profile, len(tops))
 		copy(u.tops, tops)
 		u.hasProfile = true
@@ -1022,19 +950,8 @@ func (e *Engine) installTops(userID string, tops profile.Profile, now time.Time,
 			u.emptyWindow(false)
 			u.windowStart = now
 		}
-	}
-	// Logged even on a mid-install failure: the inserts and PRNG draws
-	// that did happen must replay identically.
-	if h != nil {
-		tag := recSyncTops
-		if consumeWindow {
-			tag = recInstallTops
-		}
-		if lerr := h.emit(context.Background(), func(b []byte) []byte { return encodeTops(b, tag, userID, tops, now) }); opErr == nil {
-			opErr = lerr
-		}
-	}
-	return opErr
+		return nil
+	}, func(b []byte) []byte { return encodeTops(b, tag, userID, tops, now) })
 }
 
 // ImportTable replicates a packed table suffix (packed.go): entries
@@ -1053,19 +970,11 @@ func (e *Engine) ImportTable(userID string, suffix []byte) error {
 	if err := finish(&r); err != nil {
 		return fmt.Errorf("core: importing table for %q: %w", userID, err)
 	}
-	h := e.durBegin()
-	defer e.durEnd(h)
-	u, err := e.lockUser(userID, true)
-	if err != nil {
-		return err
-	}
-	defer u.mu.Unlock()
-	fresh := u.table.lacking(in.Entries())
-	e.noteInserts(len(fresh), u.table.appendNew(fresh))
-	if h != nil {
-		return h.emit(context.Background(), func(b []byte) []byte { return encodeImport(b, userID, suffix) })
-	}
-	return nil
+	return e.update(context.Background(), userID, true, func(u *userState) error {
+		fresh := u.table.lacking(in.Entries())
+		e.noteInserts(len(fresh), u.table.appendNew(fresh))
+		return nil
+	}, func(b []byte) []byte { return encodeImport(b, userID, suffix) })
 }
 
 // TopLocations returns the user's current η-frequent top set (copy),

@@ -62,14 +62,6 @@ func TestPassReleasesWindow(t *testing.T) {
 		run  func(*Engine, []string) error
 	}{
 		{"RebuildAll", func(e *Engine, _ []string) error { return e.RebuildAll(now, 2) }},
-		{"RebuildPart", func(e *Engine, _ []string) error {
-			for part := 0; part < 3; part++ {
-				if err := e.RebuildPart(now, 2, part, 3); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
 		{"RebuildProfile", func(e *Engine, users []string) error {
 			for _, id := range users {
 				if err := e.RebuildProfile(id, now); err != nil {

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/binfmt"
 	"repro/internal/geo"
+	"repro/internal/geoind"
 	"repro/internal/randx"
 )
 
@@ -217,7 +221,9 @@ func TestReportBatchMatchesSequential(t *testing.T) {
 
 // TestReportBatchEmptyAndErrors covers the degenerate shapes: an empty
 // batch is a no-op, and per-item indexes in returned errors point at the
-// failing input positions.
+// failing input positions. A check-in whose rollover fails fails alone:
+// the rest of its run is applied, and the run's one record still holds
+// every item.
 func TestReportBatchEmptyAndErrors(t *testing.T) {
 	e, err := NewEngine(testConfig(t))
 	if err != nil {
@@ -229,7 +235,68 @@ func TestReportBatchEmptyAndErrors(t *testing.T) {
 	if got := e.Stats().Users; got != 0 {
 		t.Errorf("empty batch created %d users", got)
 	}
+
+	cfg := testConfig(t)
+	cfg.Mechanism = &failOnceMechanism{Mechanism: cfg.Mechanism}
+	cfg.ProfileWindow = 4 * time.Hour
+	if e, err = NewEngine(cfg); err != nil {
+		t.Fatal(err)
+	}
+	log := &recordingDur{}
+	e.SetDurability(log)
+	start := time.Date(2026, 2, 1, 0, 0, 0, 0, time.UTC)
+	var items []BatchReport
+	for i := 0; i < 8; i++ {
+		items = append(items, BatchReport{UserID: "u", Pos: geo.Point{X: 10, Y: 10}, At: start.Add(time.Duration(i) * time.Hour)})
+	}
+	// Item 4 closes the window and its rebuild fails; item 5 closes it
+	// again, and that rebuild succeeds.
+	errs := e.ReportBatch(items)
+	if len(errs) != 1 || errs[0].Index != 4 || !errors.Is(errs[0].Err, errMechanismDown) {
+		t.Fatalf("ReportBatch errors %v, want item 4's failed rollover alone", errs)
+	}
+	if n, _ := e.TableLen("u"); n != 1 {
+		t.Errorf("table holds %d entries, want item 5's one", n)
+	}
+	if prof, _ := e.PendingProfile("u"); prof.Total() != 2 {
+		t.Errorf("%d check-ins pending, want items 6 and 7", prof.Total())
+	}
+	if len(log.recs) != 1 || log.recs[0][0] != recBatch {
+		t.Fatalf("logged %d records, want the run's one batch record", len(log.recs))
+	}
+	r := binfmt.NewReader(log.recs[0][1:])
+	r.Str()
+	if n := r.Count(17); n != len(items) {
+		t.Errorf("the batch record holds %d items, want all %d", n, len(items))
+	}
 }
+
+var errMechanismDown = errors.New("mechanism down")
+
+// failOnceMechanism fails its first Obfuscate call, then defers to the
+// mechanism it wraps.
+type failOnceMechanism struct {
+	geoind.Mechanism
+	failed bool
+}
+
+func (m *failOnceMechanism) Obfuscate(rnd *randx.Rand, p geo.Point) ([]geo.Point, error) {
+	if !m.failed {
+		m.failed = true
+		return nil, errMechanismDown
+	}
+	return m.Mechanism.Obfuscate(rnd, p)
+}
+
+// recordingDur is a durability sink that keeps a copy of every record.
+type recordingDur struct{ recs [][]byte }
+
+func (d *recordingDur) Append(rec []byte) (uint64, error) {
+	d.recs = append(d.recs, bytes.Clone(rec))
+	return uint64(len(d.recs)), nil
+}
+
+func (d *recordingDur) NextLSN() uint64 { return uint64(len(d.recs)) + 1 }
 
 // TestEngineShardConcurrency hammers the sharded serving path from many
 // goroutines — Report, ReportBatch, Request, RebuildAll, Users, Stats,

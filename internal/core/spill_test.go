@@ -217,18 +217,17 @@ func TestEvictFaultInCycleByteIdentity(t *testing.T) {
 	}
 }
 
-// TestRebuildPartSequentialEquivalence pins RebuildPart's contract: K
-// sub-rounds with the same timestamp leave the engine byte-identical to
-// one RebuildAll call, uncapped and under a resident cap. Capped, the
-// rebuild also faults spilled users in while other workers hold theirs,
-// so it must end with every shard back at quota: at most
-// max(cap, shards) residents.
-func TestRebuildPartSequentialEquivalence(t *testing.T) {
+// TestRebuildAllUnderCap: a RebuildAll at any worker count, uncapped
+// (cap=0) or under a resident cap, leaves the engine byte-identical to
+// an uncapped four-worker RebuildAll. Capped, the pass also faults
+// spilled users in while other workers hold theirs, so it must end with
+// every shard back at quota: at most max(cap, shards) residents.
+func TestRebuildAllUnderCap(t *testing.T) {
 	const shards = 8
 	items := shardTrace(10, 120, 42)
 	now := items[len(items)-1].At.Add(time.Hour)
 
-	build := func(t *testing.T, cap int, rebuild func(e *Engine)) *Engine {
+	build := func(t *testing.T, cap, parallelism int) *Engine {
 		cfg := testConfig(t)
 		if cap > 0 {
 			cfg = tieredConfig(t, cap)
@@ -242,28 +241,18 @@ func TestRebuildPartSequentialEquivalence(t *testing.T) {
 		if errs := e.ReportBatch(items); len(errs) > 0 {
 			t.Fatalf("ReportBatch: %v", errs[0].Err)
 		}
-		rebuild(e)
+		if err := e.RebuildAll(now, parallelism); err != nil {
+			t.Fatal(err)
+		}
 		return e
 	}
 
-	ref := build(t, 0, func(e *Engine) {
-		if err := e.RebuildAll(now, 4); err != nil {
-			t.Fatal(err)
-		}
-	})
-	want := snapshotBytes(t, ref)
-
-	for _, parts := range []int{2, 3, 8} {
-		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
-			for _, cap := range []int{0, 4} {
+	want := snapshotBytes(t, build(t, 0, 4))
+	for _, workers := range []int{2, 3, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			for _, cap := range []int{0, 1, 4} {
 				t.Run(fmt.Sprintf("cap=%d", cap), func(t *testing.T) {
-					e := build(t, cap, func(e *Engine) {
-						for k := 0; k < parts; k++ {
-							if err := e.RebuildPart(now, 2, k, parts); err != nil {
-								t.Fatal(err)
-							}
-						}
-					})
+					e := build(t, cap, workers)
 					if cap > 0 {
 						ts := e.TierStats()
 						if ts.Evictions == 0 || ts.FaultIns == 0 {
@@ -274,31 +263,18 @@ func TestRebuildPartSequentialEquivalence(t *testing.T) {
 						}
 					}
 					if got := snapshotBytes(t, e); !bytes.Equal(got, want) {
-						t.Errorf("parts=%d cap=%d: state diverged from RebuildAll", parts, cap)
+						t.Errorf("workers=%d cap=%d: state diverged from the uncapped RebuildAll", workers, cap)
 					}
 				})
 			}
 		})
 	}
-
-	// Part index normalization: negative and ≥parts indexes alias into
-	// range instead of silently skipping shards.
-	e := build(t, 0, func(e *Engine) {
-		for k := 0; k < 3; k++ {
-			if err := e.RebuildPart(now, 2, k-3, 3); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
-	if got := snapshotBytes(t, e); !bytes.Equal(got, want) {
-		t.Error("negative part indexes diverged from RebuildAll")
-	}
 }
 
-// TestRebuildPartSkipsSpilledIdle: spilled users with no pending
+// TestRebuildAllSkipsSpilledIdle: spilled users with no pending
 // check-ins are not faulted in by a rebuild pass — the cold tail must
 // cost a map lookup, not disk traffic.
-func TestRebuildPartSkipsSpilledIdle(t *testing.T) {
+func TestRebuildAllSkipsSpilledIdle(t *testing.T) {
 	cfg := tieredConfig(t, noCap)
 	e, err := NewEngine(cfg)
 	if err != nil {
@@ -333,11 +309,11 @@ func TestRebuildPartSkipsSpilledIdle(t *testing.T) {
 	}
 }
 
-// TestRebuildPartRestoresQuota: a fault-in whose quota sweep finds only
+// TestRebuildAllRestoresQuota: a fault-in whose quota sweep finds only
 // a busy victim leaves its shard over quota, and nothing else would
-// touch that shard again. RebuildPart must bring it back to quota even
+// touch that shard again. RebuildAll must bring it back to quota even
 // when none of the users it rebuilds needs a fault-in.
-func TestRebuildPartRestoresQuota(t *testing.T) {
+func TestRebuildAllRestoresQuota(t *testing.T) {
 	cfg := tieredConfig(t, 1)
 	cfg.Shards = 1
 	e, err := NewEngine(cfg)
@@ -383,16 +359,16 @@ func TestRebuildPartRestoresQuota(t *testing.T) {
 		t.Fatalf("busy victim was evicted anyway: %+v", ts)
 	}
 
-	if err := e.RebuildPart(at.Add(time.Hour), 1, 0, 1); err != nil {
+	if err := e.RebuildAll(at.Add(time.Hour), 1); err != nil {
 		t.Fatal(err)
 	}
 	if ts := e.TierStats(); ts.Resident != 1 || ts.Spilled != 1 {
-		t.Errorf("after RebuildPart: %+v, want 1 resident and 1 spilled", ts)
+		t.Errorf("after RebuildAll: %+v, want 1 resident and 1 spilled", ts)
 	}
 }
 
 // TestSpillTierConcurrencyStress hammers a tiny-cap tiered engine from
-// many goroutines — Report, ReportBatch, Request, RebuildPart, Snapshot,
+// many goroutines — Report, ReportBatch, Request, RebuildAll, Snapshot,
 // fingerprints, with the cap evicting throughout — at shards {1,8}.
 // Meaningful primarily under -race; the final state must still be
 // byte-identical to an untiered engine fed the same per-user operation
@@ -459,7 +435,7 @@ func TestSpillTierConcurrencyStress(t *testing.T) {
 					}
 					switch i % 2 {
 					case 0:
-						if err := e.RebuildPart(start.Add(time.Hour), 2, i, 4); err != nil {
+						if err := e.RebuildAll(start.Add(time.Hour), 2); err != nil {
 							t.Error(err)
 							return
 						}

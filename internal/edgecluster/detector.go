@@ -1,11 +1,9 @@
 package edgecluster
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/randx"
 )
@@ -73,10 +71,9 @@ type DetectorConfig struct {
 }
 
 // Detector runs ping-based decentralized failure detection over a
-// cluster. Construct one with Cluster.NewDetector, then either call
-// Tick from the deployment's own cadence (simulations, tests) or Run it
-// on an interval. Tick is safe for concurrent use with the cluster's
-// serving and merge paths.
+// cluster. Construct one with Cluster.NewDetector, then call Tick from
+// the deployment's own cadence. Tick is safe for concurrent use with
+// the cluster's serving and merge paths.
 type Detector struct {
 	c   *Cluster
 	cfg DetectorConfig
@@ -266,24 +263,4 @@ func (d *Detector) Tick() ([]Transition, error) {
 		}
 	}
 	return transitions, firstErr
-}
-
-// Run ticks the detector on an interval until ctx is cancelled,
-// delivering transitions to onChange (which may be nil). Deployments
-// that want their own cadence, logging, or error handling call Tick
-// directly instead.
-func (d *Detector) Run(ctx context.Context, interval time.Duration, onChange func([]Transition, error)) {
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			trs, err := d.Tick()
-			if onChange != nil && (len(trs) > 0 || err != nil) {
-				onChange(trs, err)
-			}
-		}
-	}
 }

@@ -15,11 +15,11 @@ import (
 )
 
 // urTrials runs `trials` independent obfuscations of the origin with the
-// mechanism and returns the per-trial utilization rates at targeting
-// radius R. Trials are mutually independent Monte-Carlo draws, so they
-// fan out across parallelism workers, each trial on its own
-// index-derived stream.
-func urTrials(mech geoind.Mechanism, rnd *randx.Rand, trials, samples int, targetRadius float64, parallelism int) ([]float64, error) {
+// mechanism and returns the per-trial utilization rates at the
+// targeting radius R, core.TargetRadius. Trials are mutually
+// independent Monte-Carlo draws, so they fan out across parallelism
+// workers, each trial on its own index-derived stream.
+func urTrials(mech geoind.Mechanism, rnd *randx.Rand, trials, samples, parallelism int) ([]float64, error) {
 	truth := geo.Point{}
 	urs := make([]float64, trials)
 	err := par.MapSeeded(parallelism, trials, rnd, func(i int, rnd *randx.Rand) error {
@@ -27,7 +27,7 @@ func urTrials(mech geoind.Mechanism, rnd *randx.Rand, trials, samples int, targe
 		if err != nil {
 			return fmt.Errorf("obfuscating trial %d: %w", i, err)
 		}
-		urs[i] = metrics.UtilizationRate(rnd, truth, cands, targetRadius, samples)
+		urs[i] = metrics.UtilizationRate(rnd, truth, cands, core.TargetRadius, samples)
 		return nil
 	})
 	if err != nil {
@@ -48,7 +48,6 @@ type Fig7Point struct {
 // RunFig7 measures the utilization-rate distribution of the three
 // mechanisms for n = 1…10 at ε = 1, r = 500 m, R = 5 km.
 func RunFig7(opts Options) ([]Fig7Point, error) {
-	const targetRadius = 5000.0
 	var points []Fig7Point
 	for n := 1; n <= 10; n++ {
 		params := deploy.Params()
@@ -67,7 +66,7 @@ func RunFig7(opts Options) ([]Fig7Point, error) {
 				return nil, fmt.Errorf("building %s n=%d: %w", b.name, n, err)
 			}
 			rnd := randx.New(opts.Seed, uint64(n*10+bi))
-			urs, err := urTrials(mech, rnd, opts.Trials, opts.URSamples, targetRadius, opts.Parallelism)
+			urs, err := urTrials(mech, rnd, opts.Trials, opts.URSamples, opts.Parallelism)
 			if err != nil {
 				return nil, fmt.Errorf("UR trials %s n=%d: %w", b.name, n, err)
 			}
@@ -120,10 +119,7 @@ type Fig8Point struct {
 // for the n-fold Gaussian mechanism across ε ∈ {1, 1.5},
 // r ∈ {500, 600, 700, 800} m, n = 1…10.
 func RunFig8(opts Options) ([]Fig8Point, error) {
-	const (
-		targetRadius = 5000.0
-		alpha        = 0.9
-	)
+	const alpha = 0.9
 	var points []Fig8Point
 	for _, eps := range []float64{1, 1.5} {
 		for _, r := range []float64{500, 600, 700, 800} {
@@ -133,7 +129,7 @@ func RunFig8(opts Options) ([]Fig8Point, error) {
 					return nil, fmt.Errorf("building n-fold eps=%g r=%g n=%d: %w", eps, r, n, err)
 				}
 				rnd := randx.New(opts.Seed, uint64(eps*1000)+uint64(r)*100+uint64(n))
-				urs, err := urTrials(mech, rnd, opts.Trials, opts.URSamples, targetRadius, opts.Parallelism)
+				urs, err := urTrials(mech, rnd, opts.Trials, opts.URSamples, opts.Parallelism)
 				if err != nil {
 					return nil, fmt.Errorf("UR trials eps=%g r=%g n=%d: %w", eps, r, n, err)
 				}
@@ -181,7 +177,6 @@ type Fig9Point struct {
 // RunFig9 measures advertising efficacy with the posterior output
 // selection module for r ∈ {500, 600, 700, 800} m, ε = 1, n = 1…10.
 func RunFig9(opts Options) ([]Fig9Point, error) {
-	const targetRadius = 5000.0
 	truth := geo.Point{}
 	var points []Fig9Point
 	for _, r := range []float64{500, 600, 700, 800} {
@@ -209,7 +204,7 @@ func RunFig9(opts Options) ([]Fig9Point, error) {
 				if err != nil {
 					return fmt.Errorf("selecting r=%g n=%d: %w", r, n, err)
 				}
-				effs[i] = metrics.EfficacyAnalytic(truth, selected, targetRadius)
+				effs[i] = metrics.EfficacyAnalytic(truth, selected, core.TargetRadius)
 				return nil
 			})
 			if err != nil {

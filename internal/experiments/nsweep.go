@@ -65,7 +65,7 @@ func RunNSweep(opts Options) ([]NSweepPoint, error) {
 		if trials < 50 {
 			trials = 50
 		}
-		urs, err := urTrials(mech, rnd, trials, opts.URSamples, 5000, opts.Parallelism)
+		urs, err := urTrials(mech, rnd, trials, opts.URSamples, opts.Parallelism)
 		if err != nil {
 			return nil, fmt.Errorf("nsweep UR n=%d: %w", n, err)
 		}

@@ -732,10 +732,12 @@ func TestDecodeAllocationBoundedByFrame(t *testing.T) {
 	}
 }
 
-// TestBatchDecodeSharesUserID: decoding one device's 64-item batch
-// allocates the item slice and one user ID, which every item shares,
-// not one ID per item, so it allocates as often as a one-item batch. A
-// batch that switches users still gives each run its own ID.
+// TestBatchDecodeSharesUserID: decoding one device's 64-item batch,
+// binary or JSON, allocates one user ID, which every item shares, not
+// one ID per item. A binary decode allocates as often as a one-item
+// batch does; a JSON decode adds only the three regrowths of its item
+// slice past the eight items it holds on the stack. A batch that
+// switches users still gives each run its own ID.
 func TestBatchDecodeSharesUserID(t *testing.T) {
 	single := &ReportBatchRequest{Reports: make([]ReportRequest, 64)}
 	mixed := &ReportBatchRequest{Reports: make([]ReportRequest, 64)}
@@ -745,36 +747,54 @@ func TestBatchDecodeSharesUserID(t *testing.T) {
 		r.UserID = fmt.Sprintf("device-%d", i/16)
 		mixed.Reports[i] = r
 	}
-	for _, want := range []*ReportBatchRequest{single, mixed} {
-		var got ReportBatchRequest
-		if err := Decode(Encode(want), &got); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(&got, want) {
-			t.Fatalf("decoded batch differs from the encoded one")
-		}
-		for i := 1; i < len(got.Reports); i++ {
-			prev, cur := got.Reports[i-1].UserID, got.Reports[i].UserID
-			if shared := unsafe.StringData(prev) == unsafe.StringData(cur); shared != (prev == cur) {
-				t.Errorf("items %d and %d (%q, %q): shared ID string %v", i-1, i, prev, cur, shared)
-			}
-		}
-	}
-	if raceEnabled {
-		t.Skip("the race detector adds allocations of its own")
-	}
-	allocs := func(m *ReportBatchRequest) float64 {
-		frame := Encode(m)
-		return testing.AllocsPerRun(100, func() {
-			var got ReportBatchRequest
-			if err := Decode(frame, &got); err != nil {
+	one := &ReportBatchRequest{Reports: single.Reports[:1]}
+	for _, codec := range []struct {
+		name   string
+		encode func(Message) []byte
+		decode func([]byte, Message) error
+		regrow float64
+	}{
+		{"binary", Encode, Decode, 0},
+		{"json", func(m Message) []byte {
+			b, err := AppendJSON(nil, m)
+			if err != nil {
 				t.Fatal(err)
 			}
+			return b
+		}, DecodeJSON, 3},
+	} {
+		t.Run(codec.name, func(t *testing.T) {
+			for _, want := range []*ReportBatchRequest{single, mixed} {
+				var got ReportBatchRequest
+				if err := codec.decode(codec.encode(want), &got); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(&got, want) {
+					t.Fatalf("decoded batch differs from the encoded one")
+				}
+				for i := 1; i < len(got.Reports); i++ {
+					prev, cur := got.Reports[i-1].UserID, got.Reports[i].UserID
+					if shared := unsafe.StringData(prev) == unsafe.StringData(cur); shared != (prev == cur) {
+						t.Errorf("items %d and %d (%q, %q): shared ID string %v", i-1, i, prev, cur, shared)
+					}
+				}
+			}
+			if raceEnabled {
+				t.Skip("the race detector adds allocations of its own")
+			}
+			allocs := func(m *ReportBatchRequest) float64 {
+				data := codec.encode(m)
+				return testing.AllocsPerRun(100, func() {
+					var got ReportBatchRequest
+					if err := codec.decode(data, &got); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			if n, n1 := allocs(single), allocs(one); n != n1+codec.regrow {
+				t.Errorf("decoding a 64-item single-user batch: %v allocs, want a one-item batch's %v plus %v", n, n1, codec.regrow)
+			}
 		})
-	}
-	one := &ReportBatchRequest{Reports: single.Reports[:1]}
-	if n, n1 := allocs(single), allocs(one); n != n1 {
-		t.Errorf("decoding a 64-item single-user batch: %v allocs, a one-item batch %v", n, n1)
 	}
 }
 

@@ -414,11 +414,19 @@ func (d *jsonDecoder) bool() bool {
 
 // str reads a string member, null leaving it empty. The value is
 // copied out of the input, never aliased.
-func (d *jsonDecoder) str() string {
+func (d *jsonDecoder) str() string { return d.strReuse("") }
+
+// strReuse is str for a member that often repeats prev, as the user ID
+// of one device's batch does: a value written without escapes that
+// equals prev reads as prev itself, without allocating.
+func (d *jsonDecoder) strReuse(prev string) string {
 	switch d.peek() {
 	case '"':
 		raw, plain := d.stringBytes()
 		if plain {
+			if string(raw) == prev {
+				return prev
+			}
 			return string(raw)
 		}
 		var buf [64]byte

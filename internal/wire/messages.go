@@ -63,13 +63,19 @@ func (m *ReportRequest) appendJSON(e *jsonEncoder) {
 var reportFields = []string{"user_id", "pos", "time"}
 
 func (m *ReportRequest) readJSON(d *jsonDecoder) {
+	m.readJSONItem(d, "")
+}
+
+// readJSONItem is readItem's JSON twin: it reads a report whose user ID
+// shares prevID's string, without allocating, when the two are equal.
+func (m *ReportRequest) readJSONItem(d *jsonDecoder, prevID string) {
 	*m = ReportRequest{}
 	var hasPos bool
 	o := d.object(reportFields)
 	for d.next(&o) {
 		switch o.field {
 		case 0:
-			m.UserID = d.str()
+			m.UserID = d.strReuse(prevID)
 		case 1:
 			m.Pos, hasPos = d.point()
 		case 2:
@@ -143,9 +149,13 @@ func (m *ReportBatchRequest) readJSON(d *jsonDecoder) {
 		}
 		var buf [8]ReportRequest
 		reports := buf[:0]
+		// One device's batch repeats one user ID: the items share its
+		// string.
+		prevID := ""
 		for i := 0; d.more(i); i++ {
 			reports = append(reports, ReportRequest{})
-			reports[i].readJSON(d)
+			reports[i].readJSONItem(d, prevID)
+			prevID = reports[i].UserID
 		}
 		m.Reports = exactCopy(reports)
 	}

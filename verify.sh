@@ -171,10 +171,11 @@ grep -Eq 'joins=[1-9]' "$SCN_OUT"
 rm -f "$SCN_OUT"
 
 # Resident-cap flake guard: a rebuild worker's lock once left a shard
-# over quota with no later touch to trim it. RebuildPart restores quota
-# itself; with that step removed, about one run in five of this test
-# fails, so 50 runs (~1 s) catch a regression.
-go test ./internal/core -run 'TestRebuildPartSequentialEquivalence$' -count=50
+# over quota with no later touch to trim it. RebuildAll restores quota
+# itself at the end of the pass. With that step removed the quota test
+# fails on every run, while the capped pass over a concurrent rebuild
+# fails only now and then, so both run 50 times (~1 s).
+go test ./internal/core -run 'TestRebuildAllUnderCap$|TestRebuildAllRestoresQuota$' -count=50
 
 # Kill-and-recover smoke: start edged on a WAL data directory with
 # fsync=always, drive reports and a rebuild, SIGKILL the process, restart
